@@ -6,8 +6,7 @@ prediction with metrics (predict), and the unsupervised consumers (kpca,
 cluster). Exit codes: 0 success, 1 usage error, 2 data or validation error.
 
 Every command takes a single --seed; where a command needs several
-independent random streams they are derived from that seed by role. Gram
-assembly honors the QKFLOW_THREADS environment variable.
+independent random streams they are derived from that seed by role.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ the all-zeros probability) or by the swap test (prepare both states and take
 the squared inner product; a shot-sampled ancilla gives p0 = 1/2 + k/2, so
 the estimate is 2*p0_hat - 1 clamped to [0, 1]).
 
+All points of one call are simulated together as one amplitude block. The
+inversion test then applies each point's adjoint circuit to the rows that
+pair with it; the swap test is one product of two blocks.
+
 Exact mode computes probabilities from amplitudes. Shots mode samples the
 corresponding measurement with a deterministic stream per (seed, i, j) pair,
 so Gram assembly is reproducible regardless of evaluation order.
@@ -16,24 +20,13 @@ so Gram assembly is reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .featuremap import FeatureMapSpec, build_encoding_circuit, param_count
-from .statevector import (
-    Circuit,
-    StateVector,
-    adjoint,
-    apply_circuit,
-    inner_product,
-    new_zero_state,
-    probability_all_zeros,
-    rng_entropy,
-    sample_measurements,
-)
+from .statevector import adjoint, apply_circuit_block, rng_entropy, simulate_block
 
 __all__ = [
     "MODES",
@@ -43,13 +36,10 @@ __all__ = [
     "kernel_value",
     "gram_matrix",
     "cross_gram",
-    "worker_count",
 ]
 
 MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
-
-THREADS_ENV_VAR = "QKFLOW_THREADS"
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,31 +120,6 @@ def describe(cfg: KernelEngineConfig) -> str:
     return ":".join(parts)
 
 
-def worker_count() -> int:
-    """Resolve the Gram evaluation thread cap from QKFLOW_THREADS.
-
-    Unset or 0 means auto; auto currently evaluates sequentially because
-    pair evaluation is dominated by small-array work that does not benefit
-    from pool fan-out at supported problem sizes.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 0, got {n}")
-    return n if n >= 1 else 1
-
-
-def _require_params(cfg: KernelEngineConfig) -> np.ndarray:
-    if cfg.params is None:
-        raise ValueError("kernel evaluation needs a bound parameter vector")
-    return cfg.params
-
-
 def _as_points(data, name: str) -> np.ndarray:
     points = np.asarray(data, dtype=float)
     if points.ndim == 1:
@@ -166,17 +131,10 @@ def _as_points(data, name: str) -> np.ndarray:
     return points
 
 
-def _forward_state(cfg: KernelEngineConfig, point: np.ndarray) -> StateVector:
-    circuit = build_encoding_circuit(cfg.spec, point, _require_params(cfg))
-    return apply_circuit(new_zero_state(cfg.spec.n_qubits), circuit)
-
-
-def _adjoint_circuit(cfg: KernelEngineConfig, point: np.ndarray) -> Circuit:
-    return adjoint(build_encoding_circuit(cfg.spec, point, _require_params(cfg)))
-
-
-def _clamp01(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
+def _circuits(cfg: KernelEngineConfig, points: np.ndarray) -> list:
+    if cfg.params is None:
+        raise ValueError("kernel evaluation needs a bound parameter vector")
+    return [build_encoding_circuit(cfg.spec, point, cfg.params) for point in points]
 
 
 def _pair_seed(seed: int, i: int, j: int) -> int:
@@ -184,27 +142,57 @@ def _pair_seed(seed: int, i: int, j: int) -> int:
     return int(stream.generate_state(1, np.uint64)[0])
 
 
-def _inversion_value(
-    cfg: KernelEngineConfig, fwd: StateVector, adj: Circuit, seed: int
-) -> float:
-    final = apply_circuit(fwd, adj)
-    if cfg.mode == "exact":
-        return _clamp01(probability_all_zeros(final))
-    counts = sample_measurements(final, cfg.shots, seed)
-    zeros = "0" * cfg.spec.n_qubits
-    return counts.get(zeros, 0) / cfg.shots
+def _draw(shots: int, probabilities: np.ndarray, seed_of) -> np.ndarray:
+    """Binomial(shots, p) for every entry, each from its own seed_of(i, j) stream."""
+    counts = np.empty(probabilities.shape)
+    for (i, j), prob in np.ndenumerate(probabilities):
+        rng = np.random.default_rng(rng_entropy(seed_of(i, j)))
+        counts[i, j] = rng.binomial(shots, prob)
+    return counts
 
 
-def _swap_value(
-    cfg: KernelEngineConfig, fwd: StateVector, other: StateVector, seed: int
-) -> float:
-    fidelity = _clamp01(abs(inner_product(other, fwd)) ** 2)
+def _all_zeros_probabilities(cfg, states, circuits, upper) -> np.ndarray:
+    """P(0...0) after U(b_j)^dag U(a_i)|0...0> for row i of `states` and circuit j.
+
+    With `upper`, only entries i < j are evaluated and the rest stay 0.
+    """
+    probs = np.zeros((len(states), len(circuits)))
+    for j, circuit in enumerate(circuits):
+        rows = j if upper else len(states)
+        block = states[:rows].copy()
+        apply_circuit_block(block, adjoint(circuit))
+        if cfg.mode == "exact":
+            # Bit-equal to probability_all_zeros: its scalar abs(a) ** 2 is
+            # hypot then libm pow, which np.abs(a) ** 2 does not reproduce.
+            amp = block[:, 0]
+            probs[:rows, j] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+        else:
+            # Normalizes as sample_measurements does.
+            weights = np.abs(block) ** 2
+            probs[:rows, j] = weights[:, 0] / weights.sum(axis=1)
+    return probs
+
+
+def _kernel_block(cfg, circuits_a, circuits_b, seed_of, upper=False) -> np.ndarray:
+    """K[i, j] = k(a_i, b_j) for the points behind two lists of encoding circuits.
+
+    With `upper`, the inversion test evaluates only entries i < j. Shots
+    mode seeds entry (i, j) with seed_of(i, j). The inversion count is the
+    all-zeros cell of the full-register multinomial, Binomial(shots, p0);
+    numpy's multinomial draws that cell first with the same binomial call.
+    """
+    states = simulate_block(circuits_a)
+    if cfg.circuit_kind == "inversion":
+        probs = _all_zeros_probabilities(cfg, states, circuits_b, upper)
+        if cfg.mode == "exact":
+            return np.clip(probs, 0.0, 1.0)
+        return _draw(cfg.shots, probs, seed_of) / cfg.shots
+    others = states if circuits_b is circuits_a else simulate_block(circuits_b)
+    fidelity = np.clip(np.abs(states @ others.conj().T) ** 2, 0.0, 1.0)
     if cfg.mode == "exact":
         return fidelity
-    p_zero = 0.5 + 0.5 * fidelity
-    rng = np.random.default_rng(rng_entropy(seed))
-    successes = int(rng.binomial(cfg.shots, p_zero))
-    return _clamp01(2.0 * successes / cfg.shots - 1.0)
+    successes = _draw(cfg.shots, 0.5 + 0.5 * fidelity, seed_of)
+    return np.clip(2.0 * successes / cfg.shots - 1.0, 0.0, 1.0)
 
 
 def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
@@ -217,18 +205,10 @@ def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
         raise ValueError("points must have at least one feature")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("points contain non-finite values")
-    fwd = _forward_state(cfg, a)
-    if cfg.circuit_kind == "inversion":
-        return _inversion_value(cfg, fwd, _adjoint_circuit(cfg, b), cfg.seed)
-    return _swap_value(cfg, fwd, _forward_state(cfg, b), cfg.seed)
-
-
-def _map_rows(tasks, workers):
-    if workers == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+    block = _kernel_block(
+        cfg, _circuits(cfg, a[None]), _circuits(cfg, b[None]), lambda i, j: cfg.seed
+    )
+    return float(block[0, 0])
 
 
 def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
@@ -240,35 +220,13 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     """
     points = _as_points(data, "data")
     m = points.shape[0]
-    states = [_forward_state(cfg, points[i]) for i in range(m)]
-    inversion = cfg.circuit_kind == "inversion"
-    adjoints = [_adjoint_circuit(cfg, points[j]) for j in range(m)] if inversion else None
-    values = np.empty((m, m), dtype=float)
-
-    def pair(i: int, j: int, seed: int) -> float:
-        if inversion:
-            return _inversion_value(cfg, states[i], adjoints[j], seed)
-        return _swap_value(cfg, states[i], states[j], seed)
-
+    circuits = _circuits(cfg, points)
     if cfg.mode == "exact":
-        def upper_row(i):
-            return lambda: [pair(i, j, cfg.seed) for j in range(i + 1, m)]
-
-        rows = _map_rows([upper_row(i) for i in range(m)], worker_count())
-        for i in range(m):
-            values[i, i] = 1.0
-            for offset, entry in enumerate(rows[i]):
-                j = i + 1 + offset
-                values[i, j] = entry
-                values[j, i] = entry
+        upper = np.triu(_kernel_block(cfg, circuits, circuits, None, upper=True), 1)
+        values = upper + upper.T
+        np.fill_diagonal(values, 1.0)
     else:
-        def full_row(i):
-            return lambda: [pair(i, j, _pair_seed(cfg.seed, i, j)) for j in range(m)]
-
-        rows = _map_rows([full_row(i) for i in range(m)], worker_count())
-        for i in range(m):
-            values[i, :] = rows[i]
-
+        values = _kernel_block(cfg, circuits, circuits, partial(_pair_seed, cfg.seed))
     return GramMatrix(values=values, kernel_id=describe(cfg), point_count=m)
 
 
@@ -280,22 +238,9 @@ def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:
         raise ValueError(
             f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
         )
-    n, m = new_points.shape[0], train_points.shape[0]
-    new_states = [_forward_state(cfg, new_points[i]) for i in range(n)]
-    inversion = cfg.circuit_kind == "inversion"
-    if inversion:
-        train_ops = [_adjoint_circuit(cfg, train_points[j]) for j in range(m)]
-    else:
-        train_ops = [_forward_state(cfg, train_points[j]) for j in range(m)]
-
-    def pair(i: int, j: int) -> float:
-        seed = cfg.seed if cfg.mode == "exact" else _pair_seed(cfg.seed, i, j)
-        if inversion:
-            return _inversion_value(cfg, new_states[i], train_ops[j], seed)
-        return _swap_value(cfg, new_states[i], train_ops[j], seed)
-
-    def row(i):
-        return lambda: [pair(i, j) for j in range(m)]
-
-    rows = _map_rows([row(i) for i in range(n)], worker_count())
-    return np.array(rows, dtype=float)
+    return _kernel_block(
+        cfg,
+        _circuits(cfg, new_points),
+        _circuits(cfg, train_points),
+        partial(_pair_seed, cfg.seed),
+    )

@@ -1,15 +1,17 @@
 """Dense statevector simulation of small parameterized circuits.
 
-Amplitudes are stored as a single complex128 vector of length ``2**n_qubits``.
+Amplitudes are stored as a single complex128 vector of length ``2**n_qubits``,
+or as a ``(rows, 2**n_qubits)`` block of such vectors that is evolved at once.
 Qubit 0 is the least significant bit of the computational basis index, so for
 two qubits the basis order is ``|q1 q0> = |00>, |01>, |10>, |11>``.  Gates are
-applied by strided slicing of the amplitude vector; the full ``2**n x 2**n``
+applied by strided slicing of the amplitudes; the full ``2**n x 2**n``
 operator is never materialized.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,8 @@ __all__ = [
     "new_zero_state",
     "apply_gate",
     "apply_circuit",
+    "apply_circuit_block",
+    "simulate_block",
     "adjoint",
     "inner_product",
     "probability_all_zeros",
@@ -179,16 +183,20 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def new_zero_state(n_qubits: int) -> StateVector:
-    """Return |0...0> on `n_qubits` qubits (1 to MAX_QUBITS inclusive)."""
+def _zero_block(rows: int, n_qubits: int) -> np.ndarray:
     n = int(n_qubits)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(
             f"simulator supports 1 to {MAX_QUBITS} qubits, got {n_qubits}"
         )
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n, amps)
+    amps = np.zeros((rows, 1 << n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    return amps
+
+
+def new_zero_state(n_qubits: int) -> StateVector:
+    """Return |0...0> on `n_qubits` qubits (1 to MAX_QUBITS inclusive)."""
+    return StateVector(int(n_qubits), _zero_block(1, n_qubits))
 
 
 def _single_qubit_matrix(gate: Gate) -> np.ndarray:
@@ -229,36 +237,37 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
 
 
 def _apply_single_inplace(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    # axis 1 of the view walks the target qubit's bit (stride 2**q).
-    view = amps.reshape(-1, 2, 1 << q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-    view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+    # amps is a (rows, 2**n) block and u one 2x2 matrix or one per row.
+    # Axis 2 of the view walks the target qubit's bit (stride 2**q).
+    rows, size = amps.shape
+    view = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+    u = u.reshape(-1, 1, 2, 2, 1)
+    a0 = view[:, :, 0, :].copy()
+    a1 = view[:, :, 1, :]
+    view[:, :, 0, :] = u[:, :, 0, 0] * a0 + u[:, :, 0, 1] * a1
+    view[:, :, 1, :] = u[:, :, 1, 0] * a0 + u[:, :, 1, 1] * a1
+
+
+def _qubit_tensor(amps: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    # C-order: after the row axis, axis n - q indexes qubit q.
+    return amps.reshape((amps.shape[0],) + (2,) * n), [slice(None)] * (n + 1)
 
 
 def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int) -> None:
-    tensor = amps.reshape((2,) * n)
-    # C-order: axis k indexes qubit n-1-k.
-    axis_c, axis_t = n - 1 - control, n - 1 - target
-    sel = [slice(None)] * n
-    sel[axis_c] = 1
-    sub = tensor[tuple(sel)]
-    axis_t_sub = axis_t - 1 if axis_t > axis_c else axis_t
-    lo = [slice(None)] * (n - 1)
-    hi = [slice(None)] * (n - 1)
-    lo[axis_t_sub] = 0
-    hi[axis_t_sub] = 1
-    tmp = sub[tuple(lo)].copy()
-    sub[tuple(lo)] = sub[tuple(hi)]
-    sub[tuple(hi)] = tmp
+    tensor, lo = _qubit_tensor(amps, n)
+    lo[n - control] = 1
+    hi = list(lo)
+    lo[n - target] = 0
+    hi[n - target] = 1
+    tmp = tensor[tuple(lo)].copy()
+    tensor[tuple(lo)] = tensor[tuple(hi)]
+    tensor[tuple(hi)] = tmp
 
 
 def _apply_cz_inplace(amps: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
-    tensor = amps.reshape((2,) * n)
-    sel = [slice(None)] * n
-    sel[n - 1 - qubit_a] = 1
-    sel[n - 1 - qubit_b] = 1
+    tensor, sel = _qubit_tensor(amps, n)
+    sel[n - qubit_a] = 1
+    sel[n - qubit_b] = 1
     tensor[tuple(sel)] *= -1.0
 
 
@@ -278,9 +287,20 @@ def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Return the state after applying one gate (the input is unchanged)."""
-    amps = state.amplitudes.copy()
+    amps = state.amplitudes.reshape(1, -1).copy()
     _apply_gate_inplace(amps, state.n_qubits, gate)
     return StateVector(state.n_qubits, amps)
+
+
+def apply_circuit_block(amps: np.ndarray, circuit: Circuit) -> None:
+    """Apply `circuit` in place to every row of a (rows, 2**n) amplitude block."""
+    if amps.ndim != 2 or amps.shape[1] != 1 << circuit.n_qubits:
+        raise ValueError(
+            f"circuit acts on {circuit.n_qubits} qubit(s) "
+            f"but the block has shape {amps.shape}"
+        )
+    for gate in circuit.gates:
+        _apply_gate_inplace(amps, circuit.n_qubits, gate)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -290,10 +310,31 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit acts on {circuit.n_qubits} qubit(s) "
             f"but the state has {state.n_qubits}"
         )
-    amps = state.amplitudes.copy()
-    for gate in circuit.gates:
-        _apply_gate_inplace(amps, state.n_qubits, gate)
+    amps = state.amplitudes.reshape(1, -1).copy()
+    apply_circuit_block(amps, circuit)
     return StateVector(state.n_qubits, amps)
+
+
+def simulate_block(circuits: Sequence[Circuit]) -> np.ndarray:
+    """Return circuits[r] |0...0> as row r of one (len(circuits), 2**n) block.
+
+    The circuits must share one gate layout, the same kind on the same targets
+    at every position; only their angles may differ. Each row gets exactly
+    the arithmetic `apply_circuit` would give it.
+    """
+    layouts = {(c.n_qubits, tuple((g.kind, g.targets) for g in c.gates)) for c in circuits}
+    if len(layouts) != 1:
+        raise ValueError("circuits in one block must share their gate layout")
+    n = circuits[0].n_qubits
+    amps = _zero_block(len(circuits), n)
+    for gates in zip(*(c.gates for c in circuits)):
+        first = gates[0]
+        if first.kind in _TWO_QUBIT:
+            _apply_gate_inplace(amps, n, first)
+        else:
+            matrices = np.stack([_single_qubit_matrix(g) for g in gates])
+            _apply_single_inplace(amps, first.targets[0], matrices)
+    return amps
 
 
 def _invert_gate(gate: Gate) -> Gate:

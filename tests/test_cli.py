@@ -85,6 +85,16 @@ def test_kernel_cross_gram_shape(tmp_path):
     assert X.shape == (6, 8)
 
 
+def test_kernel_beyond_the_qubit_bound_is_exit_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run("gen-data", "--kind", "blobs", "--m", "4", "--seed", "1", "--out", str(data))
+    rc = run("kernel", "--data", str(data), "--kernel", "quantum", "--qubits", "21",
+             "--out", str(tmp_path / "K.csv"))
+    assert rc == 2
+    assert "1 to 20 qubits" in capsys.readouterr().err
+    assert not (tmp_path / "K.csv").exists()
+
+
 def test_align_writes_embedding_and_monotone_trace(tmp_path):
     data = tmp_path / "hr.csv"
     emb = tmp_path / "emb.json"

@@ -5,18 +5,37 @@ RX(x)|0>, so k(x, x') = |<0|RX(x - x')|0>|^2 = cos^2((x - x')/2). Without
 entanglement the multi-qubit version factorizes into a product over qubits.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from qkflow.featuremap import FeatureMapSpec, param_count, random_params
+from qkflow.featuremap import (
+    DATA_AXES,
+    ENTANGLEMENTS,
+    TRAINABLE_AXES,
+    FeatureMapSpec,
+    build_encoding_circuit,
+    param_count,
+    random_params,
+)
 from qkflow.qkernel import (
     GramMatrix,
     KernelEngineConfig,
+    _pair_seed,
     cross_gram,
     describe,
     gram_matrix,
     kernel_value,
-    worker_count,
+)
+from qkflow.statevector import (
+    MAX_QUBITS,
+    adjoint,
+    apply_circuit,
+    inner_product,
+    new_zero_state,
+    probability_all_zeros,
+    sample_measurements,
 )
 
 
@@ -215,37 +234,108 @@ def test_negative_seed_accepted():
     assert 0.0 <= value <= 1.0
 
 
-# configuration and environment
+# bitwise agreement with a per-pair statevector reference
 
 
-def test_threaded_gram_matches_sequential(monkeypatch):
-    rng = np.random.default_rng(61)
-    cfg = random_cfg(rng)
-    X = rng.uniform(-np.pi, np.pi, size=(6, 2))
-    monkeypatch.delenv("QKFLOW_THREADS", raising=False)
-    sequential = gram_matrix(cfg, X).values
-    monkeypatch.setenv("QKFLOW_THREADS", "3")
-    assert worker_count() == 3
-    threaded = gram_matrix(cfg, X).values
-    np.testing.assert_array_equal(sequential, threaded)
-
-    shot_cfg = one_qubit_cfg(mode="shots", shots=200, seed=2)
-    Xs = rng.uniform(-np.pi, np.pi, size=(4, 1))
-    monkeypatch.delenv("QKFLOW_THREADS", raising=False)
-    seq = gram_matrix(shot_cfg, Xs).values
-    monkeypatch.setenv("QKFLOW_THREADS", "2")
-    np.testing.assert_array_equal(seq, gram_matrix(shot_cfg, Xs).values)
+def reference_state(cfg, x):
+    circuit = build_encoding_circuit(cfg.spec, x, cfg.params)
+    return apply_circuit(new_zero_state(cfg.spec.n_qubits), circuit)
 
 
-def test_worker_count_validation(monkeypatch):
-    monkeypatch.setenv("QKFLOW_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("QKFLOW_THREADS", "four")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("QKFLOW_THREADS", "-2")
-    with pytest.raises(ValueError):
-        worker_count()
+def reference_entry(cfg, xa, xb, seed):
+    """One inversion test through the public gate API, one pair at a time."""
+    spec = cfg.spec
+    final = apply_circuit(reference_state(cfg, xa), adjoint(build_encoding_circuit(spec, xb, cfg.params)))
+    if cfg.mode == "exact":
+        return min(max(probability_all_zeros(final), 0.0), 1.0)
+    counts = sample_measurements(final, cfg.shots, seed)
+    return counts.get("0" * spec.n_qubits, 0) / cfg.shots
+
+
+def reference_swap(cfg, A, B):
+    """|<b_j|a_i>|^2 one pair at a time; the batched product sums in another order."""
+    return np.array([
+        [abs(inner_product(reference_state(cfg, b), reference_state(cfg, a))) ** 2 for b in B]
+        for a in A
+    ])
+
+
+def reference_gram(cfg, X):
+    m = len(X)
+    if cfg.mode == "shots":
+        return reference_cross(cfg, X, X)
+    K = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            K[i, j] = K[j, i] = reference_entry(cfg, X[i], X[j], cfg.seed)
+    return K
+
+
+def reference_cross(cfg, A, B):
+    return np.array([
+        [reference_entry(cfg, a, b, _pair_seed(cfg.seed, i, j)) for j, b in enumerate(B)]
+        for i, a in enumerate(A)
+    ])
+
+
+AXIS_GRID = list(itertools.product(DATA_AXES, TRAINABLE_AXES, ENTANGLEMENTS))
+
+
+@pytest.mark.parametrize("data_axis,trainable_axis,entanglement", AXIS_GRID)
+def test_exact_kernels_match_the_per_pair_reference(data_axis, trainable_axis, entanglement):
+    index = AXIS_GRID.index((data_axis, trainable_axis, entanglement))
+    rng = np.random.default_rng(index)
+    spec = FeatureMapSpec(
+        n_qubits=1 + index % 4,
+        n_layers=1 + index % 3,
+        data_axis=data_axis,
+        trainable_axis=trainable_axis,
+        entanglement=entanglement,
+        data_scaling=float(rng.uniform(0.5, 1.5)),
+    )
+    cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)))
+    X = rng.uniform(-np.pi, np.pi, size=(5, 2))
+    Y = rng.uniform(-np.pi, np.pi, size=(3, 2))
+    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
+    assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+
+    swap = KernelEngineConfig(spec=spec, params=cfg.params, circuit_kind="swap")
+    atol = 4 * 2**spec.n_qubits * np.finfo(float).eps  # rounding of a 2**n-term sum
+    expected = reference_swap(swap, X, X)
+    np.fill_diagonal(expected, 1.0)
+    np.testing.assert_allclose(gram_matrix(swap, X).values, expected, rtol=0, atol=atol)
+    np.testing.assert_allclose(cross_gram(swap, Y, X), reference_swap(swap, Y, X), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 5])
+def test_shot_matrices_are_bitwise_the_per_pair_multinomial(n_qubits):
+    rng = np.random.default_rng(70 + n_qubits)
+    spec = FeatureMapSpec(n_qubits, 2, data_axis="ry", trainable_axis="rx", entanglement="ring")
+    cfg = KernelEngineConfig(
+        spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)),
+        mode="shots", shots=int(rng.integers(50, 3000)), seed=int(rng.integers(-100, 100)),
+    )
+    X = rng.uniform(-np.pi, np.pi, size=(4, 3))
+    Y = rng.uniform(-np.pi, np.pi, size=(3, 3))
+    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
+    assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+
+
+def test_qubit_bound_is_checked_through_the_kernel_api():
+    spec = FeatureMapSpec(MAX_QUBITS + 1, 1)
+    cfg = KernelEngineConfig(spec=spec, params=np.zeros(param_count(spec)))
+    X = np.zeros((2, 1))
+    with pytest.raises(ValueError, match="1 to 20 qubits"):
+        gram_matrix(cfg, X)
+    with pytest.raises(ValueError, match="1 to 20 qubits"):
+        cross_gram(cfg, X, X)
+    with pytest.raises(ValueError, match="1 to 20 qubits"):
+        kernel_value(cfg, [0.1], [0.2])
+
+
+# configuration
 
 
 def test_config_validation():

@@ -1,0 +1,64 @@
+"""Property tests for the exact Gram invariants.
+
+Over random feature maps, parameter vectors and point sets, an exact Gram
+matrix is symmetric with a unit diagonal and entries in [0, 1], positive
+semidefinite up to rounding, the same for the inversion and the swap test,
+and the same as the cross-Gram of the point set with itself.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkflow.featuremap import DATA_AXES, ENTANGLEMENTS, TRAINABLE_AXES, FeatureMapSpec, param_count
+from qkflow.qkernel import KernelEngineConfig, cross_gram, gram_matrix
+
+angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernel_cases(draw):
+    spec = FeatureMapSpec(
+        n_qubits=draw(st.integers(1, 3)),
+        n_layers=draw(st.integers(1, 2)),
+        data_axis=draw(st.sampled_from(DATA_AXES)),
+        trainable_axis=draw(st.sampled_from(TRAINABLE_AXES)),
+        entanglement=draw(st.sampled_from(ENTANGLEMENTS)),
+        data_scaling=draw(st.floats(0.0, 2.0)),
+    )
+    params = np.array(draw(st.lists(angles, min_size=param_count(spec), max_size=param_count(spec))))
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    points = np.array(draw(st.lists(angles, min_size=m * d, max_size=m * d))).reshape(m, d)
+    return spec, params, points
+
+
+def exact_cfg(spec, params, circuit_kind):
+    return KernelEngineConfig(spec=spec, params=params, circuit_kind=circuit_kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases(), st.sampled_from(["inversion", "swap"]))
+def test_exact_gram_is_a_symmetric_psd_fidelity_matrix(case, circuit_kind):
+    spec, params, X = case
+    K = gram_matrix(exact_cfg(spec, params, circuit_kind), X).values
+    np.testing.assert_array_equal(K, K.T)
+    np.testing.assert_array_equal(np.diag(K), np.ones(len(X)))
+    assert np.all((K >= 0.0) & (K <= 1.0))
+    assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_inversion_equals_swap(case):
+    spec, params, X = case
+    inversion = gram_matrix(exact_cfg(spec, params, "inversion"), X).values
+    swap = gram_matrix(exact_cfg(spec, params, "swap"), X).values
+    np.testing.assert_allclose(inversion, swap, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases(), st.sampled_from(["inversion", "swap"]))
+def test_cross_gram_with_itself_is_the_gram(case, circuit_kind):
+    spec, params, X = case
+    cfg = exact_cfg(spec, params, circuit_kind)
+    np.testing.assert_allclose(cross_gram(cfg, X, X), gram_matrix(cfg, X).values, rtol=0.0, atol=1e-10)

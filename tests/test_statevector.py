@@ -16,7 +16,10 @@ from qkflow.statevector import (
     Gate,
     StateVector,
     adjoint,
+    _apply_single_inplace,
+    _single_qubit_matrix,
     apply_circuit,
+    apply_circuit_block,
     apply_gate,
     cnot,
     cz,
@@ -29,6 +32,7 @@ from qkflow.statevector import (
     ry,
     rz,
     sample_measurements,
+    simulate_block,
     u3,
     x,
 )
@@ -259,6 +263,93 @@ def test_sampling_accepts_negative_seed():
     assert first == second
 
 
+# amplitude blocks: every row gets exactly the arithmetic of apply_gate
+
+BLOCK_QUBITS = 4
+SINGLE_KINDS = ("h", "x", "p", "rx", "ry", "rz", "u3")
+
+
+def random_block(rows, n_qubits, rng):
+    amps = rng.normal(size=(rows, 1 << n_qubits)) + 1j * rng.normal(size=(rows, 1 << n_qubits))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def random_single_gate(kind, target, rng):
+    count = {"h": 0, "x": 0, "u3": 3}.get(kind, 1)
+    return Gate(kind, (target,), tuple(rng.uniform(-7.0, 7.0, size=count)))
+
+
+def assert_rows_match_apply_gate(before, after, gates):
+    for row, gate in enumerate(gates):
+        expected = apply_gate(StateVector(BLOCK_QUBITS, before[row]), gate).amplitudes
+        np.testing.assert_array_equal(after[row], expected)
+
+
+def block_gates():
+    for kind in SINGLE_KINDS:
+        for target in range(BLOCK_QUBITS):
+            yield kind, (target,)
+    for kind in ("cnot", "cz"):
+        for a in range(BLOCK_QUBITS):
+            for b in range(BLOCK_QUBITS):
+                if a != b:  # control above and below the target
+                    yield kind, (a, b)
+
+
+@pytest.mark.parametrize("kind,targets", list(block_gates()))
+def test_block_with_shared_gate_matches_apply_gate(kind, targets):
+    rng = np.random.default_rng(len(kind) * 10 + targets[0])
+    if kind in ("cnot", "cz"):
+        gate = Gate(kind, targets)
+    else:
+        gate = random_single_gate(kind, targets[0], rng)
+    before = random_block(5, BLOCK_QUBITS, rng)
+    after = before.copy()
+    apply_circuit_block(after, Circuit(BLOCK_QUBITS, (gate,)))
+    assert_rows_match_apply_gate(before, after, [gate] * 5)
+
+
+@pytest.mark.parametrize("kind", SINGLE_KINDS)
+def test_block_with_one_matrix_per_row_matches_apply_gate(kind):
+    rng = np.random.default_rng(SINGLE_KINDS.index(kind))
+    for target in range(BLOCK_QUBITS):
+        gates = [random_single_gate(kind, target, rng) for _ in range(6)]
+        before = random_block(6, BLOCK_QUBITS, rng)
+        after = before.copy()
+        _apply_single_inplace(after, target, np.stack([_single_qubit_matrix(g) for g in gates]))
+        assert_rows_match_apply_gate(before, after, gates)
+
+
+def test_simulate_block_matches_apply_circuit():
+    rng = np.random.default_rng(83)
+    layout = random_circuit(BLOCK_QUBITS, 30, rng)
+    circuits = [
+        Circuit(BLOCK_QUBITS, tuple(
+            random_single_gate(g.kind, g.targets[0], rng) if len(g.targets) == 1 else g
+            for g in layout.gates
+        ))
+        for _ in range(4)
+    ]
+    block = simulate_block(circuits)
+    for row, circuit in enumerate(circuits):
+        expected = apply_circuit(new_zero_state(BLOCK_QUBITS), circuit).amplitudes
+        np.testing.assert_array_equal(block[row], expected)
+
+
+def test_simulate_block_rejects_mixed_layouts():
+    with pytest.raises(ValueError):
+        simulate_block([Circuit(2, (rx(0, 0.1),)), Circuit(2, (ry(0, 0.1),))])
+    with pytest.raises(ValueError):
+        simulate_block([Circuit(2, (rx(0, 0.1),)), Circuit(2, (rx(1, 0.1),))])
+    with pytest.raises(ValueError):
+        simulate_block([Circuit(2, (rx(0, 0.1),)), Circuit(2, ())])
+
+
+def test_block_size_mismatch():
+    with pytest.raises(ValueError):
+        apply_circuit_block(np.zeros((2, 8), dtype=complex), Circuit(2, (x(0),)))
+
+
 # validation
 
 
@@ -267,6 +358,8 @@ def test_qubit_count_limits():
         new_zero_state(0)
     with pytest.raises(ValueError):
         new_zero_state(MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match="1 to 20 qubits"):
+        simulate_block([Circuit(MAX_QUBITS + 1, (x(0),))])
 
 
 def test_state_must_be_normalized():
