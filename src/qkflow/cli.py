@@ -67,16 +67,6 @@ CLASSICAL_CHOICES = ("linear", "polynomial", "exponential", "gaussian")
 
 TASK_FOR_METHOD = {"svc": "classification", "krr": "regression", "svr": "regression"}
 
-# pretraining task -> downstream tasks it matches
-MATCHING_TASKS = {
-    ("classification", "classification"),
-    ("regression", "regression"),
-    ("clustering", "classification"),
-    ("clustering", "regression"),
-    ("dimension_reduction", "classification"),
-    ("dimension_reduction", "regression"),
-}
-
 
 class _UsageError(Exception):
     pass
@@ -259,7 +249,7 @@ def _warn_task_mismatch(pretraining, method) -> None:
         return
     pre_task = pretraining.get("task")
     down_task = TASK_FOR_METHOD[method]
-    if (pre_task, down_task) not in MATCHING_TASKS:
+    if pre_task != down_task:
         print(
             f"warning: embedding was pretrained for {pre_task!r}, which does not "
             f"match the downstream {down_task!r} task",

@@ -5,13 +5,15 @@ array) and returns a small trained-model record; prediction functions take
 rectangular new-versus-training kernel blocks. Nothing here evaluates
 kernels, so quantum and classical kernels plug in interchangeably.
 
-The SVC solves the soft-margin dual
+The SVC and the SVR share one SMO solver for the box-constrained dual
 
-    max_a  sum_i a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij
-    s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0
+    max_a  sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
+    s.t.   0 <= a_i <= C,  sum_i z_i a_i = 0,  z_i = +-1,
 
-with SMO-style updates of the maximally KKT-violating pair. The SVR solves
-the epsilon-insensitive dual by projected gradient ascent, and KRR solves
+which updates the maximally KKT-violating pair. The SVC is the case
+z = r = y, Q = K. The epsilon-insensitive SVR is written, as in LIBSVM,
+over 2m variables (alpha, alpha*): z = [1, -1], r = [y - eps, y + eps] and
+Q = [[K, K], [K, K]], with coefficients alpha - alpha*. KRR solves
 (K + reg I) a = y directly.
 """
 
@@ -44,6 +46,10 @@ __all__ = [
 ]
 
 SUPPORT_THRESHOLD = 1e-9
+
+# SMO stops once the maximal KKT violation is at most SMO_GAP
+SMO_GAP = 1e-6
+SMO_MAX_ITER = 200_000
 
 
 def _gram_values(K, name: str = "K") -> np.ndarray:
@@ -110,8 +116,61 @@ class TrainedSVC:
     dual_objective: float
 
 
-def svc_fit(K, y, C: float, *, zero_bias: bool = False, tol: float = 1e-6,
-            max_iter: int = 200_000) -> TrainedSVC:
+def _movable(a: np.ndarray, z: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the multipliers that can move up (z_i a_i rises) and down."""
+    up = ((z > 0) & (a < C)) | ((z < 0) & (a > 0))
+    low = ((z > 0) & (a > 0)) | ((z < 0) & (a < C))
+    return up, low
+
+
+def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
+         caller: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve max_a sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
+    subject to 0 <= a_i <= C and sum_i z_i a_i = 0, with every z_i = +-1.
+
+    SMO on the maximally KKT-violating pair. Returns the multipliers, the
+    products g = Q (a z) and the intercept b of the decision sum_j a_j z_j
+    Q_ij + b: the mean of r_i - g_i over the free multipliers or, with none
+    free, the midpoint of the interval the KKT conditions leave open.
+    """
+    a = np.zeros(z.size)
+    g = np.zeros(z.size)  # g_i = sum_j a_j z_j Q_ij
+    for _ in range(SMO_MAX_ITER):
+        score = r - g  # -z_i grad_i of the minimization form
+        up, low = _movable(a, z, C)
+        if not up.any() or not low.any():
+            break
+        i = int(np.flatnonzero(up)[np.argmax(score[up])])
+        j = int(np.flatnonzero(low)[np.argmin(score[low])])
+        gap = score[i] - score[j]
+        if gap <= SMO_GAP:
+            break
+        quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+        quad = max(quad, 1e-12)
+        # move t along the feasible pair direction: a_i += z_i t, a_j -= z_j t
+        head_i = C - a[i] if z[i] > 0 else a[i]
+        head_j = a[j] if z[j] > 0 else C - a[j]
+        t = min(gap / quad, head_i, head_j)
+        a[i] += z[i] * t
+        a[j] -= z[j] * t
+        g += t * (Q[:, i] - Q[:, j])
+    else:
+        warnings.warn(f"{caller} hit the iteration cap before reaching tolerance")
+
+    a = np.clip(a, 0.0, C)
+    g = Q @ (a * z)
+    score = r - g
+    free = (a > SUPPORT_THRESHOLD) & (a < C - SUPPORT_THRESHOLD)
+    if free.any():
+        bias = float(np.mean(score[free]))
+    else:
+        # KKT: b >= score_i over the up set and b <= score_i over the low set
+        up, low = _movable(a, z, C)
+        bias = float((np.max(score[up]) + np.min(score[low])) / 2.0)
+    return a, g, bias
+
+
+def svc_fit(K, y, C: float) -> TrainedSVC:
     """Train a soft-margin SVM on a precomputed Gram matrix."""
     values = _gram_values(K)
     m = values.shape[0]
@@ -120,41 +179,7 @@ def svc_fit(K, y, C: float, *, zero_bias: bool = False, tol: float = 1e-6,
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
 
-    alpha = np.zeros(m)
-    g = np.zeros(m)  # g_i = sum_j alpha_j y_j K_ij
-    converged = False
-    for _ in range(max_iter):
-        score = labels - g  # -y_i grad_i of the minimization form
-        up = ((labels > 0) & (alpha < C)) | ((labels < 0) & (alpha > 0))
-        low = ((labels > 0) & (alpha > 0)) | ((labels < 0) & (alpha < C))
-        if not up.any() or not low.any():
-            converged = True
-            break
-        i = int(np.flatnonzero(up)[np.argmax(score[up])])
-        j = int(np.flatnonzero(low)[np.argmin(score[low])])
-        gap = score[i] - score[j]
-        if gap <= tol:
-            converged = True
-            break
-        quad = values[i, i] + values[j, j] - 2.0 * values[i, j]
-        quad = max(quad, 1e-12)
-        # move t along the feasible pair direction: a_i += y_i t, a_j -= y_j t
-        head_i = C - alpha[i] if labels[i] > 0 else alpha[i]
-        head_j = alpha[j] if labels[j] > 0 else C - alpha[j]
-        t = min(gap / quad, head_i, head_j)
-        alpha[i] += labels[i] * t
-        alpha[j] -= labels[j] * t
-        g += t * (values[:, i] - values[:, j])
-    if not converged:
-        warnings.warn("svc_fit hit the iteration cap before reaching tolerance")
-
-    alpha = np.clip(alpha, 0.0, C)
-    g = values @ (alpha * labels)
-    if zero_bias:
-        bias = 0.0
-    else:
-        free = (alpha > SUPPORT_THRESHOLD) & (alpha < C - SUPPORT_THRESHOLD)
-        bias = float(np.mean(labels[free] - g[free])) if free.any() else 0.0
+    alpha, g, bias = _smo(values, labels, labels, C, "svc_fit")
     objective = float(alpha.sum() - 0.5 * np.dot(alpha * labels, g))
     alpha.flags.writeable = False
     return TrainedSVC(
@@ -230,31 +255,8 @@ class TrainedSVR:
     kernel_id: str
 
 
-def _project_balanced(p0: np.ndarray, q0: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
-    """Project (p0, q0) onto {0 <= p, q <= C, sum p = sum q}.
-
-    The shifted clip sums are piecewise linear in the shift, so the balancing
-    shift is found exactly from the sorted breakpoints.
-    """
-    breakpoints = np.unique(np.concatenate([p0 - C, p0, -q0, C - q0]))
-    shifted_p = np.clip(p0[None, :] - breakpoints[:, None], 0.0, C).sum(axis=1)
-    shifted_q = np.clip(q0[None, :] + breakpoints[:, None], 0.0, C).sum(axis=1)
-    balance = shifted_p - shifted_q
-    idx = int(np.argmax(balance <= 0.0))
-    if balance[idx] > 0.0:  # root beyond the last breakpoint: balance stays -mC..., unreachable
-        nu = breakpoints[-1]
-    elif idx == 0:
-        nu = breakpoints[0]
-    else:
-        b0, b1 = balance[idx - 1], balance[idx]
-        x0, x1 = breakpoints[idx - 1], breakpoints[idx]
-        nu = x0 if b0 == b1 else x0 + (x1 - x0) * b0 / (b0 - b1)
-    return np.clip(p0 - nu, 0.0, C), np.clip(q0 + nu, 0.0, C)
-
-
-def svr_fit(K, y, C: float, epsilon: float, *, tol: float = 1e-5,
-            max_iter: int = 50_000) -> TrainedSVR:
-    """Train epsilon-insensitive SVR by projected gradient ascent on the dual."""
+def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
+    """Train epsilon-insensitive SVR by SMO on its 2m-variable dual."""
     values = _gram_values(K)
     m = values.shape[0]
     targets = _real_targets(y, m)
@@ -265,47 +267,10 @@ def svr_fit(K, y, C: float, epsilon: float, *, tol: float = 1e-5,
     if epsilon < 0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
 
-    lam_max = float(np.linalg.eigvalsh(values).max())
-    step = 1.0 / (2.0 * max(lam_max, 0.0) + 1e-9)
-    p = np.zeros(m)
-    q = np.zeros(m)
-    converged = False
-    for _ in range(max_iter):
-        k_beta = values @ (p - q)
-        grad_p = k_beta - targets + epsilon
-        grad_q = -k_beta + targets + epsilon
-        p_new, q_new = _project_balanced(p - step * grad_p, q - step * grad_q, C)
-        moved = max(np.max(np.abs(p_new - p)), np.max(np.abs(q_new - q)))
-        p, q = p_new, q_new
-        if moved / step <= tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn("svr_fit hit the iteration cap before reaching tolerance")
-
-    beta = p - q
-    predictions = values @ beta
-    at_bound = 1e-7 * max(C, 1.0)
-    free = (np.abs(beta) > at_bound) & (np.abs(beta) < C - at_bound)
-    if free.any():
-        signs = np.sign(beta[free])
-        bias = float(np.mean(targets[free] - predictions[free] - epsilon * signs))
-    else:
-        lower, upper = -np.inf, np.inf
-        for i in range(m):
-            slack = targets[i] - predictions[i]
-            if beta[i] >= C - at_bound:
-                upper = min(upper, slack - epsilon)
-            elif beta[i] <= -C + at_bound:
-                lower = max(lower, slack + epsilon)
-            else:
-                lower = max(lower, slack - epsilon)
-                upper = min(upper, slack + epsilon)
-        if not np.isfinite(lower):
-            lower = upper
-        if not np.isfinite(upper):
-            upper = lower
-        bias = float((lower + upper) / 2.0) if np.isfinite(lower) else 0.0
+    z = np.concatenate([np.ones(m), -np.ones(m)])
+    r = np.concatenate([targets - epsilon, targets + epsilon])
+    a, _, bias = _smo(np.tile(values, (2, 2)), z, r, C, "svr_fit")
+    beta = a[:m] - a[m:]
     beta.flags.writeable = False
     return TrainedSVR(coef=beta, bias=bias, epsilon=epsilon, C=C, kernel_id=_kernel_id(K))
 

@@ -95,6 +95,31 @@ def svc_kkt_violation(K, y, alphas, bias, C):
     return worst
 
 
+def svr_kkt_violation(K, y, beta, bias, C, epsilon):
+    """Largest violation of the epsilon-SVR optimality conditions.
+
+    With residual s_i = y_i - f(x_i) and f = K beta + bias, an optimal
+    solution has beta_i = 0 inside the tube (|s_i| <= eps), beta_i = C above
+    it (s_i >= eps), beta_i = -C below it (s_i <= -eps) and 0 < |beta_i| < C
+    only on an edge (s_i = eps sign(beta_i)); also sum beta = 0, |beta| <= C.
+    """
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    slack = y - (K @ beta + bias)
+    worst = max(abs(beta.sum()), float(np.max(np.abs(beta))) - C, 0.0)
+    for i in range(y.size):
+        if abs(beta[i]) < 1e-8:
+            worst = max(worst, abs(slack[i]) - epsilon)
+        elif beta[i] > C - 1e-8:
+            worst = max(worst, epsilon - slack[i])
+        elif beta[i] < -C + 1e-8:
+            worst = max(worst, slack[i] + epsilon)
+        else:
+            worst = max(worst, abs(slack[i] - epsilon * np.sign(beta[i])))
+    return worst
+
+
 def svr_dual_objective(K, y, beta, epsilon):
     """Value of the epsilon-insensitive regression dual at beta."""
     K = np.asarray(K, dtype=float)

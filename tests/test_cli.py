@@ -215,6 +215,15 @@ def test_task_mismatch_warns_but_succeeds(tmp_path, capsys):
              "--out", str(tmp_path / "m2.json"))
     assert rc == 0
     assert capsys.readouterr().err == ""
+    # a task no method trains for never matches
+    doc = json.loads(emb.read_text())
+    doc["pretraining"]["task"] = "clustering"
+    emb.write_text(json.dumps(doc))
+    rc = run("train", "--method", "svc", "--embedding", str(emb), "--data", str(data),
+             "--out", str(tmp_path / "m3.json"))
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "clustering" in err
 
 
 def test_train_without_kernel_choice_is_usage_error(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import svc_dual_oracle, svc_kkt_violation, two_blobs
+from oracles import svc_dual_oracle, svc_kkt_violation, svr_kkt_violation, two_blobs
 from qkflow.classical_kernels import ClassicalKernel, classical_cross, classical_gram
+from qkflow.datasets import gen_synthetic
+from qkflow.featuremap import FeatureMapSpec
 from qkflow.kernel_methods import (
+    SUPPORT_THRESHOLD,
     TrainedSVC,
     kernel_kmeans,
     kpca_fit,
@@ -16,6 +19,7 @@ from qkflow.kernel_methods import (
     svr_fit,
     svr_predict,
 )
+from qkflow.qkernel import KernelEngineConfig, gram_matrix
 
 
 def random_spd_kernel(m, seed):
@@ -95,11 +99,17 @@ def test_svc_separable_blobs_linear_kernel():
     assert np.all(margins >= 1.0 - 1e-4)
 
 
-def test_svc_zero_bias_flag():
-    K = random_spd_kernel(6, 5)
-    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    model = svc_fit(K, y, C=1.0, zero_bias=True)
-    assert model.bias == 0.0
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svc_bias_without_free_support_vectors_meets_kkt(seed):
+    # every multiplier ends at 0 or C, so no margin point pins the intercept
+    ds = gen_synthetic("hidden_rotation", 20, seed)
+    cfg = KernelEngineConfig(spec=FeatureMapSpec(1, 1), params=np.array([0.0]))
+    K = gram_matrix(cfg, ds.features).values
+    C = 0.1
+    model = svc_fit(K, ds.labels, C=C)
+    free = (model.alphas > SUPPORT_THRESHOLD) & (model.alphas < C - SUPPORT_THRESHOLD)
+    assert not free.any()
+    assert svc_kkt_violation(K, ds.labels, model.alphas, model.bias, C) <= 1e-8
 
 
 def test_svc_decision_tie_predicts_positive():
@@ -245,6 +255,15 @@ def test_svr_large_capacity_tracks_targets_within_tube():
     model = svr_fit(K, y, C=100.0, epsilon=epsilon)
     residuals = np.abs(y - svr_predict(model, K))
     assert np.max(residuals) <= epsilon + 1e-3
+
+
+def test_svr_converges_on_quantum_kernel_at_large_capacity():
+    ds = gen_synthetic("circles", 40, 0)
+    cfg = KernelEngineConfig(spec=FeatureMapSpec(2, 2), params=np.zeros(4))
+    K = gram_matrix(cfg, ds.features).values
+    C, epsilon = 100.0, 0.1
+    model = svr_fit(K, ds.labels, C=C, epsilon=epsilon)
+    assert svr_kkt_violation(K, ds.labels, model.coef, model.bias, C, epsilon) <= 1e-5
 
 
 def test_svr_input_validation():
