@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .qkernel import GramMatrix
 
@@ -198,6 +197,9 @@ def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray
             f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
         )
     if kernel.kind == "gaussian_metric":
+        # imported on use, so that `import qkflow` skips scipy's ~0.5 s start-up
+        from scipy.spatial.distance import cdist
+
         z_new = _metric_rows(kernel, new_points)
         z_train = _metric_rows(kernel, train_points)
         return np.exp(-kernel.gamma * cdist(z_new, z_train, "sqeuclidean"))

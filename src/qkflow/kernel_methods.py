@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .qkernel import GramMatrix
 
@@ -135,13 +134,15 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     """
     a = np.zeros(z.size)
     g = np.zeros(z.size)  # g_i = sum_j a_j z_j Q_ij
+    up, low = _movable(a, z, C)
     for _ in range(SMO_MAX_ITER):
         score = r - g  # -z_i grad_i of the minimization form
-        up, low = _movable(a, z, C)
-        if not up.any() or not low.any():
+        # the first index on ties; when up (low) is empty every entry is
+        # -inf (+inf) and the index returned lies outside the set
+        i = int(np.where(up, score, -np.inf).argmax())
+        j = int(np.where(low, score, np.inf).argmin())
+        if not (up[i] and low[j]):
             break
-        i = int(np.flatnonzero(up)[np.argmax(score[up])])
-        j = int(np.flatnonzero(low)[np.argmin(score[low])])
         gap = score[i] - score[j]
         if gap <= SMO_GAP:
             break
@@ -154,6 +155,8 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
         a[i] += z[i] * t
         a[j] -= z[j] * t
         g += t * (Q[:, i] - Q[:, j])
+        for k in (i, j):  # only these multipliers moved
+            up[k], low[k] = _movable(a[k], z[k], C)
     else:
         warnings.warn(f"{caller} hit the iteration cap before reaching tolerance")
 
@@ -216,6 +219,9 @@ class TrainedKRR:
 
 def krr_fit(K, y, reg: float) -> TrainedKRR:
     """Solve (K + reg I) a = y through a symmetric positive-definite factorization."""
+    # imported on use, so that `import qkflow` skips scipy's ~0.5 s start-up
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     values = _gram_values(K)
     m = values.shape[0]
     targets = _real_targets(y, m)

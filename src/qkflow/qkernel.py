@@ -157,9 +157,11 @@ def _all_zeros_probabilities(cfg, states, circuits, upper) -> np.ndarray:
     With `upper`, only entries i < j are evaluated and the rest stay 0.
     """
     probs = np.zeros((len(states), len(circuits)))
+    work = np.empty_like(states)
     for j, circuit in enumerate(circuits):
         rows = j if upper else len(states)
-        block = states[:rows].copy()
+        block = work[:rows]
+        block[...] = states[:rows]
         apply_circuit_block(block, adjoint(circuit))
         if cfg.mode == "exact":
             # Bit-equal to probability_all_zeros: its scalar abs(a) ** 2 is

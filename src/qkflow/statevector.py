@@ -236,16 +236,34 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"gate {kind!r} has no single-qubit matrix")
 
 
-def _apply_single_inplace(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    # amps is a (rows, 2**n) block and u one 2x2 matrix or one per row.
-    # Axis 2 of the view walks the target qubit's bit (stride 2**q).
+def _gate_scratch(amps: np.ndarray) -> np.ndarray:
+    """Work space the gate kernels reuse for every gate applied to `amps`."""
+    return np.empty((3, amps.size >> 1), dtype=np.complex128)
+
+
+def _apply_single_inplace(amps: np.ndarray, q: int, u: np.ndarray,
+                          scratch: np.ndarray) -> None:
+    # amps is a (rows, 2**n) block, u one 2x2 matrix or one per row and
+    # scratch from _gate_scratch(amps). Along the last axis of the view, the
+    # first 2**q amplitudes have the target bit 0 and the next 2**q have it 1.
+    # Each product reads the same operands with the same layout as
+    # u00 * a0 + u01 * a1 on temporaries would (a0 a contiguous copy, a1 the
+    # strided view), so every element rounds the same. Outputs are passed
+    # positionally: on a few qubits the out= keyword costs more than the math.
     rows, size = amps.shape
-    view = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
-    u = u.reshape(-1, 1, 2, 2, 1)
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    view[:, :, 0, :] = u[:, :, 0, 0] * a0 + u[:, :, 0, 1] * a1
-    view[:, :, 1, :] = u[:, :, 1, 0] * a0 + u[:, :, 1, 1] * a1
+    lo = 1 << q
+    view = amps.reshape(rows, size >> (q + 1), 2 * lo)
+    u = u.reshape(-1, 1, 4)
+    work = scratch.reshape(3, rows, size >> (q + 1), lo)
+    a0, prod0, prod1 = work[0], work[1], work[2]
+    a0[...] = view[:, :, :lo]
+    a1 = view[:, :, lo:]
+    np.multiply(u[:, :, 0:1], a0, prod0)
+    np.multiply(u[:, :, 1:2], a1, prod1)
+    np.add(prod0, prod1, view[:, :, :lo])
+    np.multiply(u[:, :, 2:3], a0, prod0)
+    np.multiply(u[:, :, 3:4], a1, prod1)
+    np.add(prod0, prod1, a1)
 
 
 def _qubit_tensor(amps: np.ndarray, n: int) -> tuple[np.ndarray, list]:
@@ -253,15 +271,18 @@ def _qubit_tensor(amps: np.ndarray, n: int) -> tuple[np.ndarray, list]:
     return amps.reshape((amps.shape[0],) + (2,) * n), [slice(None)] * (n + 1)
 
 
-def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int) -> None:
+def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int,
+                        scratch: np.ndarray) -> None:
     tensor, lo = _qubit_tensor(amps, n)
     lo[n - control] = 1
     hi = list(lo)
     lo[n - target] = 0
     hi[n - target] = 1
-    tmp = tensor[tuple(lo)].copy()
-    tensor[tuple(lo)] = tensor[tuple(hi)]
-    tensor[tuple(hi)] = tmp
+    low, high = tensor[tuple(lo)], tensor[tuple(hi)]
+    tmp = scratch[0, :low.size].reshape(low.shape)
+    tmp[...] = low
+    low[...] = high
+    high[...] = tmp
 
 
 def _apply_cz_inplace(amps: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
@@ -271,24 +292,24 @@ def _apply_cz_inplace(amps: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> N
     tensor[tuple(sel)] *= -1.0
 
 
-def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
+def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate, scratch: np.ndarray) -> None:
     for t in gate.targets:
         if t >= n:
             raise IndexError(
                 f"gate {gate.kind!r} targets qubit {t} on a {n}-qubit state"
             )
     if gate.kind == "cnot":
-        _apply_cnot_inplace(amps, n, gate.targets[0], gate.targets[1])
+        _apply_cnot_inplace(amps, n, gate.targets[0], gate.targets[1], scratch)
     elif gate.kind == "cz":
         _apply_cz_inplace(amps, n, gate.targets[0], gate.targets[1])
     else:
-        _apply_single_inplace(amps, gate.targets[0], _single_qubit_matrix(gate))
+        _apply_single_inplace(amps, gate.targets[0], _single_qubit_matrix(gate), scratch)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Return the state after applying one gate (the input is unchanged)."""
     amps = state.amplitudes.reshape(1, -1).copy()
-    _apply_gate_inplace(amps, state.n_qubits, gate)
+    _apply_gate_inplace(amps, state.n_qubits, gate, _gate_scratch(amps))
     return StateVector(state.n_qubits, amps)
 
 
@@ -299,8 +320,9 @@ def apply_circuit_block(amps: np.ndarray, circuit: Circuit) -> None:
             f"circuit acts on {circuit.n_qubits} qubit(s) "
             f"but the block has shape {amps.shape}"
         )
+    scratch = _gate_scratch(amps)
     for gate in circuit.gates:
-        _apply_gate_inplace(amps, circuit.n_qubits, gate)
+        _apply_gate_inplace(amps, circuit.n_qubits, gate, scratch)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -327,13 +349,14 @@ def simulate_block(circuits: Sequence[Circuit]) -> np.ndarray:
         raise ValueError("circuits in one block must share their gate layout")
     n = circuits[0].n_qubits
     amps = _zero_block(len(circuits), n)
+    scratch = _gate_scratch(amps)
     for gates in zip(*(c.gates for c in circuits)):
         first = gates[0]
         if first.kind in _TWO_QUBIT:
-            _apply_gate_inplace(amps, n, first)
+            _apply_gate_inplace(amps, n, first, scratch)
         else:
             matrices = np.stack([_single_qubit_matrix(g) for g in gates])
-            _apply_single_inplace(amps, first.targets[0], matrices)
+            _apply_single_inplace(amps, first.targets[0], matrices, scratch)
     return amps
 
 

@@ -1,12 +1,16 @@
 """Independent brute-force references used by the test suite.
 
 These are deliberately slow and written from the optimality conditions
-rather than from the library's own algorithms.
+rather than from the library's own algorithms. The gate-kernel and SMO
+references are the library's first straightforward versions, kept so that a
+faster rewrite can be checked to give the same bits.
 """
 
 import itertools
 
 import numpy as np
+
+from qkflow.kernel_methods import SMO_GAP, SMO_MAX_ITER, SUPPORT_THRESHOLD
 
 
 def svc_dual_oracle(K, y, C, tol=1e-9):
@@ -135,3 +139,73 @@ def two_blobs(m_per_blob, spread, seed):
     X = np.vstack([a, b])
     y = np.concatenate([np.full(m_per_blob, 1.0), np.full(m_per_blob, -1.0)])
     return X, y
+
+
+def apply_single_oracle(amps, q, u):
+    """Apply a 2x2 matrix, or one per row, to qubit q of a (rows, 2**n) block
+    in place, with temporaries for every product and sum."""
+    rows, size = amps.shape
+    view = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+    u = u.reshape(-1, 1, 2, 2, 1)
+    a0 = view[:, :, 0, :].copy()
+    a1 = view[:, :, 1, :]
+    view[:, :, 0, :] = u[:, :, 0, 0] * a0 + u[:, :, 0, 1] * a1
+    view[:, :, 1, :] = u[:, :, 1, 0] * a0 + u[:, :, 1, 1] * a1
+
+
+def apply_two_qubit_oracle(amps, kind, qubit_a, qubit_b):
+    """cnot (control qubit_a, target qubit_b) or cz in place, on basis indices:
+    cnot moves amplitude k to k with bit b flipped when bit a is set, cz
+    negates every amplitude with both bits set."""
+    index = np.arange(amps.shape[1])
+    bit_a = (index >> qubit_a) & 1
+    if kind == "cnot":
+        amps[:] = amps[:, index ^ (bit_a << qubit_b)]
+    else:
+        amps[:, (bit_a & (index >> qubit_b) & 1).astype(bool)] *= -1.0
+
+
+def _movable_oracle(a, z, C):
+    up = ((z > 0) & (a < C)) | ((z < 0) & (a > 0))
+    low = ((z > 0) & (a > 0)) | ((z < 0) & (a < C))
+    return up, low
+
+
+def smo_oracle(Q, z, r, C):
+    """Maximal-violating-pair SMO for max sum z r a - 1/2 (a z)' Q (a z),
+    0 <= a <= C, z . a = 0, rebuilding both candidate masks every step.
+
+    Returns the multipliers, g = Q (a z) and the intercept, as the library's
+    solver does.
+    """
+    a = np.zeros(z.size)
+    g = np.zeros(z.size)
+    for _ in range(SMO_MAX_ITER):
+        score = r - g
+        up, low = _movable_oracle(a, z, C)
+        if not up.any() or not low.any():
+            break
+        i = int(np.flatnonzero(up)[np.argmax(score[up])])
+        j = int(np.flatnonzero(low)[np.argmin(score[low])])
+        gap = score[i] - score[j]
+        if gap <= SMO_GAP:
+            break
+        quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+        quad = max(quad, 1e-12)
+        head_i = C - a[i] if z[i] > 0 else a[i]
+        head_j = a[j] if z[j] > 0 else C - a[j]
+        t = min(gap / quad, head_i, head_j)
+        a[i] += z[i] * t
+        a[j] -= z[j] * t
+        g += t * (Q[:, i] - Q[:, j])
+
+    a = np.clip(a, 0.0, C)
+    g = Q @ (a * z)
+    score = r - g
+    free = (a > SUPPORT_THRESHOLD) & (a < C - SUPPORT_THRESHOLD)
+    if free.any():
+        bias = float(np.mean(score[free]))
+    else:
+        up, low = _movable_oracle(a, z, C)
+        bias = float((np.max(score[up]) + np.min(score[low])) / 2.0)
+    return a, g, bias

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkflow
 from qkflow.cli import run_command
 from qkflow.datasets import load_csv
 from qkflow.model_io import evaluate_gram, kernel_from_json, load_model
@@ -317,3 +321,29 @@ def test_quantum_params_length_mismatch_is_data_error(tmp_path):
     rc = run("kernel", "--data", str(data), "--kernel", "quantum", "--qubits", "1",
              "--layers", "2", "--params", "0.3", "--out", str(tmp_path / "K.csv"))
     assert rc == 2
+
+
+COLD_START = """
+import sys
+import numpy as np
+import qkflow
+import qkflow.cli
+qkflow.cli.build_parser()
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+model = qkflow.krr_fit(np.eye(2), [1.0, 2.0], reg=0.0)
+assert np.allclose(model.alphas, [1.0, 2.0])
+kernel = qkflow.ClassicalKernel.gaussian_metric(gamma=0.5)
+block = qkflow.classical_cross(kernel, [[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
+assert np.allclose(block, [[1.0, np.exp(-1.0)]])
+"""
+
+
+def test_import_and_parser_load_no_scipy():
+    """A fresh interpreter imports qkflow and builds the CLI parser without
+    loading scipy; the KRR fit and the Gaussian cross block, which import it
+    on use, still work."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qkflow.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

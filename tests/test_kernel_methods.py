@@ -180,11 +180,13 @@ def test_krr_interpolates_at_zero_reg():
 
 
 def test_krr_singular_needs_regularization():
-    K = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        krr_fit(K, [1.0, 2.0], reg=0.0)
-    model = krr_fit(K, [1.0, 2.0], reg=0.5)
-    assert np.all(np.isfinite(model.alphas))
+    for m in (2, 3):
+        K = np.ones((m, m))
+        y = np.arange(1.0, m + 1.0)
+        with pytest.raises(ValueError, match="kernel system is singular"):
+            krr_fit(K, y, reg=0.0)
+        model = krr_fit(K, y, reg=0.5)
+        assert np.all(np.isfinite(model.alphas))
 
 
 def test_krr_regularization_shrinks_solution():

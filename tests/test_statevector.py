@@ -17,6 +17,7 @@ from qkflow.statevector import (
     StateVector,
     adjoint,
     _apply_single_inplace,
+    _gate_scratch,
     _single_qubit_matrix,
     apply_circuit,
     apply_circuit_block,
@@ -316,7 +317,8 @@ def test_block_with_one_matrix_per_row_matches_apply_gate(kind):
         gates = [random_single_gate(kind, target, rng) for _ in range(6)]
         before = random_block(6, BLOCK_QUBITS, rng)
         after = before.copy()
-        _apply_single_inplace(after, target, np.stack([_single_qubit_matrix(g) for g in gates]))
+        matrices = np.stack([_single_qubit_matrix(g) for g in gates])
+        _apply_single_inplace(after, target, matrices, _gate_scratch(after))
         assert_rows_match_apply_gate(before, after, gates)
 
 

@@ -1,0 +1,83 @@
+"""Property tests: the gate kernel gives the same bits as its reference.
+
+Random circuits of every gate kind on 1-10 qubits, applied to blocks of
+1-70 rows, once with one shared circuit (apply_circuit_block) and once with
+one circuit per row (simulate_block), must match oracles.apply_single_oracle
+and oracles.apply_two_qubit_oracle exactly. The per-pair reference tests in
+test_statevector.py compare the kernel with itself, so they cannot see a
+change in rounding; these can.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import apply_single_oracle, apply_two_qubit_oracle
+from qkflow.statevector import (
+    Circuit,
+    Gate,
+    _single_qubit_matrix,
+    apply_circuit_block,
+    simulate_block,
+)
+
+PARAM_COUNTS = {"h": 0, "x": 0, "p": 1, "rx": 1, "ry": 1, "rz": 1, "u3": 3, "cnot": 0, "cz": 0}
+
+
+@st.composite
+def layouts(draw):
+    """(n_qubits, rows, [(kind, targets)], seed) for one random circuit layout."""
+    n = draw(st.integers(1, 10))
+    kinds = sorted(PARAM_COUNTS) if n > 1 else [k for k in PARAM_COUNTS if k not in ("cnot", "cz")]
+    positions = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        if kind in ("cnot", "cz"):
+            pair = draw(st.permutations(range(n)))[:2]
+            positions.append((kind, tuple(pair)))
+        else:
+            positions.append((kind, (draw(st.integers(0, n - 1)),)))
+    return n, draw(st.integers(1, 70)), positions, draw(st.integers(0, 2**32 - 1))
+
+
+def bind(positions, rng):
+    return tuple(
+        Gate(kind, targets, tuple(rng.uniform(-2 * np.pi, 2 * np.pi, PARAM_COUNTS[kind])))
+        for kind, targets in positions
+    )
+
+
+def oracle_apply(amps, gates):
+    """Apply position by position; gates[p] holds position p's gate for every row."""
+    for column in gates:
+        first = column[0]
+        if first.kind in ("cnot", "cz"):
+            apply_two_qubit_oracle(amps, first.kind, *first.targets)
+        else:
+            matrices = np.stack([_single_qubit_matrix(g) for g in column])
+            apply_single_oracle(amps, first.targets[0], matrices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layouts())
+def test_shared_circuit_matches_oracle(layout):
+    n, rows, positions, seed = layout
+    rng = np.random.default_rng(seed)
+    gates = bind(positions, rng)
+    block = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    expected = block.copy()
+    for gate in gates:
+        oracle_apply(expected, [[gate]])
+    apply_circuit_block(block, Circuit(n, gates))
+    np.testing.assert_array_equal(block, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layouts())
+def test_per_row_circuits_match_oracle(layout):
+    n, rows, positions, seed = layout
+    rng = np.random.default_rng(seed)
+    circuits = [Circuit(n, bind(positions, rng)) for _ in range(rows)]
+    expected = np.zeros((rows, 1 << n), dtype=np.complex128)
+    expected[:, 0] = 1.0
+    oracle_apply(expected, list(zip(*(c.gates for c in circuits))))
+    np.testing.assert_array_equal(simulate_block(circuits), expected)
