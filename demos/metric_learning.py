@@ -11,7 +11,7 @@ noise = 3.0 * rng.normal(size=m)
 X = np.column_stack([signal, noise])
 y = np.sin(1.5 * signal)
 
-cfg = MlkrrConfig(gamma=1.0, reg=1e-2, lr=0.5, outer_iters=60, seed=0)
+cfg = MlkrrConfig(gamma=1.0, reg=1e-2, lr=0.5, outer_iters=60)
 A, model, trace = mlkrr_fit(X, y, cfg)
 
 print(f"loss: {trace[0]:.6f} -> {trace[-1]:.6f} over {len(trace) - 1} rounds")

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import GramMatrix
+from .qkernel import GramMatrix, _as_points
 
 __all__ = [
     "CLASSICAL_KINDS",
+    "CLASSICAL_PARAMS",
     "ClassicalKernel",
     "euclidean_distance",
     "eval_classical",
@@ -32,7 +33,14 @@ __all__ = [
     "describe_classical",
 ]
 
-CLASSICAL_KINDS = ("linear", "polynomial", "exponential", "gaussian_metric")
+# the hyperparameters each kind reads; a kernel descriptor records just these
+CLASSICAL_PARAMS = {
+    "linear": ("c",),
+    "polynomial": ("c", "degree"),
+    "exponential": ("sigma",),
+    "gaussian_metric": ("gamma", "transform"),
+}
+CLASSICAL_KINDS = tuple(CLASSICAL_PARAMS)
 
 _DOT_SLACK = 1e-9  # tolerated float overshoot of x . x' past 1 after normalization
 
@@ -165,20 +173,9 @@ def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:
     return float(np.exp(-kernel.gamma * np.dot(diff, diff)))
 
 
-def _as_matrix(data, name: str) -> np.ndarray:
-    points = np.asarray(data, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-        raise ValueError(f"{name} must be a non-empty 2-D array of points")
-    if not np.all(np.isfinite(points)):
-        raise ValueError(f"{name} contains non-finite values")
-    return points
-
-
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
     """Kernel matrix of a point set against itself (upper triangle mirrored)."""
-    points = _as_matrix(data, "data")
+    points = _as_points(data, "data")
     m = points.shape[0]
     values = np.empty((m, m), dtype=float)
     for i in range(m):
@@ -190,8 +187,8 @@ def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
 
 def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray:
     """Rectangular block K[i][j] = k(data_new[i], data_train[j])."""
-    new_points = _as_matrix(data_new, "data_new")
-    train_points = _as_matrix(data_train, "data_train")
+    new_points = _as_points(data_new, "data_new")
+    train_points = _as_points(data_train, "data_train")
     if new_points.shape[1] != train_points.shape[1]:
         raise ValueError(
             f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"

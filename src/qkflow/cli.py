@@ -35,9 +35,10 @@ from .featuremap import (
     param_count,
     random_params,
 )
-from .kernel_methods import kernel_kmeans, kpca_fit, krr_fit, krr_predict, svc_fit, svc_predict, svr_fit, svr_predict
+from .kernel_methods import kernel_kmeans, kpca_fit, krr_fit, svc_fit, svr_fit
 from .model_io import (
     FORMAT_VERSION,
+    MODEL_KINDS,
     ModelFile,
     embedding_from_model_file,
     embedding_to_model_file,
@@ -45,15 +46,10 @@ from .model_io import (
     evaluate_gram,
     kernel_from_json,
     kernel_to_json,
-    kpca_to_payload,
-    krr_from_payload,
-    krr_to_payload,
     load_model,
+    model_from_payload,
+    model_to_payload,
     save_model,
-    svc_from_payload,
-    svc_to_payload,
-    svr_from_payload,
-    svr_to_payload,
 )
 from .qkernel import KernelEngineConfig
 from .statevector import rng_entropy
@@ -64,8 +60,6 @@ __all__ = ["run_command", "main"]
 FLOAT_FORMAT = "%.17g"
 
 CLASSICAL_CHOICES = ("linear", "polynomial", "exponential", "gaussian")
-
-TASK_FOR_METHOD = {"svc": "classification", "krr": "regression", "svr": "regression"}
 
 
 class _UsageError(Exception):
@@ -248,13 +242,25 @@ def _warn_task_mismatch(pretraining, method) -> None:
     if not pretraining:
         return
     pre_task = pretraining.get("task")
-    down_task = TASK_FOR_METHOD[method]
+    down_task = MODEL_KINDS[method].task
     if pre_task != down_task:
         print(
             f"warning: embedding was pretrained for {pre_task!r}, which does not "
             f"match the downstream {down_task!r} task",
             file=sys.stderr,
         )
+
+
+def _save_trained(path, kind: str, kernel, model, ds: Dataset, args, pretraining) -> None:
+    model_file = ModelFile(
+        format_version=FORMAT_VERSION,
+        kind=kind,
+        kernel=kernel_to_json(kernel),
+        payload=model_to_payload(model, ds.features, args.normalize),
+        pretraining=pretraining,
+        seed=args.seed,
+    )
+    save_model(model_file, path)
 
 
 def _cmd_train(args) -> int:
@@ -264,41 +270,21 @@ def _cmd_train(args) -> int:
     gram = evaluate_gram(kernel, ds.features)
     if args.method == "svc":
         model = svc_fit(gram, ds.labels, C=args.C)
-        payload = svc_to_payload(model, ds.features, args.normalize)
     elif args.method == "krr":
         model = krr_fit(gram, ds.labels, reg=args.reg)
-        payload = krr_to_payload(model, ds.features, args.normalize)
     else:
         model = svr_fit(gram, ds.labels, C=args.C, epsilon=args.epsilon)
-        payload = svr_to_payload(model, ds.features, args.normalize)
-    model_file = ModelFile(
-        format_version=FORMAT_VERSION,
-        kind=args.method,
-        kernel=kernel_to_json(kernel),
-        payload=payload,
-        pretraining=pretraining,
-        seed=args.seed,
-    )
-    save_model(model_file, args.out)
+    _save_trained(args.out, args.method, kernel, model, ds, args, pretraining)
     print(f"wrote {args.out}: {args.method} model on {ds.n_points} points")
     return 0
 
 
 def _cmd_mlkrr(args) -> int:
     ds = _load_dataset(args, need_labels=True)
-    cfg = MlkrrConfig(gamma=args.gamma, reg=args.reg, lr=args.lr,
-                      outer_iters=args.rounds, seed=args.seed)
+    cfg = MlkrrConfig(gamma=args.gamma, reg=args.reg, lr=args.lr, outer_iters=args.rounds)
     A, model, trace = mlkrr_fit(ds.features, ds.labels, cfg)
     kernel = ClassicalKernel.gaussian_metric(gamma=args.gamma, transform=A)
-    model_file = ModelFile(
-        format_version=FORMAT_VERSION,
-        kind="krr",
-        kernel=kernel_to_json(kernel),
-        payload=krr_to_payload(model, ds.features, args.normalize),
-        pretraining=None,
-        seed=args.seed,
-    )
-    save_model(model_file, args.out)
+    _save_trained(args.out, "krr", kernel, model, ds, args, None)
     matrix_path = args.matrix_out or _derived_path(args.out, "_A.csv")
     _write_matrix_csv(matrix_path, A)
     if args.trace_out:
@@ -310,29 +296,19 @@ def _cmd_mlkrr(args) -> int:
 
 def _cmd_predict(args) -> int:
     model_file = load_model(args.model)
-    if model_file.kind not in ("svc", "krr", "svr"):
+    kind = MODEL_KINDS[model_file.kind]
+    if kind.predict is None:
         raise ValueError(f"cannot predict with a {model_file.kind!r} model file")
     kernel = kernel_from_json(model_file.kernel)
-    if model_file.kind == "svc":
-        model, train, normalize = svc_from_payload(model_file.payload)
-    elif model_file.kind == "krr":
-        model, train, normalize = krr_from_payload(model_file.payload)
-    else:
-        model, train, normalize = svr_from_payload(model_file.payload)
+    model, train, normalize = model_from_payload(model_file.kind, model_file.payload)
     ds = load_csv(args.data, label_column=args.label_column)
     if normalize:
         ds = normalize_unit_sphere(ds)
-    K_new = evaluate_cross(kernel, ds.features, train)
-    if model_file.kind == "svc":
-        predictions = svc_predict(model, K_new)
-    elif model_file.kind == "krr":
-        predictions = krr_predict(model, K_new)
-    else:
-        predictions = svr_predict(model, K_new)
+    predictions = kind.predict(model, evaluate_cross(kernel, ds.features, train))
     _write_column_csv(args.out, "prediction", predictions)
     note = f"wrote {args.out}: {predictions.size} predictions"
     if ds.labels is not None:
-        if model_file.kind == "svc":
+        if kind.task == "classification":
             names = ["accuracy"]
             values = [float(np.mean(predictions == ds.labels))]
         else:
@@ -353,15 +329,7 @@ def _cmd_kpca(args) -> int:
     model = kpca_fit(gram, n_components=args.components)
     _write_matrix_csv(args.out, model.train_projections)
     if args.model_out:
-        model_file = ModelFile(
-            format_version=FORMAT_VERSION,
-            kind="kpca",
-            kernel=kernel_to_json(kernel),
-            payload=kpca_to_payload(model, ds.features, args.normalize),
-            pretraining=pretraining,
-            seed=args.seed,
-        )
-        save_model(model_file, args.model_out)
+        _save_trained(args.model_out, "kpca", kernel, model, ds, args, pretraining)
     print(f"wrote {args.out}: {ds.n_points} points x {args.components} components")
     return 0
 

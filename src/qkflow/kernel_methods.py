@@ -20,7 +20,7 @@ Q = [[K, K], [K, K]], with coefficients alpha - alpha*. KRR solves
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class TrainedSVC:
     alphas: np.ndarray
     labels: np.ndarray
     bias: float
-    support_indices: np.ndarray
+    support_indices: np.ndarray = field(metadata={"dtype": int})  # model files load it as integers
     C: float
     kernel_id: str
     dual_objective: float

@@ -4,51 +4,71 @@ Everything is one JSON document: top-level fields format_version, kind,
 kernel, payload, pretraining (null unless the model came from a pretrained
 embedding), and seed. Serialization sorts keys and indents consistently so
 save -> load -> save is byte-identical.
+
+The schema is the objects' own dataclass fields, written by _to_fields and
+read back, converted to each field's annotated type, by _build. A payload
+holds the trained model's fields plus train_features and normalize. A
+quantum kernel descriptor holds the FeatureMapSpec fields plus the
+KernelEngineConfig fields; a classical one holds the kind and the
+hyperparameters that kind reads (CLASSICAL_PARAMS). An embedding's
+pretraining block holds the EmbeddingArtifact fields its kernel does not.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
-from .classical_kernels import (
-    ClassicalKernel,
-    classical_cross,
-    classical_gram,
-    describe_classical,
+from .classical_kernels import CLASSICAL_PARAMS, ClassicalKernel, classical_cross, classical_gram
+from .kernel_methods import (
+    KpcaModel,
+    TrainedKRR,
+    TrainedSVC,
+    TrainedSVR,
+    krr_predict,
+    svc_predict,
+    svr_predict,
 )
-from .featuremap import FeatureMapSpec
-from .kernel_methods import KpcaModel, TrainedKRR, TrainedSVC, TrainedSVR
-from .qkernel import GramMatrix, KernelEngineConfig, cross_gram, describe, gram_matrix
+from .qkernel import GramMatrix, KernelEngineConfig, cross_gram, gram_matrix
 from .training import EmbeddingArtifact
 
 __all__ = [
     "FORMAT_VERSION",
     "MODEL_KINDS",
+    "ModelKind",
     "ModelFile",
     "save_model",
     "load_model",
     "kernel_to_json",
     "kernel_from_json",
-    "kernel_identifier",
     "evaluate_gram",
     "evaluate_cross",
     "embedding_to_model_file",
     "embedding_from_model_file",
-    "svc_to_payload",
-    "svc_from_payload",
-    "krr_to_payload",
-    "krr_from_payload",
-    "svr_to_payload",
-    "svr_from_payload",
-    "kpca_to_payload",
-    "kpca_from_payload",
+    "model_to_payload",
+    "model_from_payload",
 ]
 
 FORMAT_VERSION = 1
-MODEL_KINDS = ("svc", "krr", "svr", "kpca", "embedding")
+
+
+class ModelKind(NamedTuple):
+    model: type | None  # the trained-model dataclass the payload holds
+    predict: Callable | None  # predict(model, K_new), for kinds `predict` accepts
+    task: str | None  # the pretraining task an embedding should match
+
+
+MODEL_KINDS = {
+    "svc": ModelKind(TrainedSVC, svc_predict, "classification"),
+    "krr": ModelKind(TrainedKRR, krr_predict, "regression"),
+    "svr": ModelKind(TrainedSVR, svr_predict, "regression"),
+    "kpca": ModelKind(KpcaModel, None, None),
+    "embedding": ModelKind(None, None, None),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +82,27 @@ class ModelFile:
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(MODEL_KINDS)}, got {self.kind!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _TrainingSet:
+    """What a payload holds besides the trained model's own fields."""
+
+    train_features: np.ndarray
+    normalize: bool
+
+
+# the field codec: the JSON values each annotated field type accepts
+
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    bool: (bool, "a boolean"),
+    dict: (dict, "an object"),
+    np.ndarray: (list, "a list of finite numbers"),
+}
 
 
 def _require(mapping, field: str):
@@ -71,15 +111,59 @@ def _require(mapping, field: str):
     return mapping[field]
 
 
+def _to_fields(obj, names=None, skip=()) -> dict:
+    """JSON values of a dataclass's fields (all, or `names`), nested ones inlined."""
+    out = {}
+    for f in fields(obj):
+        if f.name in skip or (names is not None and f.name not in names):
+            continue
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(_to_fields(value))
+        elif isinstance(value, (np.ndarray, np.generic)):
+            out[f.name] = value.tolist()
+        else:
+            out[f.name] = value
+    return out
+
+
+def _decode(f, hint, value):
+    """One JSON value as its field's type; a ValueError names the field."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    json_type, description = _JSON_TYPES[hint]
+    if isinstance(value, json_type):
+        try:
+            if hint is not np.ndarray:
+                return hint(value)
+            array = np.asarray(value, dtype=f.metadata.get("dtype", float))
+            if np.all(np.isfinite(array)):
+                return array
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(
+        f"model file field {f.name!r} must be {description}, got {reprlib.repr(value)}"
+    )
+
+
+def _build(cls, mapping, names=None, **given):
+    """cls(**given), its other fields (all, or `names`) decoded from mapping."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in given or (names is not None and f.name not in names):
+            continue
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            given[f.name] = _build(hint, mapping)
+        else:
+            given[f.name] = _decode(f, hint, _require(mapping, f.name))
+    return cls(**given)
+
+
 def save_model(model_file: ModelFile, path) -> None:
-    doc = {
-        "format_version": model_file.format_version,
-        "kind": model_file.kind,
-        "kernel": model_file.kernel,
-        "payload": model_file.payload,
-        "pretraining": model_file.pretraining,
-        "seed": model_file.seed,
-    }
+    doc = _to_fields(model_file)
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -99,25 +183,10 @@ def load_model(path) -> ModelFile:
         raise ValueError(
             f"{path}: unsupported format_version {version!r}, this build reads {FORMAT_VERSION}"
         )
-    kind = _require(doc, "kind")
-    kernel = _require(doc, "kernel")
-    payload = _require(doc, "payload")
-    pretraining = _require(doc, "pretraining")
-    seed = _require(doc, "seed")
-    if not isinstance(kernel, dict):
-        raise ValueError(f"{path}: field 'kernel' must be an object")
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: field 'payload' must be an object")
-    if pretraining is not None and not isinstance(pretraining, dict):
-        raise ValueError(f"{path}: field 'pretraining' must be an object or null")
-    return ModelFile(
-        format_version=version,
-        kind=kind,
-        kernel=kernel,
-        payload=payload,
-        pretraining=pretraining,
-        seed=int(seed),
-    )
+    try:
+        return _build(ModelFile, doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # kernel descriptors
@@ -126,36 +195,12 @@ def load_model(path) -> ModelFile:
 def kernel_to_json(kernel) -> dict:
     """Serialize a classical kernel or a bound quantum kernel config."""
     if isinstance(kernel, ClassicalKernel):
-        desc = {"type": "classical", "kind": kernel.kind}
-        if kernel.kind == "linear":
-            desc["c"] = kernel.c
-        elif kernel.kind == "polynomial":
-            desc["c"] = kernel.c
-            desc["degree"] = kernel.degree
-        elif kernel.kind == "exponential":
-            desc["sigma"] = kernel.sigma
-        else:
-            desc["gamma"] = kernel.gamma
-            desc["transform"] = None if kernel.transform is None else kernel.transform.tolist()
-        return desc
+        names = ("kind",) + CLASSICAL_PARAMS[kernel.kind]
+        return {"type": "classical", **_to_fields(kernel, names)}
     if isinstance(kernel, KernelEngineConfig):
         if kernel.params is None:
             raise ValueError("cannot serialize an unbound quantum kernel template")
-        spec = kernel.spec
-        return {
-            "type": "quantum",
-            "n_qubits": spec.n_qubits,
-            "n_layers": spec.n_layers,
-            "data_axis": spec.data_axis,
-            "trainable_axis": spec.trainable_axis,
-            "entanglement": spec.entanglement,
-            "data_scaling": spec.data_scaling,
-            "params": kernel.params.tolist(),
-            "mode": kernel.mode,
-            "shots": kernel.shots,
-            "seed": kernel.seed,
-            "circuit_kind": kernel.circuit_kind,
-        }
+        return {"type": "quantum", **_to_fields(kernel)}
     raise TypeError(f"cannot serialize kernel of type {type(kernel).__name__}")
 
 
@@ -164,46 +209,16 @@ def kernel_from_json(desc: dict):
     kind = _require(desc, "type")
     if kind == "classical":
         name = _require(desc, "kind")
-        if name == "linear":
-            return ClassicalKernel.linear(c=float(_require(desc, "c")))
-        if name == "polynomial":
-            return ClassicalKernel.polynomial(
-                c=float(_require(desc, "c")), degree=int(_require(desc, "degree"))
-            )
-        if name == "exponential":
-            return ClassicalKernel.exponential(sigma=float(_require(desc, "sigma")))
-        if name == "gaussian_metric":
-            transform = _require(desc, "transform")
-            return ClassicalKernel.gaussian_metric(
-                gamma=float(_require(desc, "gamma")),
-                transform=None if transform is None else np.asarray(transform, dtype=float),
-            )
-        raise ValueError(f"unknown classical kernel kind {name!r}")
+        names = CLASSICAL_PARAMS.get(name) if isinstance(name, str) else None
+        if names is None:
+            raise ValueError(f"unknown classical kernel kind {name!r}")
+        return _build(ClassicalKernel, desc, names, kind=name)
     if kind == "quantum":
-        spec = FeatureMapSpec(
-            n_qubits=int(_require(desc, "n_qubits")),
-            n_layers=int(_require(desc, "n_layers")),
-            data_axis=_require(desc, "data_axis"),
-            trainable_axis=_require(desc, "trainable_axis"),
-            entanglement=_require(desc, "entanglement"),
-            data_scaling=float(_require(desc, "data_scaling")),
-        )
-        shots = _require(desc, "shots")
-        return KernelEngineConfig(
-            spec=spec,
-            params=np.asarray(_require(desc, "params"), dtype=float),
-            mode=_require(desc, "mode"),
-            shots=None if shots is None else int(shots),
-            seed=int(_require(desc, "seed")),
-            circuit_kind=_require(desc, "circuit_kind"),
-        )
+        cfg = _build(KernelEngineConfig, desc)
+        if cfg.params is None:
+            raise ValueError("a quantum kernel descriptor needs bound parameters")
+        return cfg
     raise ValueError(f"unknown kernel type {kind!r}")
-
-
-def kernel_identifier(kernel) -> str:
-    if isinstance(kernel, ClassicalKernel):
-        return describe_classical(kernel)
-    return describe(kernel)
 
 
 def evaluate_gram(kernel, data) -> GramMatrix:
@@ -218,7 +233,7 @@ def evaluate_cross(kernel, data_new, data_train) -> np.ndarray:
     return cross_gram(kernel, data_new, data_train)
 
 
-# embedding files
+# embedding files and model payloads
 
 
 def embedding_to_model_file(artifact: EmbeddingArtifact, seed: int) -> ModelFile:
@@ -228,12 +243,7 @@ def embedding_to_model_file(artifact: EmbeddingArtifact, seed: int) -> ModelFile
         kind="embedding",
         kernel=kernel_to_json(bound),
         payload={},
-        pretraining={
-            "task": artifact.task,
-            "loss_best": artifact.loss_best,
-            "seed": artifact.seed,
-            "iterations": artifact.iterations,
-        },
+        pretraining=_to_fields(artifact, skip=("spec", "lam")),
         seed=int(seed),
     )
 
@@ -244,115 +254,21 @@ def embedding_from_model_file(model_file: ModelFile) -> EmbeddingArtifact:
     kernel = kernel_from_json(model_file.kernel)
     if not isinstance(kernel, KernelEngineConfig):
         raise ValueError("embedding file must describe a quantum kernel")
-    meta = model_file.pretraining or {}
-    return EmbeddingArtifact(
-        spec=kernel.spec,
-        lam=kernel.params,
-        loss_best=float(_require(meta, "loss_best")),
-        task=str(_require(meta, "task")),
-        seed=int(_require(meta, "seed")),
-        iterations=int(_require(meta, "iterations")),
-    )
+    return _build(EmbeddingArtifact, model_file.pretraining or {},
+                  spec=kernel.spec, lam=kernel.params)
 
 
-# model payloads
+def model_to_payload(model, train_features: np.ndarray, normalize: bool) -> dict:
+    """A trained model's fields plus the training points its kernel needs."""
+    data = _TrainingSet(np.asarray(train_features, dtype=float), bool(normalize))
+    return {**_to_fields(model), **_to_fields(data)}
 
 
-def svc_to_payload(model: TrainedSVC, train_features: np.ndarray, normalize: bool) -> dict:
-    return {
-        "alphas": model.alphas.tolist(),
-        "labels": model.labels.tolist(),
-        "bias": model.bias,
-        "support_indices": [int(i) for i in model.support_indices],
-        "C": model.C,
-        "dual_objective": model.dual_objective,
-        "kernel_id": model.kernel_id,
-        "train_features": np.asarray(train_features, dtype=float).tolist(),
-        "normalize": bool(normalize),
-    }
-
-
-def svc_from_payload(payload: dict) -> tuple[TrainedSVC, np.ndarray, bool]:
-    model = TrainedSVC(
-        alphas=np.asarray(_require(payload, "alphas"), dtype=float),
-        labels=np.asarray(_require(payload, "labels"), dtype=float),
-        bias=float(_require(payload, "bias")),
-        support_indices=np.asarray(_require(payload, "support_indices"), dtype=int),
-        C=float(_require(payload, "C")),
-        kernel_id=str(_require(payload, "kernel_id")),
-        dual_objective=float(_require(payload, "dual_objective")),
-    )
-    train = np.asarray(_require(payload, "train_features"), dtype=float)
-    return model, train, bool(_require(payload, "normalize"))
-
-
-def krr_to_payload(model: TrainedKRR, train_features: np.ndarray, normalize: bool) -> dict:
-    return {
-        "alphas": model.alphas.tolist(),
-        "reg": model.reg,
-        "kernel_id": model.kernel_id,
-        "train_features": np.asarray(train_features, dtype=float).tolist(),
-        "normalize": bool(normalize),
-    }
-
-
-def krr_from_payload(payload: dict) -> tuple[TrainedKRR, np.ndarray, bool]:
-    model = TrainedKRR(
-        alphas=np.asarray(_require(payload, "alphas"), dtype=float),
-        reg=float(_require(payload, "reg")),
-        kernel_id=str(_require(payload, "kernel_id")),
-    )
-    train = np.asarray(_require(payload, "train_features"), dtype=float)
-    return model, train, bool(_require(payload, "normalize"))
-
-
-def svr_to_payload(model: TrainedSVR, train_features: np.ndarray, normalize: bool) -> dict:
-    return {
-        "coef": model.coef.tolist(),
-        "bias": model.bias,
-        "epsilon": model.epsilon,
-        "C": model.C,
-        "kernel_id": model.kernel_id,
-        "train_features": np.asarray(train_features, dtype=float).tolist(),
-        "normalize": bool(normalize),
-    }
-
-
-def svr_from_payload(payload: dict) -> tuple[TrainedSVR, np.ndarray, bool]:
-    model = TrainedSVR(
-        coef=np.asarray(_require(payload, "coef"), dtype=float),
-        bias=float(_require(payload, "bias")),
-        epsilon=float(_require(payload, "epsilon")),
-        C=float(_require(payload, "C")),
-        kernel_id=str(_require(payload, "kernel_id")),
-    )
-    train = np.asarray(_require(payload, "train_features"), dtype=float)
-    return model, train, bool(_require(payload, "normalize"))
-
-
-def kpca_to_payload(model: KpcaModel, train_features: np.ndarray, normalize: bool) -> dict:
-    return {
-        "eigenvalues": model.eigenvalues.tolist(),
-        "eigenvectors": model.eigenvectors.tolist(),
-        "col_means": model.col_means.tolist(),
-        "total_mean": model.total_mean,
-        "n_components": model.n_components,
-        "train_projections": model.train_projections.tolist(),
-        "kernel_id": model.kernel_id,
-        "train_features": np.asarray(train_features, dtype=float).tolist(),
-        "normalize": bool(normalize),
-    }
-
-
-def kpca_from_payload(payload: dict) -> tuple[KpcaModel, np.ndarray, bool]:
-    model = KpcaModel(
-        eigenvalues=np.asarray(_require(payload, "eigenvalues"), dtype=float),
-        eigenvectors=np.asarray(_require(payload, "eigenvectors"), dtype=float),
-        col_means=np.asarray(_require(payload, "col_means"), dtype=float),
-        total_mean=float(_require(payload, "total_mean")),
-        n_components=int(_require(payload, "n_components")),
-        train_projections=np.asarray(_require(payload, "train_projections"), dtype=float),
-        kernel_id=str(_require(payload, "kernel_id")),
-    )
-    train = np.asarray(_require(payload, "train_features"), dtype=float)
-    return model, train, bool(_require(payload, "normalize"))
+def model_from_payload(kind: str, payload: dict) -> tuple[object, np.ndarray, bool]:
+    """(model, train_features, normalize) from the payload of a `kind` file."""
+    model_type = MODEL_KINDS[kind].model if kind in MODEL_KINDS else None
+    if model_type is None:
+        raise ValueError(f"a {kind!r} model file holds no trained model")
+    model = _build(model_type, payload)
+    data = _build(_TrainingSet, payload)
+    return model, data.train_features, data.normalize

@@ -191,7 +191,6 @@ class MlkrrConfig:
     lr: float = 0.05
     outer_iters: int = 30
     A_init: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.gamma > 0:
@@ -205,7 +204,6 @@ class MlkrrConfig:
                 f"outer_iters must be a non-negative integer, got {self.outer_iters}"
             )
         object.__setattr__(self, "outer_iters", int(self.outer_iters))
-        object.__setattr__(self, "seed", int(self.seed))
         if self.A_init is not None:
             A = np.array(self.A_init, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:

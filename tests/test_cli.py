@@ -202,6 +202,48 @@ def test_predict_rejects_embedding_model(tmp_path, capsys):
     assert "embedding" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def svc_model_files(tmp_path_factory):
+    """A dataset plus one svc model file per kernel family (linear, quantum)."""
+    root = tmp_path_factory.mktemp("svc_models")
+    data = root / "d.csv"
+    assert run("gen-data", "--kind", "blobs", "--m", "10", "--seed", "1", "--out", str(data)) == 0
+    for kernel in ("linear", "quantum"):
+        assert run("train", "--method", "svc", "--kernel", kernel, "--data", str(data),
+                   "--out", str(root / f"{kernel}.json")) == 0
+    return root
+
+
+@pytest.mark.parametrize("value", [None, [1.0]], ids=["null", "list"])
+@pytest.mark.parametrize("kernel, keys", [
+    ("linear", ("kernel", "c")),
+    ("linear", ("seed",)),
+    ("linear", ("payload", "bias")),
+    ("quantum", ("kernel", "n_qubits")),
+], ids=["kernel.c", "seed", "payload.bias", "kernel.n_qubits"])
+def test_predict_rejects_wrong_typed_model_field(svc_model_files, tmp_path, kernel, keys, value):
+    """A model-file field of the wrong JSON type is a data error (exit 2) that
+    names the field, not a traceback."""
+    doc = json.loads((svc_model_files / f"{kernel}.json").read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(qkflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from qkflow.cli import main; main()", "predict",
+         "--model", str(model), "--data", str(svc_model_files / "d.csv"),
+         "--out", str(tmp_path / "p.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert repr(keys[-1]) in proc.stderr
+
+
 def test_task_mismatch_warns_but_succeeds(tmp_path, capsys):
     data = tmp_path / "hr.csv"
     emb = tmp_path / "emb.json"
