@@ -10,34 +10,35 @@ from pathlib import Path
 
 from qkflow.cli import run_command
 
-work = Path(tempfile.mkdtemp(prefix="qkflow-demo-"))
-print("working in", work)
+with tempfile.TemporaryDirectory(prefix="qkflow-demo-") as tmp:
+    work = Path(tmp)
+    print("working in", work)
 
-steps = [
-    ["gen-data", "--kind", "hidden_rotation", "--m", "40", "--seed", "7",
-     "--out", str(work / "pretrain.csv")],
-    ["gen-data", "--kind", "hidden_rotation", "--m", "30", "--seed", "19",
-     "--out", str(work / "train.csv")],
-    ["gen-data", "--kind", "hidden_rotation", "--m", "30", "--seed", "23",
-     "--out", str(work / "test.csv")],
-    ["align", "--data", str(work / "pretrain.csv"), "--qubits", "1",
-     "--layers", "1", "--spsa-iters", "40", "--C", "10", "--seed", "7",
-     "--out", str(work / "embedding.json")],
-    ["train", "--method", "svc", "--embedding", str(work / "embedding.json"),
-     "--data", str(work / "train.csv"), "--C", "10",
-     "--out", str(work / "model.json")],
-    ["predict", "--model", str(work / "model.json"),
-     "--data", str(work / "test.csv"),
-     "--out", str(work / "predictions.csv"),
-     "--metrics-out", str(work / "metrics.csv")],
-]
+    steps = [
+        ["gen-data", "--kind", "hidden_rotation", "--m", "40", "--seed", "7",
+         "--out", str(work / "pretrain.csv")],
+        ["gen-data", "--kind", "hidden_rotation", "--m", "30", "--seed", "19",
+         "--out", str(work / "train.csv")],
+        ["gen-data", "--kind", "hidden_rotation", "--m", "30", "--seed", "23",
+         "--out", str(work / "test.csv")],
+        ["align", "--data", str(work / "pretrain.csv"), "--qubits", "1",
+         "--layers", "1", "--spsa-iters", "40", "--C", "10", "--seed", "7",
+         "--out", str(work / "embedding.json")],
+        ["train", "--method", "svc", "--embedding", str(work / "embedding.json"),
+         "--data", str(work / "train.csv"), "--C", "10",
+         "--out", str(work / "model.json")],
+        ["predict", "--model", str(work / "model.json"),
+         "--data", str(work / "test.csv"),
+         "--out", str(work / "predictions.csv"),
+         "--metrics-out", str(work / "metrics.csv")],
+    ]
 
-for argv in steps:
-    code = run_command(argv)
-    assert code == 0, argv
+    for argv in steps:
+        if run_command(argv) != 0:
+            raise SystemExit(f"command failed: {argv}")
 
-print()
-print("loss trace head:")
-for line in (work / "embedding_trace.csv").read_text().splitlines()[:4]:
-    print(" ", line)
-print("metrics:", (work / "metrics.csv").read_text().strip().replace("\n", " = "))
+    print()
+    print("loss trace head:")
+    for line in (work / "embedding_trace.csv").read_text().splitlines()[:4]:
+        print(" ", line)
+    print("metrics:", (work / "metrics.csv").read_text().strip().replace("\n", " = "))

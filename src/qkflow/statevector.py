@@ -28,6 +28,7 @@ __all__ = [
     "ry",
     "rz",
     "u3",
+    "rotation_matrices",
     "cnot",
     "cz",
     "new_zero_state",
@@ -199,30 +200,42 @@ def new_zero_state(n_qubits: int) -> StateVector:
     return StateVector(int(n_qubits), _zero_block(1, n_qubits))
 
 
+def rotation_matrices(kind: str, angles) -> np.ndarray:
+    """Return the (k, 2, 2) stack of `kind` rotations ("p", "rx", "ry" or "rz"),
+    one per angle, with the entries the gate constructors document."""
+    theta = np.asarray(angles, dtype=float).reshape(-1)
+    out = np.zeros((theta.size, 2, 2), dtype=np.complex128)
+    if kind == "p":
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = np.exp(1j * theta)
+    elif kind in ("rx", "ry"):
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        out[:, 0, 0] = c
+        out[:, 1, 1] = c
+        if kind == "rx":
+            # -1j * s has real part +0.0 and imaginary part -s for every s.
+            out.imag[:, 0, 1] = -s
+            out.imag[:, 1, 0] = -s
+        else:
+            out[:, 0, 1] = -s
+            out[:, 1, 0] = s
+    elif kind == "rz":
+        out[:, 0, 0] = np.exp(-0.5j * theta)
+        out[:, 1, 1] = np.exp(0.5j * theta)
+    else:
+        raise ValueError(f"{kind!r} is not a one-angle rotation")
+    return out
+
+
 def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     kind = gate.kind
+    if kind in ("p", "rx", "ry", "rz"):
+        return rotation_matrices(kind, gate.params)[0]
     if kind == "h":
         s = 1.0 / math.sqrt(2.0)
         return np.array([[s, s], [s, -s]], dtype=np.complex128)
     if kind == "x":
         return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if kind == "p":
-        (theta,) = gate.params
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]], dtype=np.complex128)
-    if kind == "rx":
-        (theta,) = gate.params
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if kind == "ry":
-        (theta,) = gate.params
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if kind == "rz":
-        (theta,) = gate.params
-        return np.array(
-            [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]],
-            dtype=np.complex128,
-        )
     if kind == "u3":
         theta, phi, lam = gate.params
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)

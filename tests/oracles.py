@@ -7,6 +7,7 @@ faster rewrite can be checked to give the same bits.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -139,6 +140,44 @@ def two_blobs(m_per_blob, spread, seed):
     X = np.vstack([a, b])
     y = np.concatenate([np.full(m_per_blob, 1.0), np.full(m_per_blob, -1.0)])
     return X, y
+
+
+def single_qubit_matrix_oracle(gate):
+    """The 2x2 matrix of a one-qubit gate, one math.cos/math.sin call per entry."""
+    kind = gate.kind
+    if kind == "h":
+        s = 1.0 / math.sqrt(2.0)
+        return np.array([[s, s], [s, -s]], dtype=np.complex128)
+    if kind == "x":
+        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    if kind == "p":
+        (theta,) = gate.params
+        return np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]], dtype=np.complex128)
+    if kind == "rx":
+        (theta,) = gate.params
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    if kind == "ry":
+        (theta,) = gate.params
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    if kind == "rz":
+        (theta,) = gate.params
+        return np.array(
+            [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]],
+            dtype=np.complex128,
+        )
+    if kind == "u3":
+        theta, phi, lam = gate.params
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return np.array(
+            [
+                [c, -np.exp(1j * lam) * s],
+                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+            ],
+            dtype=np.complex128,
+        )
+    raise ValueError(f"gate {kind!r} has no single-qubit matrix")
 
 
 def apply_single_oracle(amps, q, u):

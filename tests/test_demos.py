@@ -1,4 +1,5 @@
-"""Every demo runs to completion in a fresh interpreter."""
+"""Every demo runs to completion in a fresh interpreter and removes its
+temporary files."""
 
 import os
 import subprocess
@@ -23,3 +24,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("qkflow-demo-*"))

@@ -1,15 +1,24 @@
-"""Feature-map construction tests: exact gate order, parameter wiring, errors."""
+"""Feature-map construction tests: exact gate order, parameter wiring, errors,
+and the circuit-free encoder against the circuits it stands for."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from qkflow.featuremap import (
+    DATA_AXES,
+    ENTANGLEMENTS,
+    TRAINABLE_AXES,
     FeatureMapSpec,
+    apply_encoding_gates,
     build_encoding_circuit,
+    encode_states,
+    encoding_gates,
     param_count,
     random_params,
 )
-from qkflow.statevector import Gate, cnot
+from qkflow.statevector import Gate, adjoint, apply_circuit_block, cnot, simulate_block
 
 
 def kinds_and_args(circuit):
@@ -132,3 +141,46 @@ def test_spec_validation():
         FeatureMapSpec(1, 1, trainable_axis="u3")
     with pytest.raises(ValueError):
         FeatureMapSpec(1, 1, entanglement="full")
+
+
+@pytest.mark.parametrize(
+    "data_axis,trainable_axis,entanglement",
+    list(itertools.product(DATA_AXES, TRAINABLE_AXES, ENTANGLEMENTS)),
+)
+def test_encoder_is_bitwise_the_circuit_path(data_axis, trainable_axis, entanglement):
+    rng = np.random.default_rng(len(data_axis + trainable_axis + entanglement))
+    spec = FeatureMapSpec(3, 2, data_axis, trainable_axis, entanglement, data_scaling=0.8)
+    lam = rng.uniform(-np.pi, np.pi, param_count(spec))
+    X = rng.uniform(-np.pi, np.pi, size=(6, 2))
+    circuits = [build_encoding_circuit(spec, x, lam) for x in X]
+    states = encode_states(spec, X, lam)
+    np.testing.assert_array_equal(states, simulate_block(circuits))
+
+    # inverse gates of column 2 on every row, as adjoint(circuit 2) runs them
+    inverse = encoding_gates(spec, X[2:3], lam, inverse=True)
+    got = states.copy()
+    apply_encoding_gates(got, spec.n_qubits, inverse)
+    expected = states.copy()
+    apply_circuit_block(expected, adjoint(circuits[2]))
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_encoder_gate_list():
+    spec = FeatureMapSpec(2, 1, data_axis="ry", trainable_axis="rz", entanglement="ring")
+    gates = encoding_gates(spec, np.ones((5, 1)), np.zeros(2))
+    assert [t for t, _ in gates] == [(0,), (1,), (0,), (1,), (0, 1), (1, 0)]
+    assert [None if m is None else m.shape for _, m in gates] == [
+        (1, 2, 2), (1, 2, 2), (5, 2, 2), (5, 2, 2), None, None,
+    ]
+    inverse = encoding_gates(spec, np.ones((5, 1)), np.zeros(2), inverse=True)
+    assert [t for t, _ in inverse] == [(1, 0), (0, 1), (1,), (0,), (1,), (0,)]
+
+
+def test_encoder_rejects_bad_input():
+    spec = FeatureMapSpec(1, 1, data_scaling=1e308)
+    with pytest.raises(ValueError, match="finite"):
+        encode_states(spec, np.array([[10.0]]), np.zeros(1))
+    with pytest.raises(ValueError):
+        encode_states(FeatureMapSpec(1, 1), np.ones(3), np.zeros(1))
+    with pytest.raises(ValueError):
+        encode_states(FeatureMapSpec(1, 1), np.ones((2, 1)), np.zeros(2))

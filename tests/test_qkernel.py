@@ -20,8 +20,12 @@ from qkflow.featuremap import (
     random_params,
 )
 from qkflow.qkernel import (
+    CIRCUIT_KINDS,
+    MODES,
+    PAIR_BLOCK_AMPLITUDES,
     GramMatrix,
     KernelEngineConfig,
+    _pair_chunks,
     _pair_seed,
     cross_gram,
     describe,
@@ -30,6 +34,8 @@ from qkflow.qkernel import (
 )
 from qkflow.statevector import (
     MAX_QUBITS,
+    Circuit,
+    Gate,
     adjoint,
     apply_circuit,
     inner_product,
@@ -321,6 +327,75 @@ def test_shot_matrices_are_bitwise_the_per_pair_multinomial(n_qubits):
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
     np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
     assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+
+
+# Pair blocks: the inversion test stacks (i, j) pairs column by column into
+# chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes.
+
+CHUNK_ROWS = 32  # pairs per chunk on the register below
+CHUNKED_QUBITS = (PAIR_BLOCK_AMPLITUDES // CHUNK_ROWS).bit_length() - 1
+WIDE_QUBITS = PAIR_BLOCK_AMPLITUDES.bit_length() - 1  # one pair fills a chunk
+
+
+def chunk_widths(heights, n_qubits):
+    return [stop - first for first, stop in _pair_chunks(np.asarray(heights), n_qubits)]
+
+
+def chunk_cfg(n_qubits, mode):
+    rng = np.random.default_rng(n_qubits)
+    spec = FeatureMapSpec(n_qubits, 2 if n_qubits < WIDE_QUBITS else 1,
+                          data_axis="ry", trainable_axis="rz", entanglement="ring")
+    return KernelEngineConfig(
+        spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)),
+        mode=mode, shots=200 if mode == "shots" else None, seed=5,
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_blocks_spanning_many_multi_column_chunks(mode):
+    cfg = chunk_cfg(CHUNKED_QUBITS, mode)
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 2 - 2, 2))
+    Y = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 3, 2))
+    upper = chunk_widths(np.arange(len(X)), CHUNKED_QUBITS)
+    cross = chunk_widths(np.full(len(X), len(Y)), CHUNKED_QUBITS)
+    assert sum(w > 1 for w in upper) >= 3 and sum(w > 1 for w in cross) >= 3
+    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
+    assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_blocks_with_one_column_per_chunk(mode):
+    cfg = chunk_cfg(WIDE_QUBITS, mode)
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-np.pi, np.pi, size=(4, 3))
+    Y = rng.uniform(-np.pi, np.pi, size=(2, 3))
+    assert set(chunk_widths(np.arange(len(X)), WIDE_QUBITS)) == {1}
+    assert set(chunk_widths(np.full(len(X), len(Y)), WIDE_QUBITS)) == {1}
+    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
+
+
+def refuse(self):
+    raise AssertionError(f"{type(self).__name__} built in the kernel path")
+
+
+@pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
+def test_kernels_build_no_gate_or_circuit(monkeypatch, circuit_kind, mode, entanglement):
+    spec = FeatureMapSpec(3, 2, data_axis="rx", trainable_axis="p", entanglement=entanglement)
+    cfg = KernelEngineConfig(
+        spec=spec, params=np.linspace(-1.0, 1.0, param_count(spec)), mode=mode,
+        shots=50 if mode == "shots" else None, circuit_kind=circuit_kind,
+    )
+    X = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(4, 2))
+    monkeypatch.setattr(Gate, "__post_init__", refuse)
+    monkeypatch.setattr(Circuit, "__post_init__", refuse)
+    assert gram_matrix(cfg, X).values.shape == (4, 4)
+    assert cross_gram(cfg, X[:2], X).shape == (2, 4)
+    assert 0.0 <= kernel_value(cfg, X[0], X[1]) <= 1.0
 
 
 def test_qubit_bound_is_checked_through_the_kernel_api():

@@ -1,5 +1,9 @@
 """Property tests: the gate kernel gives the same bits as its reference.
 
+rotation_matrices must give, byte for byte, the matrices of the scalar
+math.cos/math.sin formulas in oracles.single_qubit_matrix_oracle, for any
+angle including signed zeros, subnormals and |theta| up to 1e6.
+
 Random circuits of every gate kind on 1-10 qubits, applied to blocks of
 1-70 rows, once with one shared circuit (apply_circuit_block) and once with
 one circuit per row (simulate_block), must match oracles.apply_single_oracle
@@ -12,12 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_single_oracle, apply_two_qubit_oracle
+from oracles import apply_single_oracle, apply_two_qubit_oracle, single_qubit_matrix_oracle
 from qkflow.statevector import (
     Circuit,
     Gate,
     _single_qubit_matrix,
     apply_circuit_block,
+    rotation_matrices,
     simulate_block,
 )
 
@@ -81,3 +86,19 @@ def test_per_row_circuits_match_oracle(layout):
     expected[:, 0] = 1.0
     oracle_apply(expected, list(zip(*(c.gates for c in circuits))))
     np.testing.assert_array_equal(simulate_block(circuits), expected)
+
+
+ANGLES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e6, 1e6]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["p", "rx", "ry", "rz"]), st.lists(ANGLES, min_size=1, max_size=16))
+def test_rotation_matrices_are_bytewise_the_scalar_formulas(kind, angles):
+    expected = np.stack([single_qubit_matrix_oracle(Gate(kind, (0,), (a,))) for a in angles])
+    got = rotation_matrices(kind, angles)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
