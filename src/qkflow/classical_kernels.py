@@ -152,36 +152,40 @@ def _metric_rows(kernel: ClassicalKernel, points: np.ndarray) -> np.ndarray:
     return points @ kernel.transform.T
 
 
+def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Entries k(left[i], right[j]): the one place each kind's formula is written."""
+    if kernel.kind == "gaussian_metric":
+        z_left = _metric_rows(kernel, left)
+        z_right = _metric_rows(kernel, right)
+        # summed one feature column at a time: the peak memory stays at one
+        # block, the diagonal of a Gram is exactly 0 and the block is exactly
+        # symmetric, which the |a|^2 + |b|^2 - 2ab expansion does not give
+        sq_dist = np.zeros((left.shape[0], right.shape[0]))
+        for column in range(z_left.shape[1]):
+            diff = z_left[:, column, None] - z_right[:, column]
+            sq_dist += diff * diff
+        return np.exp(-kernel.gamma * sq_dist)
+    dots = left @ right.T
+    if kernel.kind == "linear":
+        return dots + kernel.c
+    if kernel.kind == "polynomial":
+        return (dots + kernel.c) ** kernel.degree
+    return _check_exponential_domain(dots, kernel.sigma)
+
+
 def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:
     """Evaluate one kernel entry."""
     a, b = _pair(point_a, point_b)
-    if kernel.kind == "linear":
-        return float(np.dot(a, b) + kernel.c)
-    if kernel.kind == "polynomial":
-        return float((np.dot(a, b) + kernel.c) ** kernel.degree)
-    if kernel.kind == "exponential":
-        dot = np.array(np.dot(a, b), dtype=float)
-        return float(_check_exponential_domain(dot, kernel.sigma))
-    diff = a - b
-    if kernel.transform is not None:
-        if kernel.transform.shape[1] != a.size:
-            raise ValueError(
-                f"transform is {kernel.transform.shape[0]}x{kernel.transform.shape[1]} "
-                f"but points have {a.size} features"
-            )
-        diff = kernel.transform @ diff
-    return float(np.exp(-kernel.gamma * np.dot(diff, diff)))
+    return float(_block(kernel, a[None, :], b[None, :])[0, 0])
 
 
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
     """Kernel matrix of a point set against itself (upper triangle mirrored)."""
     points = _as_points(data, "data")
     m = points.shape[0]
-    values = np.empty((m, m), dtype=float)
-    for i in range(m):
-        for j in range(i, m):
-            values[i, j] = eval_classical(kernel, points[i], points[j])
-            values[j, i] = values[i, j]
+    values = _block(kernel, points, points)
+    lower = np.tril_indices(m, -1)
+    values[lower] = values.T[lower]
     return GramMatrix(values=values, kernel_id=describe_classical(kernel), point_count=m)
 
 
@@ -193,16 +197,4 @@ def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray
         raise ValueError(
             f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
         )
-    if kernel.kind == "gaussian_metric":
-        # imported on use, so that `import qkflow` skips scipy's ~0.5 s start-up
-        from scipy.spatial.distance import cdist
-
-        z_new = _metric_rows(kernel, new_points)
-        z_train = _metric_rows(kernel, train_points)
-        return np.exp(-kernel.gamma * cdist(z_new, z_train, "sqeuclidean"))
-    dots = new_points @ train_points.T
-    if kernel.kind == "linear":
-        return dots + kernel.c
-    if kernel.kind == "polynomial":
-        return (dots + kernel.c) ** kernel.degree
-    return _check_exponential_domain(dots, kernel.sigma)
+    return _block(kernel, new_points, train_points)

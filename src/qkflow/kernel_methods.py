@@ -219,9 +219,6 @@ class TrainedKRR:
 
 def krr_fit(K, y, reg: float) -> TrainedKRR:
     """Solve (K + reg I) a = y through a symmetric positive-definite factorization."""
-    # imported on use, so that `import qkflow` skips scipy's ~0.5 s start-up
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
     values = _gram_values(K)
     m = values.shape[0]
     targets = _real_targets(y, m)
@@ -230,16 +227,20 @@ def krr_fit(K, y, reg: float) -> TrainedKRR:
         raise ValueError(f"reg must be a finite non-negative number, got {reg}")
     system = values + reg * np.eye(m)
     try:
-        factor = cho_factor(system, lower=True)
-    except LinAlgError as exc:
+        lower = np.linalg.cholesky(system)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(
             "kernel system is singular; add regularization (reg > 0)"
         ) from exc
-    alpha = cho_solve(factor, targets)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+
+    alpha = solve(targets)
     # one refinement pass keeps the residual at solver precision
     residual = targets - system @ alpha
     if np.max(np.abs(residual)) > 1e-11:
-        alpha = alpha + cho_solve(factor, residual)
+        alpha = alpha + solve(residual)
     alpha.flags.writeable = False
     return TrainedKRR(alphas=alpha, reg=reg, kernel_id=_kernel_id(K))
 

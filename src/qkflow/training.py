@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classical_kernels import ClassicalKernel, classical_gram
 from .featuremap import FeatureMapSpec, param_count
 from .kernel_methods import SUPPORT_THRESHOLD, TrainedKRR, krr_fit, svc_fit
 from .qkernel import KernelEngineConfig, gram_matrix
@@ -214,20 +215,11 @@ class MlkrrConfig:
             object.__setattr__(self, "A_init", A)
 
 
-def _metric_gram_values(X: np.ndarray, A: np.ndarray, gamma: float) -> np.ndarray:
-    Z = X @ A.T
-    sq = np.sum(Z * Z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
-    return np.exp(-gamma * np.maximum(d2, 0.0))
-
-
 def mlkrr_loss(X, y, alpha, A, gamma: float, reg: float) -> float:
     """Ridge loss ||K_A alpha - y||^2 + reg * alpha^T K_A alpha."""
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    A = np.asarray(A, dtype=float)
-    K = _metric_gram_values(X, A, gamma)
+    K = classical_gram(ClassicalKernel.gaussian_metric(gamma, A), X).values
     r = K @ alpha - y
     return float(r @ r + reg * alpha @ K @ alpha)
 
@@ -243,8 +235,8 @@ def mlkrr_loss_gradient(X, y, alpha, A, gamma: float, reg: float) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    A = np.asarray(A, dtype=float)
-    K = _metric_gram_values(X, A, gamma)
+    kernel = ClassicalKernel.gaussian_metric(gamma, A)
+    K = classical_gram(kernel, X).values
     r = K @ alpha - y
     weights = 2.0 * np.outer(r, alpha) + reg * np.outer(alpha, alpha)
     S = weights * K
@@ -252,7 +244,7 @@ def mlkrr_loss_gradient(X, y, alpha, A, gamma: float, reg: float) -> np.ndarray:
     col = S.sum(axis=0)
     diag_part = X.T @ (X * (row + col)[:, None])
     cross_part = X.T @ (S + S.T) @ X
-    return -2.0 * gamma * A @ (diag_part - cross_part)
+    return -2.0 * gamma * kernel.transform @ (diag_part - cross_part)
 
 
 def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[float]]:
@@ -283,7 +275,9 @@ def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[floa
         A = cfg.A_init.copy()
 
     def fit_alpha(current: np.ndarray) -> TrainedKRR:
-        return krr_fit(_metric_gram_values(X, current, cfg.gamma), y, cfg.reg)
+        K = classical_gram(ClassicalKernel.gaussian_metric(cfg.gamma, current), X)
+        # the bare values keep the saved model's kernel_id "precomputed"
+        return krr_fit(K.values, y, cfg.reg)
 
     model = fit_alpha(A)
     trace = [mlkrr_loss(X, y, model.alphas, A, cfg.gamma, cfg.reg)]

@@ -1,9 +1,9 @@
 """Independent brute-force references used by the test suite.
 
 These are deliberately slow and written from the optimality conditions
-rather than from the library's own algorithms. The gate-kernel and SMO
-references are the library's first straightforward versions, kept so that a
-faster rewrite can be checked to give the same bits.
+rather than from the library's own algorithms. The gate-kernel, SMO and
+classical-kernel references are the library's first straightforward
+versions, kept so that a faster rewrite can be checked against them.
 """
 
 import itertools
@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from qkflow.classical_kernels import _check_exponential_domain, _pair
 from qkflow.kernel_methods import SMO_GAP, SMO_MAX_ITER, SUPPORT_THRESHOLD
 
 
@@ -248,3 +249,24 @@ def smo_oracle(Q, z, r, C):
         up, low = _movable_oracle(a, z, C)
         bias = float((np.max(score[up]) + np.min(score[low])) / 2.0)
     return a, g, bias
+
+
+def classical_entry_oracle(kernel, point_a, point_b):
+    """One classical kernel entry from its two points alone, one np.dot per pair."""
+    a, b = _pair(point_a, point_b)
+    if kernel.kind == "linear":
+        return float(np.dot(a, b) + kernel.c)
+    if kernel.kind == "polynomial":
+        return float((np.dot(a, b) + kernel.c) ** kernel.degree)
+    if kernel.kind == "exponential":
+        dot = np.array(np.dot(a, b), dtype=float)
+        return float(_check_exponential_domain(dot, kernel.sigma))
+    diff = a - b
+    if kernel.transform is not None:
+        if kernel.transform.shape[1] != a.size:
+            raise ValueError(
+                f"transform is {kernel.transform.shape[0]}x{kernel.transform.shape[1]} "
+                f"but points have {a.size} features"
+            )
+        diff = kernel.transform @ diff
+    return float(np.exp(-kernel.gamma * np.dot(diff, diff)))

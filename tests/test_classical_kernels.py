@@ -131,6 +131,24 @@ def test_cross_matches_eval():
                 assert abs(C[i, j] - eval_classical(kernel, left[i], right[j])) <= 1e-12
 
 
+def test_gram_is_the_cross_block_of_a_set_with_itself():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        X = rng.normal(size=(rng.integers(1, 30), 3))
+        unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+        cases = [
+            (ClassicalKernel.linear(c=0.3), X),
+            (ClassicalKernel.polynomial(c=1.0, degree=3), X),
+            (ClassicalKernel.exponential(sigma=1.5), unit),
+            (ClassicalKernel.gaussian_metric(gamma=0.7), X),
+            (ClassicalKernel.gaussian_metric(gamma=0.7, transform=rng.normal(size=(3, 3))), X),
+        ]
+        for kernel, points in cases:
+            np.testing.assert_array_equal(
+                classical_gram(kernel, points).values, classical_cross(kernel, points, points)
+            )
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ClassicalKernel(kind="rbf")

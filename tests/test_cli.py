@@ -370,22 +370,44 @@ import sys
 import numpy as np
 import qkflow
 import qkflow.cli
+from qkflow.cli import run_command
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
 qkflow.cli.build_parser()
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, loaded
+assert not scipy_modules(), scipy_modules()
 model = qkflow.krr_fit(np.eye(2), [1.0, 2.0], reg=0.0)
 assert np.allclose(model.alphas, [1.0, 2.0])
 kernel = qkflow.ClassicalKernel.gaussian_metric(gamma=0.5)
 block = qkflow.classical_cross(kernel, [[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
 assert np.allclose(block, [[1.0, np.exp(-1.0)]])
+commands = [
+    "gen-data --kind circles --m 12 --seed 1 --out d.csv",
+    "kernel --data d.csv --kernel gaussian --out K.csv",
+    "align --data d.csv --spsa-iters 3 --seed 2 --out emb.json",
+    "train --method svc --embedding emb.json --data d.csv --out svc.json",
+    "train --method krr --kernel gaussian --data d.csv --out krr.json",
+    "train --method svr --kernel gaussian --data d.csv --out svr.json",
+    "mlkrr --data d.csv --rounds 3 --out mlkrr.json",
+    "predict --model svc.json --data d.csv --out svc.csv",
+    "predict --model krr.json --data d.csv --out krr.csv",
+    "predict --model mlkrr.json --data d.csv --out mlkrr.csv",
+    "kpca --data d.csv --kernel gaussian --out kpca.csv",
+    "cluster --data d.csv --kernel gaussian --out cluster.csv",
+]
+for command in commands:
+    assert run_command(command.split()) == 0, command
+assert not scipy_modules(), scipy_modules()
 """
 
 
-def test_import_and_parser_load_no_scipy():
-    """A fresh interpreter imports qkflow and builds the CLI parser without
-    loading scipy; the KRR fit and the Gaussian cross block, which import it
-    on use, still work."""
+def test_import_and_parser_load_no_scipy(tmp_path):
+    """A fresh interpreter imports qkflow, builds the CLI parser and runs
+    every command without loading scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(qkflow.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -257,6 +257,16 @@ def test_mlkrr_zero_rounds_equals_plain_gaussian_krr():
     assert len(trace) == 1
 
 
+def test_mlkrr_solves_on_the_gram_of_its_returned_metric():
+    """predict rebuilds the kernel from the saved A, so the alphas must be the
+    KRR solution on classical_gram of that A, bit for bit."""
+    X, y = seeded_regression_instance(12, 3, seed=41)
+    cfg = MlkrrConfig(gamma=0.5, reg=1e-3, lr=0.05, outer_iters=4)
+    A, model, _ = mlkrr_fit(X, y, cfg)
+    K = classical_gram(ClassicalKernel.gaussian_metric(gamma=0.5, transform=A), X)
+    np.testing.assert_array_equal(model.alphas, krr_fit(K.values, y, reg=1e-3).alphas)
+
+
 def test_mlkrr_trace_non_increasing():
     X, y = seeded_regression_instance(12, 3, seed=40)
     cfg = MlkrrConfig(gamma=0.5, reg=1e-3, lr=0.05, outer_iters=12)
