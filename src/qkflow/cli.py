@@ -124,7 +124,17 @@ def _load_dataset(args, need_labels: bool) -> Dataset:
     return ds
 
 
-# kernel selection flags shared by kernel/train/kpca/cluster
+# flags shared by subcommands: the feature map (align and every kernel
+# selection) and the kernel selection (kernel/train/kpca/cluster)
+
+
+def _add_feature_map_flags(container) -> None:
+    container.add_argument("--qubits", type=int, default=1)
+    container.add_argument("--layers", type=int, default=1)
+    container.add_argument("--data-axis", choices=DATA_AXES, default="rx")
+    container.add_argument("--trainable-axis", choices=TRAINABLE_AXES, default="ry")
+    container.add_argument("--entanglement", choices=ENTANGLEMENTS, default="linear_chain")
+    container.add_argument("--data-scaling", type=float, default=1.0)
 
 
 def _add_kernel_flags(parser) -> None:
@@ -136,12 +146,7 @@ def _add_kernel_flags(parser) -> None:
     group.add_argument("--degree", type=int, default=2, help="polynomial degree")
     group.add_argument("--sigma", type=float, default=1.0, help="exponential kernel width")
     group.add_argument("--gamma", type=float, default=1.0, help="gaussian kernel width")
-    group.add_argument("--qubits", type=int, default=1)
-    group.add_argument("--layers", type=int, default=1)
-    group.add_argument("--data-axis", choices=DATA_AXES, default="rx")
-    group.add_argument("--trainable-axis", choices=TRAINABLE_AXES, default="ry")
-    group.add_argument("--entanglement", choices=ENTANGLEMENTS, default="linear_chain")
-    group.add_argument("--data-scaling", type=float, default=1.0)
+    _add_feature_map_flags(group)
     group.add_argument("--params", help="comma-separated trainable angles (default all 0)")
     group.add_argument("--mode", choices=("exact", "shots"), default="exact")
     group.add_argument("--shots", type=int, default=None)
@@ -378,12 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--label-column", default=None)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--qubits", type=int, default=1)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--data-axis", choices=DATA_AXES, default="rx")
-    p.add_argument("--trainable-axis", choices=TRAINABLE_AXES, default="ry")
-    p.add_argument("--entanglement", choices=ENTANGLEMENTS, default="linear_chain")
-    p.add_argument("--data-scaling", type=float, default=1.0)
+    _add_feature_map_flags(p)
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--spsa-iters", type=int, default=100)
     p.add_argument("--a0", type=float, default=0.25)

@@ -80,7 +80,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     row and column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header row")
     header = [cell.strip() for cell in rows[0]]

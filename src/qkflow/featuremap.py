@@ -34,6 +34,7 @@ from .statevector import (
     _zero_block,
     cnot,
     rotation_matrices,
+    rng_entropy,
 )
 
 __all__ = [
@@ -215,5 +216,5 @@ def encode_states(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) 
 
 def random_params(spec: FeatureMapSpec, seed: int) -> np.ndarray:
     """Draw an initial parameter vector uniformly from [-pi, pi]."""
-    rng = np.random.default_rng(int(seed) % (1 << 64))
+    rng = np.random.default_rng(rng_entropy(seed))
     return rng.uniform(-np.pi, np.pi, size=param_count(spec))

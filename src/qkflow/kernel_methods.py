@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qkernel import GramMatrix
+from .statevector import rng_entropy
 
 __all__ = [
     "SUPPORT_THRESHOLD",
@@ -363,7 +364,7 @@ def kernel_kmeans(K, n_clusters: int, seed: int, max_iter: int = 100,
     n_clusters = int(n_clusters)
     if not 1 <= n_clusters <= m:
         raise ValueError(f"n_clusters must be in [1, {m}], got {n_clusters}")
-    rng = np.random.default_rng(int(seed) % (1 << 64))
+    rng = np.random.default_rng(rng_entropy(seed))
     diag = np.diag(values).copy()
 
     def point_dists(index: int) -> np.ndarray:

@@ -137,10 +137,11 @@ def _decode(f, hint, value):
     if isinstance(value, json_type):
         try:
             if hint is not np.ndarray:
-                return hint(value)
-            array = np.asarray(value, dtype=f.metadata.get("dtype", float))
-            if np.all(np.isfinite(array)):
-                return array
+                decoded = hint(value)
+            else:
+                decoded = np.asarray(value, dtype=f.metadata.get("dtype", float))
+            if hint not in (float, np.ndarray) or np.all(np.isfinite(decoded)):
+                return decoded
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(

@@ -13,18 +13,20 @@ Each point of a call is encoded once, from per-row gate matrices, into one
 amplitude block; no circuit objects are built. The inversion test stacks the
 (i, j) pairs column by column into chunks of at most PAIR_BLOCK_AMPLITUDES
 amplitudes and applies to every row the adjoint gates of its column's point.
-The swap test is one product of two blocks. Every entry has the bits of the
-per-pair circuit path.
+The swap test is one product of two blocks. Every exact entry has the bits of
+the per-pair circuit path.
 
-Exact mode computes probabilities from amplitudes. Shots mode samples the
-corresponding measurement with a deterministic stream per (seed, i, j) pair,
-so Gram assembly is reproducible regardless of evaluation order.
+Every call is two steps: the exact fidelities, then one measurement step.
+Exact mode returns the fidelities as they are. Shots mode makes one draw
+over the whole matrix from one stream seeded by `cfg.seed`: the inversion
+test's all-zeros count is Binomial(shots, k), the swap test's ancilla count
+Binomial(shots, 1/2 + k/2). Entries are drawn independently,
+so a shot Gram is not symmetric; its diagonal is exactly 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -145,20 +147,6 @@ def _as_points(data, name: str) -> np.ndarray:
     return points
 
 
-def _pair_seed(seed: int, i: int, j: int) -> int:
-    stream = np.random.SeedSequence(rng_entropy(seed), spawn_key=(i, j))
-    return int(stream.generate_state(1, np.uint64)[0])
-
-
-def _draw(shots: int, probabilities: np.ndarray, seed_of) -> np.ndarray:
-    """Binomial(shots, p) for every entry, each from its own seed_of(i, j) stream."""
-    counts = np.empty(probabilities.shape)
-    for (i, j), prob in np.ndenumerate(probabilities):
-        rng = np.random.default_rng(rng_entropy(seed_of(i, j)))
-        counts[i, j] = rng.binomial(shots, prob)
-    return counts
-
-
 def _pair_chunks(heights: np.ndarray, n_qubits: int):
     """Yield (first, stop) column ranges whose pairs fill at most
     PAIR_BLOCK_AMPLITUDES amplitudes; a taller column is a chunk of its own.
@@ -176,7 +164,7 @@ def _pair_chunks(heights: np.ndarray, n_qubits: int):
         yield first, len(heights)
 
 
-def _all_zeros_probabilities(cfg, states, inverse, columns, upper) -> np.ndarray:
+def _all_zeros_probabilities(n_qubits, states, inverse, columns, upper) -> np.ndarray:
     """P(0...0) after U(b_j)^dag U(a_i)|0...0> for row i of `states` and column j,
     where `inverse` holds the gates of every U(b_j)^dag.
 
@@ -184,57 +172,58 @@ def _all_zeros_probabilities(cfg, states, inverse, columns, upper) -> np.ndarray
     pairs are stacked column by column into chunks; every row of a chunk gets
     the matrices of its own column, or with one column the shared ones.
     """
-    n = cfg.spec.n_qubits
     heights = np.arange(columns) if upper else np.full(columns, len(states))
     probs = np.zeros((len(states), columns))
-    for first, stop in _pair_chunks(heights, n):
+    for first, stop in _pair_chunks(heights, n_qubits):
         height = heights[first:stop]
         cols = np.repeat(np.arange(first, stop), height)
         rows = np.arange(cols.size) - np.repeat(np.cumsum(height) - height, height)
         block = states[rows]
         pick = cols if stop - first > 1 else cols[:1]
         apply_encoding_gates(
-            block, n, [(t, m if m is None or len(m) == 1 else m[pick]) for t, m in inverse]
+            block, n_qubits, [(t, m if m is None or len(m) == 1 else m[pick]) for t, m in inverse]
         )
-        if cfg.mode == "exact":
-            # Bit-equal to probability_all_zeros: its scalar abs(a) ** 2 is
-            # hypot then libm pow, which np.abs(a) ** 2 does not reproduce.
-            amp = block[:, 0]
-            probs[rows, cols] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
-        else:
-            # Normalizes as sample_measurements does.
-            weights = np.abs(block) ** 2
-            probs[rows, cols] = weights[:, 0] / weights.sum(axis=1)
+        # Bit-equal to probability_all_zeros: its scalar abs(a) ** 2 is
+        # hypot then libm pow, which np.abs(a) ** 2 does not reproduce.
+        amp = block[:, 0]
+        probs[rows, cols] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
     return probs
 
 
-def _kernel_block(cfg, points_a, points_b, seed_of, upper=False) -> np.ndarray:
-    """K[i, j] = k(a_i, b_j) for the rows of two point arrays.
+def _fidelities(cfg, points_a, points_b, upper=False) -> np.ndarray:
+    """Exact K[i, j] = k(a_i, b_j) for the rows of two point arrays.
 
-    With `upper`, the inversion test evaluates only entries i < j. Shots
-    mode seeds entry (i, j) with seed_of(i, j). The inversion count is the
-    all-zeros cell of the full-register multinomial, Binomial(shots, p0);
-    numpy's multinomial draws that cell first with the same binomial call.
+    With `upper`, the inversion test evaluates only entries i < j.
     """
     if cfg.params is None:
         raise ValueError("kernel evaluation needs a bound parameter vector")
     states = encode_states(cfg.spec, points_a, cfg.params)
     if cfg.circuit_kind == "inversion":
         inverse = encoding_gates(cfg.spec, points_b, cfg.params, inverse=True)
-        probs = _all_zeros_probabilities(cfg, states, inverse, len(points_b), upper)
-        if cfg.mode == "exact":
-            return np.clip(probs, 0.0, 1.0)
-        return _draw(cfg.shots, probs, seed_of) / cfg.shots
+        probs = _all_zeros_probabilities(cfg.spec.n_qubits, states, inverse, len(points_b), upper)
+        return np.clip(probs, 0.0, 1.0)
     others = states if points_b is points_a else encode_states(cfg.spec, points_b, cfg.params)
-    fidelity = np.clip(np.abs(states @ others.conj().T) ** 2, 0.0, 1.0)
+    return np.clip(np.abs(states @ others.conj().T) ** 2, 0.0, 1.0)
+
+
+def _measured(cfg, K: np.ndarray) -> np.ndarray:
+    """K itself in exact mode; in shots mode one draw over every entry of K.
+
+    The inversion count is the all-zeros cell of the full-register
+    multinomial, Binomial(shots, k); the swap count is the ancilla's,
+    Binomial(shots, 1/2 + k/2), read back as clamp(2 p0_hat - 1, 0, 1).
+    """
     if cfg.mode == "exact":
-        return fidelity
-    successes = _draw(cfg.shots, 0.5 + 0.5 * fidelity, seed_of)
+        return K
+    rng = np.random.default_rng(rng_entropy(cfg.seed))
+    if cfg.circuit_kind == "inversion":
+        return rng.binomial(cfg.shots, K) / cfg.shots
+    successes = rng.binomial(cfg.shots, 0.5 + 0.5 * K)
     return np.clip(2.0 * successes / cfg.shots - 1.0, 0.0, 1.0)
 
 
 def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
-    """Evaluate k(point_a, point_b) under `cfg`."""
+    """Evaluate k(point_a, point_b) under `cfg`; the 1x1 cross_gram."""
     a = np.asarray(point_a, dtype=float).reshape(-1)
     b = np.asarray(point_b, dtype=float).reshape(-1)
     if a.size != b.size:
@@ -243,26 +232,21 @@ def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
         raise ValueError("points must have at least one feature")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("points contain non-finite values")
-    block = _kernel_block(cfg, a[None], b[None], lambda i, j: cfg.seed)
-    return float(block[0, 0])
+    return float(cross_gram(cfg, a[None], b[None])[0, 0])
 
 
 def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     """Kernel matrix of a point set against itself.
 
-    Exact mode evaluates only the upper triangle and mirrors it; the
-    diagonal is set to 1 without evaluation. Shots mode evaluates every
-    pair independently because sampling noise is not symmetric.
+    Only the upper triangle is evaluated and mirrored, and the diagonal is
+    set to 1 without evaluation; shots mode then measures every entry.
     """
     points = _as_points(data, "data")
-    m = points.shape[0]
-    if cfg.mode == "exact":
-        upper = np.triu(_kernel_block(cfg, points, points, None, upper=True), 1)
-        values = upper + upper.T
-        np.fill_diagonal(values, 1.0)
-    else:
-        values = _kernel_block(cfg, points, points, partial(_pair_seed, cfg.seed))
-    return GramMatrix(values=values, kernel_id=describe(cfg), point_count=m)
+    upper = np.triu(_fidelities(cfg, points, points, upper=True), 1)
+    values = upper + upper.T
+    np.fill_diagonal(values, 1.0)
+    return GramMatrix(values=_measured(cfg, values), kernel_id=describe(cfg),
+                      point_count=len(points))
 
 
 def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:
@@ -273,4 +257,4 @@ def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:
         raise ValueError(
             f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
         )
-    return _kernel_block(cfg, new_points, train_points, partial(_pair_seed, cfg.seed))
+    return _measured(cfg, _fidelities(cfg, new_points, train_points))

@@ -244,6 +244,24 @@ def test_predict_rejects_wrong_typed_model_field(svc_model_files, tmp_path, kern
     assert repr(keys[-1]) in proc.stderr
 
 
+@pytest.mark.parametrize("literal", ["NaN", "1e400"])
+def test_predict_rejects_non_finite_model_number(tmp_path, capsys, literal):
+    """JSON reads NaN as nan and 1e400 as inf; neither may reach a prediction."""
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.json"
+    run("gen-data", "--kind", "blobs", "--m", "12", "--seed", "3", "--out", str(data))
+    assert run("train", "--method", "svr", "--kernel", "linear", "--data", str(data),
+               "--out", str(model)) == 0
+    doc = json.loads(model.read_text())
+    doc["payload"]["bias"] = "BIAS"
+    model.write_text(json.dumps(doc).replace('"BIAS"', literal))
+    capsys.readouterr()
+    rc = run("predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv"))
+    assert rc == 2
+    assert "model file field 'bias' must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_task_mismatch_warns_but_succeeds(tmp_path, capsys):
     data = tmp_path / "hr.csv"
     emb = tmp_path / "emb.json"

@@ -64,6 +64,13 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_oversized_field_names_the_file(tmp_path):
+    path = tmp_path / "big.csv"
+    write(path, "f0,label\n" + "1" * 131_073 + ",1\n")
+    with pytest.raises(ValueError, match=r"big\.csv: line 2: field larger than field limit"):
+        load_csv(path)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_csv(tmp_path / "missing.csv")

@@ -5,6 +5,7 @@ RX(x)|0>, so k(x, x') = |<0|RX(x - x')|0>|^2 = cos^2((x - x')/2). Without
 entanglement the multi-qubit version factorizes into a product over qubits.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -26,7 +27,6 @@ from qkflow.qkernel import (
     GramMatrix,
     KernelEngineConfig,
     _pair_chunks,
-    _pair_seed,
     cross_gram,
     describe,
     gram_matrix,
@@ -41,7 +41,6 @@ from qkflow.statevector import (
     inner_product,
     new_zero_state,
     probability_all_zeros,
-    sample_measurements,
 )
 
 
@@ -228,10 +227,25 @@ def test_shot_gram_is_deterministic():
 def test_shot_gram_evaluates_pairs_independently():
     """Shots mode makes no symmetry assumption, so noise breaks symmetry."""
     X = np.array([[0.0], [1.3], [2.1]])
-    cfg = one_qubit_cfg(mode="shots", shots=101, seed=5)
-    K = gram_matrix(cfg, X).values
-    assert np.max(np.abs(K - K.T)) > 0.0
-    np.testing.assert_array_equal(np.diag(K), np.ones(3))
+    for kind in CIRCUIT_KINDS:
+        cfg = one_qubit_cfg(circuit_kind=kind, mode="shots", shots=101, seed=5)
+        K = gram_matrix(cfg, X).values
+        assert np.max(np.abs(K - K.T)) > 0.0
+        np.testing.assert_array_equal(np.diag(K), np.ones(3))
+
+
+@pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_kernel_value_is_the_one_by_one_cross_gram(mode, circuit_kind):
+    rng = np.random.default_rng(61)
+    spec = FeatureMapSpec(2, 2, data_axis="ry", trainable_axis="rx", entanglement="ring")
+    cfg = KernelEngineConfig(
+        spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)), mode=mode,
+        shots=500 if mode == "shots" else None, seed=17, circuit_kind=circuit_kind,
+    )
+    for _ in range(5):
+        a, b = rng.uniform(-np.pi, np.pi, size=(2, 2))
+        assert kernel_value(cfg, a, b) == cross_gram(cfg, [a], [b])[0, 0]
 
 
 def test_negative_seed_accepted():
@@ -248,14 +262,26 @@ def reference_state(cfg, x):
     return apply_circuit(new_zero_state(cfg.spec.n_qubits), circuit)
 
 
-def reference_entry(cfg, xa, xb, seed):
-    """One inversion test through the public gate API, one pair at a time."""
-    spec = cfg.spec
-    final = apply_circuit(reference_state(cfg, xa), adjoint(build_encoding_circuit(spec, xb, cfg.params)))
+def reference_fidelity(cfg, xa, xb):
+    """One exact inversion test through the public gate API."""
+    final = apply_circuit(reference_state(cfg, xa), adjoint(build_encoding_circuit(cfg.spec, xb, cfg.params)))
+    return min(max(probability_all_zeros(final), 0.0), 1.0)
+
+
+def reference_measured(cfg, K, seed):
+    """Shots mode as one draw over an exact matrix, entry by entry in C order."""
     if cfg.mode == "exact":
-        return min(max(probability_all_zeros(final), 0.0), 1.0)
-    counts = sample_measurements(final, cfg.shots, seed)
-    return counts.get("0" * spec.n_qubits, 0) / cfg.shots
+        return K
+    counts = np.random.default_rng(seed % 2**64).binomial(
+        cfg.shots, K if cfg.circuit_kind == "inversion" else 0.5 + 0.5 * K
+    )
+    if cfg.circuit_kind == "inversion":
+        return counts / cfg.shots
+    return np.clip(2.0 * counts / cfg.shots - 1.0, 0.0, 1.0)
+
+
+def reference_entry(cfg, xa, xb, seed):
+    return float(reference_measured(cfg, np.array([[reference_fidelity(cfg, xa, xb)]]), seed)[0, 0])
 
 
 def reference_swap(cfg, A, B):
@@ -268,20 +294,16 @@ def reference_swap(cfg, A, B):
 
 def reference_gram(cfg, X):
     m = len(X)
-    if cfg.mode == "shots":
-        return reference_cross(cfg, X, X)
     K = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            K[i, j] = K[j, i] = reference_entry(cfg, X[i], X[j], cfg.seed)
-    return K
+            K[i, j] = K[j, i] = reference_fidelity(cfg, X[i], X[j])
+    return reference_measured(cfg, K, cfg.seed)
 
 
 def reference_cross(cfg, A, B):
-    return np.array([
-        [reference_entry(cfg, a, b, _pair_seed(cfg.seed, i, j)) for j, b in enumerate(B)]
-        for i, a in enumerate(A)
-    ])
+    K = np.array([[reference_fidelity(cfg, a, b) for b in B] for a in A])
+    return reference_measured(cfg, K, cfg.seed)
 
 
 AXIS_GRID = list(itertools.product(DATA_AXES, TRAINABLE_AXES, ENTANGLEMENTS))
@@ -315,7 +337,7 @@ def test_exact_kernels_match_the_per_pair_reference(data_axis, trainable_axis, e
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5])
-def test_shot_matrices_are_bitwise_the_per_pair_multinomial(n_qubits):
+def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     rng = np.random.default_rng(70 + n_qubits)
     spec = FeatureMapSpec(n_qubits, 2, data_axis="ry", trainable_axis="rx", entanglement="ring")
     cfg = KernelEngineConfig(
@@ -327,6 +349,16 @@ def test_shot_matrices_are_bitwise_the_per_pair_multinomial(n_qubits):
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
     np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
     assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+
+    # The swap test measures the library's exact swap matrices the same way.
+    swap = dataclasses.replace(cfg, circuit_kind="swap")
+    exact = dataclasses.replace(swap, mode="exact")
+    np.testing.assert_array_equal(
+        gram_matrix(swap, X).values, reference_measured(swap, gram_matrix(exact, X).values, cfg.seed)
+    )
+    np.testing.assert_array_equal(
+        cross_gram(swap, Y, X), reference_measured(swap, cross_gram(exact, Y, X), cfg.seed)
+    )
 
 
 # Pair blocks: the inversion test stacks (i, j) pairs column by column into
