@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import GramMatrix, _as_points
+from .qkernel import GramMatrix, _as_points, _cross_points, _pair
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -120,18 +120,6 @@ def euclidean_distance(point_a, point_b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def _pair(point_a, point_b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(point_a, dtype=float).reshape(-1)
-    b = np.asarray(point_b, dtype=float).reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"points have different dimensions: {a.size} vs {b.size}")
-    if a.size < 1:
-        raise ValueError("points must have at least one feature")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("points contain non-finite values")
-    return a, b
-
-
 def _check_exponential_domain(dots: np.ndarray, sigma: float) -> np.ndarray:
     if np.max(dots) > 1.0 + _DOT_SLACK:
         raise ValueError(
@@ -191,10 +179,4 @@ def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
 
 def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray:
     """Rectangular block K[i][j] = k(data_new[i], data_train[j])."""
-    new_points = _as_points(data_new, "data_new")
-    train_points = _as_points(data_train, "data_train")
-    if new_points.shape[1] != train_points.shape[1]:
-        raise ValueError(
-            f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
-        )
-    return _block(kernel, new_points, train_points)
+    return _block(kernel, *_cross_points(data_new, data_train))

@@ -8,6 +8,7 @@ save/load cycle reproduces every value bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Read a header-first CSV into a Dataset.
 
     The label column is label_column when given, otherwise "label" if the
-    header has one, otherwise no labels. Parse failures name the offending
-    row and column.
+    header has one, otherwise no labels. Parse failures and non-finite numbers
+    name the offending row and column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -111,6 +112,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                     f"{path}: cannot parse {cell.strip()!r} at row {r}, "
                     f"column {header[c]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: non-finite value {cell.strip()!r} at row {r}, "
+                    f"column {header[c]!r}"
+                )
             if c == label_idx:
                 labels.append(value)
             else:

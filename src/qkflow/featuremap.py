@@ -13,10 +13,11 @@ Features are consumed round-robin with a layer offset, so maps with more
 rotation slots than input features reuse coordinates. Data points and
 parameter vectors are plain 1-D float arrays.
 
-`build_encoding_circuit` binds one point into a `Circuit`. The kernels use
-`encode_states` and `encoding_gates` instead: the same gates, as stacks of
-2x2 matrices with one per point, simulated without building circuit objects.
-Both read the gate order from one layout.
+The circuit is written down once, in `_encoding_angles`, as (kind, targets,
+angles) for a whole block of points. `build_encoding_circuit` binds one point
+into a `Circuit`. The kernels use `encode_states` and `encoding_gates`
+instead: the same gates as `statevector.apply_gates` triples, with 2x2
+matrix stacks in place of angles, simulated without building circuit objects.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ import numpy as np
 from .statevector import (
     Circuit,
     Gate,
-    _apply_cnot_inplace,
-    _apply_single_inplace,
-    _gate_scratch,
     _zero_block,
+    apply_gates,
     cnot,
     rotation_matrices,
     rng_entropy,
@@ -45,7 +44,6 @@ __all__ = [
     "param_count",
     "build_encoding_circuit",
     "encoding_gates",
-    "apply_encoding_gates",
     "encode_states",
     "random_params",
 ]
@@ -105,24 +103,6 @@ def _entangler_pairs(spec: FeatureMapSpec) -> tuple[tuple[int, int], ...]:
     return chain + ((n - 1, 0),)
 
 
-def _layout(spec: FeatureMapSpec, n_features: int):
-    """Yield (kind, targets, source, index) for every gate position in order.
-
-    `source` is "param" for a trainable rotation with angle params[index],
-    "data" for a data rotation with angle data_scaling * x[index] and None
-    for a CNOT (index None).
-    """
-    entangler = _entangler_pairs(spec)
-    for layer in range(spec.n_layers):
-        base = layer * spec.n_qubits
-        for q in range(spec.n_qubits):
-            yield spec.trainable_axis, (q,), "param", base + q
-        for q in range(spec.n_qubits):
-            yield spec.data_axis, (q,), "data", (base + q) % n_features
-        for pair in entangler:
-            yield "cnot", pair, None, None
-
-
 def _checked_params(spec: FeatureMapSpec, params: np.ndarray) -> np.ndarray:
     lam = np.asarray(params, dtype=float).reshape(-1)
     expected = param_count(spec)
@@ -135,82 +115,69 @@ def _checked_params(spec: FeatureMapSpec, params: np.ndarray) -> np.ndarray:
     return lam
 
 
-def build_encoding_circuit(
-    spec: FeatureMapSpec, data_point: np.ndarray, params: np.ndarray
-) -> Circuit:
-    """Bind one data point and one parameter vector into a concrete circuit."""
-    point = np.asarray(data_point, dtype=float).reshape(-1)
-    if point.size < 1:
-        raise ValueError("data point must have at least one feature")
-    if not np.all(np.isfinite(point)):
-        raise ValueError("data point contains non-finite values")
-    lam = _checked_params(spec, params)
-
-    gates: list[Gate] = []
-    for kind, targets, source, index in _layout(spec, point.size):
-        if source == "param":
-            gates.append(Gate(kind, targets, (float(lam[index]),)))
-        elif source == "data":
-            gates.append(Gate(kind, targets, (spec.data_scaling * float(point[index]),)))
-        else:
-            gates.append(cnot(*targets))
-    return Circuit(spec.n_qubits, tuple(gates))
-
-
-def encoding_gates(
-    spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray, inverse: bool = False
-) -> list[tuple[tuple[int, ...], np.ndarray | None]]:
+def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray,
+                     inverse: bool = False) -> list:
     """The gates of U(x), or of U(x)^dag with `inverse`, for every row x of `points`.
 
-    Each position is (targets, matrices). A data rotation has one 2x2 matrix
-    per row, a trainable rotation one matrix shared by every row, and a CNOT
-    None. The matrices, angles and order are those of
-    `build_encoding_circuit`, or of its `adjoint`: positions reversed and
-    every angle negated.
+    Each gate is (kind, targets, angles). A trainable rotation has one angle
+    shared by every row, a data rotation one angle per row and a CNOT None.
+    The adjoint reverses the order and negates every angle.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 1:
         raise ValueError("points must be a 2-D array with at least one feature")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points contain non-finite values")
     lam = _checked_params(spec, params)
+    scale = spec.data_scaling
+    if inverse:
+        lam, scale = -lam, -scale
     gates = []
-    for kind, targets, source, index in _layout(spec, points.shape[1]):
-        if source is None:
-            gates.append((targets, None))
-            continue
-        if source == "param":
-            angles = lam[index:index + 1]
-        else:
-            with np.errstate(over="ignore"):  # an overflow is reported below
-                angles = spec.data_scaling * points[:, index]
-        if inverse:
-            angles = -angles
-        if not np.all(np.isfinite(angles)):
-            raise ValueError("gate parameters must be finite")
-        gates.append((targets, rotation_matrices(kind, angles)))
+    for layer in range(spec.n_layers):
+        base = layer * spec.n_qubits
+        for q in range(spec.n_qubits):
+            gates.append((spec.trainable_axis, (q,), lam[base + q:base + q + 1]))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            for q in range(spec.n_qubits):
+                column = points[:, (base + q) % points.shape[1]]
+                gates.append((spec.data_axis, (q,), scale * column))
+        gates.extend(("cnot", pair, None) for pair in _entangler_pairs(spec))
+    if not all(angles is None or np.all(np.isfinite(angles)) for _, _, angles in gates):
+        raise ValueError("gate parameters must be finite")
     return gates[::-1] if inverse else gates
 
 
-def apply_encoding_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
-    """Apply `encoding_gates` positions in place to a (rows, 2**n) block.
+def build_encoding_circuit(
+    spec: FeatureMapSpec, data_point: np.ndarray, params: np.ndarray
+) -> Circuit:
+    """Bind one data point and one parameter vector into a concrete circuit."""
+    point = np.asarray(data_point, dtype=float).reshape(1, -1)
+    return Circuit(spec.n_qubits, tuple(
+        cnot(*targets) if angles is None else Gate(kind, targets, (float(angles[0]),))
+        for kind, targets, angles in _encoding_angles(spec, point, params)
+    ))
 
-    Every stack of matrices must hold one matrix per row or one in all.
-    """
-    scratch = _gate_scratch(amps)
-    for targets, matrices in gates:
-        if matrices is None:
-            _apply_cnot_inplace(amps, n_qubits, targets[0], targets[1], scratch)
-        else:
-            _apply_single_inplace(amps, targets[0], matrices, scratch)
+
+def encoding_gates(
+    spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray, inverse: bool = False
+) -> list[tuple[str, tuple[int, ...], np.ndarray | None]]:
+    """`_encoding_angles` as `apply_gates` triples: every angle becomes its
+    2x2 rotation matrix, so a data rotation has one matrix per row and a
+    trainable rotation one matrix shared by every row."""
+    return [
+        (kind, targets, None if angles is None else rotation_matrices(kind, angles))
+        for kind, targets, angles in _encoding_angles(spec, points, params, inverse)
+    ]
 
 
 def encode_states(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Return U(x_r)|0...0> as row r of one (len(points), 2**n) block.
 
-    Each row gets exactly the arithmetic `simulate_block` gives the circuits
-    `build_encoding_circuit` makes, without building them.
+    Each row gets exactly the arithmetic `apply_circuit` gives the circuit
+    `build_encoding_circuit` makes for it, without building that circuit.
     """
     amps = _zero_block(len(points), spec.n_qubits)
-    apply_encoding_gates(amps, spec.n_qubits, encoding_gates(spec, points, params))
+    apply_gates(amps, spec.n_qubits, encoding_gates(spec, points, params))
     return amps
 
 

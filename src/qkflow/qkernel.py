@@ -30,14 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featuremap import (
-    FeatureMapSpec,
-    apply_encoding_gates,
-    encode_states,
-    encoding_gates,
-    param_count,
-)
-from .statevector import rng_entropy
+from .featuremap import FeatureMapSpec, _checked_params, encode_states, encoding_gates
+from .statevector import apply_gates, rng_entropy
 
 __all__ = [
     "MODES",
@@ -87,13 +81,7 @@ class KernelEngineConfig:
             object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed))
         if self.params is not None:
-            lam = np.array(self.params, dtype=float).reshape(-1)
-            if lam.size != param_count(self.spec):
-                raise ValueError(
-                    f"params has length {lam.size}, spec needs {param_count(self.spec)}"
-                )
-            if not np.all(np.isfinite(lam)):
-                raise ValueError("params contains non-finite values")
+            lam = _checked_params(self.spec, self.params).copy()
             lam.flags.writeable = False
             object.__setattr__(self, "params", lam)
 
@@ -147,6 +135,28 @@ def _as_points(data, name: str) -> np.ndarray:
     return points
 
 
+def _cross_points(data_new, data_train) -> tuple[np.ndarray, np.ndarray]:
+    new_points = _as_points(data_new, "data_new")
+    train_points = _as_points(data_train, "data_train")
+    if new_points.shape[1] != train_points.shape[1]:
+        raise ValueError(
+            f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
+        )
+    return new_points, train_points
+
+
+def _pair(point_a, point_b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(point_a, dtype=float).reshape(-1)
+    b = np.asarray(point_b, dtype=float).reshape(-1)
+    if a.size != b.size:
+        raise ValueError(f"points have different dimensions: {a.size} vs {b.size}")
+    if a.size < 1:
+        raise ValueError("points must have at least one feature")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("points contain non-finite values")
+    return a, b
+
+
 def _pair_chunks(heights: np.ndarray, n_qubits: int):
     """Yield (first, stop) column ranges whose pairs fill at most
     PAIR_BLOCK_AMPLITUDES amplitudes; a taller column is a chunk of its own.
@@ -180,9 +190,9 @@ def _all_zeros_probabilities(n_qubits, states, inverse, columns, upper) -> np.nd
         rows = np.arange(cols.size) - np.repeat(np.cumsum(height) - height, height)
         block = states[rows]
         pick = cols if stop - first > 1 else cols[:1]
-        apply_encoding_gates(
-            block, n_qubits, [(t, m if m is None or len(m) == 1 else m[pick]) for t, m in inverse]
-        )
+        apply_gates(block, n_qubits, [
+            (kind, t, m if m is None or len(m) == 1 else m[pick]) for kind, t, m in inverse
+        ])
         # Bit-equal to probability_all_zeros: its scalar abs(a) ** 2 is
         # hypot then libm pow, which np.abs(a) ** 2 does not reproduce.
         amp = block[:, 0]
@@ -224,14 +234,7 @@ def _measured(cfg, K: np.ndarray) -> np.ndarray:
 
 def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
     """Evaluate k(point_a, point_b) under `cfg`; the 1x1 cross_gram."""
-    a = np.asarray(point_a, dtype=float).reshape(-1)
-    b = np.asarray(point_b, dtype=float).reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"points have different dimensions: {a.size} vs {b.size}")
-    if a.size < 1:
-        raise ValueError("points must have at least one feature")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("points contain non-finite values")
+    a, b = _pair(point_a, point_b)
     return float(cross_gram(cfg, a[None], b[None])[0, 0])
 
 
@@ -251,10 +254,4 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
 
 def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:
     """Rectangular kernel block K[i][j] = k(data_new[i], data_train[j])."""
-    new_points = _as_points(data_new, "data_new")
-    train_points = _as_points(data_train, "data_train")
-    if new_points.shape[1] != train_points.shape[1]:
-        raise ValueError(
-            f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
-        )
-    return _measured(cfg, _fidelities(cfg, new_points, train_points))
+    return _measured(cfg, _fidelities(cfg, *_cross_points(data_new, data_train)))

@@ -6,12 +6,16 @@ Qubit 0 is the least significant bit of the computational basis index, so for
 two qubits the basis order is ``|q1 q0> = |00>, |01>, |10>, |11>``.  Gates are
 applied by strided slicing of the amplitudes; the full ``2**n x 2**n``
 operator is never materialized.
+
+`apply_gates` is the one gate loop. It takes gates as ``(kind, targets,
+matrices)`` and gives a block's rows one shared 2x2 matrix or one each.
+`apply_gate` and `apply_circuit` turn their `Gate` objects into that form,
+and the feature-map encoder builds it directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +36,9 @@ __all__ = [
     "cnot",
     "cz",
     "new_zero_state",
+    "apply_gates",
     "apply_gate",
     "apply_circuit",
-    "apply_circuit_block",
-    "simulate_block",
     "adjoint",
     "inner_product",
     "probability_all_zeros",
@@ -305,37 +308,45 @@ def _apply_cz_inplace(amps: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> N
     tensor[tuple(sel)] *= -1.0
 
 
-def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate, scratch: np.ndarray) -> None:
-    for t in gate.targets:
-        if t >= n:
-            raise IndexError(
-                f"gate {gate.kind!r} targets qubit {t} on a {n}-qubit state"
-            )
-    if gate.kind == "cnot":
-        _apply_cnot_inplace(amps, n, gate.targets[0], gate.targets[1], scratch)
-    elif gate.kind == "cz":
-        _apply_cz_inplace(amps, n, gate.targets[0], gate.targets[1])
-    else:
-        _apply_single_inplace(amps, gate.targets[0], _single_qubit_matrix(gate), scratch)
+def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
+    """Apply `gates` in place, in order, to every row of a (rows, 2**n) block.
+
+    A gate is (kind, targets, matrices): "cnot" and "cz" take None, any other
+    kind a (1, 2, 2) stack shared by every row or a (rows, 2, 2) stack with
+    one matrix per row.
+    """
+    if amps.ndim != 2 or amps.shape[1] != 1 << n_qubits:
+        raise ValueError(
+            f"gates act on {n_qubits} qubit(s) but the block has shape {amps.shape}"
+        )
+    scratch = _gate_scratch(amps)
+    for kind, targets, matrices in gates:
+        if kind == "cnot":
+            _apply_cnot_inplace(amps, n_qubits, targets[0], targets[1], scratch)
+        elif kind == "cz":
+            _apply_cz_inplace(amps, n_qubits, targets[0], targets[1])
+        else:
+            _apply_single_inplace(amps, targets[0], matrices, scratch)
+
+
+def _as_gates(gates) -> list:
+    """`Gate` objects as `apply_gates` triples, each with one shared matrix."""
+    return [
+        (g.kind, g.targets, None if g.kind in _TWO_QUBIT else _single_qubit_matrix(g)[None])
+        for g in gates
+    ]
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Return the state after applying one gate (the input is unchanged)."""
+    for t in gate.targets:
+        if t >= state.n_qubits:
+            raise IndexError(
+                f"gate {gate.kind!r} targets qubit {t} on a {state.n_qubits}-qubit state"
+            )
     amps = state.amplitudes.reshape(1, -1).copy()
-    _apply_gate_inplace(amps, state.n_qubits, gate, _gate_scratch(amps))
+    apply_gates(amps, state.n_qubits, _as_gates([gate]))
     return StateVector(state.n_qubits, amps)
-
-
-def apply_circuit_block(amps: np.ndarray, circuit: Circuit) -> None:
-    """Apply `circuit` in place to every row of a (rows, 2**n) amplitude block."""
-    if amps.ndim != 2 or amps.shape[1] != 1 << circuit.n_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.n_qubits} qubit(s) "
-            f"but the block has shape {amps.shape}"
-        )
-    scratch = _gate_scratch(amps)
-    for gate in circuit.gates:
-        _apply_gate_inplace(amps, circuit.n_qubits, gate, scratch)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -346,31 +357,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"but the state has {state.n_qubits}"
         )
     amps = state.amplitudes.reshape(1, -1).copy()
-    apply_circuit_block(amps, circuit)
+    apply_gates(amps, state.n_qubits, _as_gates(circuit.gates))
     return StateVector(state.n_qubits, amps)
-
-
-def simulate_block(circuits: Sequence[Circuit]) -> np.ndarray:
-    """Return circuits[r] |0...0> as row r of one (len(circuits), 2**n) block.
-
-    The circuits must share one gate layout, the same kind on the same targets
-    at every position; only their angles may differ. Each row gets exactly
-    the arithmetic `apply_circuit` would give it.
-    """
-    layouts = {(c.n_qubits, tuple((g.kind, g.targets) for g in c.gates)) for c in circuits}
-    if len(layouts) != 1:
-        raise ValueError("circuits in one block must share their gate layout")
-    n = circuits[0].n_qubits
-    amps = _zero_block(len(circuits), n)
-    scratch = _gate_scratch(amps)
-    for gates in zip(*(c.gates for c in circuits)):
-        first = gates[0]
-        if first.kind in _TWO_QUBIT:
-            _apply_gate_inplace(amps, n, first, scratch)
-        else:
-            matrices = np.stack([_single_qubit_matrix(g) for g in gates])
-            _apply_single_inplace(amps, first.targets[0], matrices, scratch)
-    return amps
 
 
 def _invert_gate(gate: Gate) -> Gate:

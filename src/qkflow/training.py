@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical_kernels import ClassicalKernel, classical_gram
-from .featuremap import FeatureMapSpec, param_count
+from .featuremap import FeatureMapSpec, _checked_params, param_count
 from .kernel_methods import SUPPORT_THRESHOLD, TrainedKRR, krr_fit, svc_fit
 from .qkernel import KernelEngineConfig, gram_matrix
 from .statevector import rng_entropy
@@ -135,12 +135,7 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig,
     is periodic.
     """
     X = np.asarray(X, dtype=float)
-    lam = np.asarray(lam_init, dtype=float).reshape(-1).copy()
-    needed = param_count(cfg.spec)
-    if lam.size != needed:
-        raise ValueError(f"lam_init has length {lam.size}, spec needs {needed}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("lam_init contains non-finite values")
+    lam = _checked_params(cfg.spec, lam_init).copy()
 
     rng = np.random.default_rng(rng_entropy(spsa.seed))
     sv_counts: list[int] = []

@@ -3,7 +3,8 @@
 Every file below has at least one defect: a ragged row, an empty or
 non-numeric cell, a non-finite number, a quoted or NUL-bearing cell, a cell
 over the csv module's field limit, or no label column. Each command must
-refuse it as a data error (exit 2, one `error:` line), never a traceback.
+refuse it as a data error (exit 2, one `error:` line naming the file), never
+a traceback.
 """
 
 import contextlib
@@ -67,3 +68,4 @@ def test_malformed_csv_is_a_data_error(workdir, text):
                               "--out", str(workdir / "out")])
         assert rc == 2, (command, err.getvalue())
         assert err.getvalue().startswith("error: "), err.getvalue()
+        assert str(path) in err.getvalue(), err.getvalue()

@@ -57,6 +57,14 @@ def test_load_csv_parse_error_names_position(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_load_csv_non_finite_cell_names_position(tmp_path, cell):
+    path = tmp_path / "nf.csv"
+    write(path, f"f0,f1,label\n1,2,1\n3,4,{cell}\n")
+    with pytest.raises(ValueError, match=rf"nf\.csv: non-finite value '{cell}' at row 2, column 'label'"):
+        load_csv(path)
+
+
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "d.csv"
     write(path, "f0,f1\n1,2\n3\n")

@@ -11,14 +11,22 @@ from qkflow.featuremap import (
     ENTANGLEMENTS,
     TRAINABLE_AXES,
     FeatureMapSpec,
-    apply_encoding_gates,
     build_encoding_circuit,
     encode_states,
     encoding_gates,
     param_count,
     random_params,
 )
-from qkflow.statevector import Gate, adjoint, apply_circuit_block, cnot, simulate_block
+from qkflow.statevector import (
+    Gate,
+    StateVector,
+    adjoint,
+    apply_circuit,
+    apply_gates,
+    cnot,
+    new_zero_state,
+    rotation_matrices,
+)
 
 
 def kinds_and_args(circuit):
@@ -154,26 +162,41 @@ def test_encoder_is_bitwise_the_circuit_path(data_axis, trainable_axis, entangle
     X = rng.uniform(-np.pi, np.pi, size=(6, 2))
     circuits = [build_encoding_circuit(spec, x, lam) for x in X]
     states = encode_states(spec, X, lam)
-    np.testing.assert_array_equal(states, simulate_block(circuits))
+    for row, circuit in enumerate(circuits):
+        expected = apply_circuit(new_zero_state(spec.n_qubits), circuit).amplitudes
+        np.testing.assert_array_equal(states[row], expected)
 
     # inverse gates of column 2 on every row, as adjoint(circuit 2) runs them
     inverse = encoding_gates(spec, X[2:3], lam, inverse=True)
     got = states.copy()
-    apply_encoding_gates(got, spec.n_qubits, inverse)
-    expected = states.copy()
-    apply_circuit_block(expected, adjoint(circuits[2]))
-    np.testing.assert_array_equal(got, expected)
+    apply_gates(got, spec.n_qubits, inverse)
+    for row in range(len(X)):
+        expected = apply_circuit(StateVector(spec.n_qubits, states[row]), adjoint(circuits[2]))
+        np.testing.assert_array_equal(got[row], expected.amplitudes)
+
+    # and every column's inverse gates at once, one matrix per row
+    got = states.copy()
+    apply_gates(got, spec.n_qubits, encoding_gates(spec, X, lam, inverse=True))
+    for row, circuit in enumerate(circuits):
+        expected = apply_circuit(StateVector(spec.n_qubits, states[row]), adjoint(circuit))
+        np.testing.assert_array_equal(got[row], expected.amplitudes)
 
 
 def test_encoder_gate_list():
     spec = FeatureMapSpec(2, 1, data_axis="ry", trainable_axis="rz", entanglement="ring")
     gates = encoding_gates(spec, np.ones((5, 1)), np.zeros(2))
-    assert [t for t, _ in gates] == [(0,), (1,), (0,), (1,), (0, 1), (1, 0)]
-    assert [None if m is None else m.shape for _, m in gates] == [
+    assert [(kind, t) for kind, t, _ in gates] == [
+        ("rz", (0,)), ("rz", (1,)), ("ry", (0,)), ("ry", (1,)), ("cnot", (0, 1)), ("cnot", (1, 0)),
+    ]
+    assert [None if m is None else m.shape for _, _, m in gates] == [
         (1, 2, 2), (1, 2, 2), (5, 2, 2), (5, 2, 2), None, None,
     ]
     inverse = encoding_gates(spec, np.ones((5, 1)), np.zeros(2), inverse=True)
-    assert [t for t, _ in inverse] == [(1, 0), (0, 1), (1,), (0,), (1,), (0,)]
+    assert [(kind, t) for kind, t, _ in inverse] == [
+        ("cnot", (1, 0)), ("cnot", (0, 1)), ("ry", (1,)), ("ry", (0,)), ("rz", (1,)), ("rz", (0,)),
+    ]
+    np.testing.assert_array_equal(gates[2][2], rotation_matrices("ry", np.ones(5)))
+    np.testing.assert_array_equal(inverse[2][2], rotation_matrices("ry", -np.ones(5)))
 
 
 def test_encoder_rejects_bad_input():

@@ -10,18 +10,17 @@ import math
 import numpy as np
 import pytest
 
+from qkflow.featuremap import FeatureMapSpec, encode_states
 from qkflow.statevector import (
     MAX_QUBITS,
     Circuit,
     Gate,
     StateVector,
     adjoint,
-    _apply_single_inplace,
-    _gate_scratch,
     _single_qubit_matrix,
     apply_circuit,
-    apply_circuit_block,
     apply_gate,
+    apply_gates,
     cnot,
     cz,
     h,
@@ -33,7 +32,6 @@ from qkflow.statevector import (
     ry,
     rz,
     sample_measurements,
-    simulate_block,
     u3,
     x,
 )
@@ -301,12 +299,13 @@ def block_gates():
 def test_block_with_shared_gate_matches_apply_gate(kind, targets):
     rng = np.random.default_rng(len(kind) * 10 + targets[0])
     if kind in ("cnot", "cz"):
-        gate = Gate(kind, targets)
+        gate, matrices = Gate(kind, targets), None
     else:
         gate = random_single_gate(kind, targets[0], rng)
+        matrices = _single_qubit_matrix(gate)[None]
     before = random_block(5, BLOCK_QUBITS, rng)
     after = before.copy()
-    apply_circuit_block(after, Circuit(BLOCK_QUBITS, (gate,)))
+    apply_gates(after, BLOCK_QUBITS, [(kind, targets, matrices)])
     assert_rows_match_apply_gate(before, after, [gate] * 5)
 
 
@@ -318,11 +317,11 @@ def test_block_with_one_matrix_per_row_matches_apply_gate(kind):
         before = random_block(6, BLOCK_QUBITS, rng)
         after = before.copy()
         matrices = np.stack([_single_qubit_matrix(g) for g in gates])
-        _apply_single_inplace(after, target, matrices, _gate_scratch(after))
+        apply_gates(after, BLOCK_QUBITS, [(kind, (target,), matrices)])
         assert_rows_match_apply_gate(before, after, gates)
 
 
-def test_simulate_block_matches_apply_circuit():
+def test_block_with_per_row_circuits_matches_apply_circuit():
     rng = np.random.default_rng(83)
     layout = random_circuit(BLOCK_QUBITS, 30, rng)
     circuits = [
@@ -332,24 +331,24 @@ def test_simulate_block_matches_apply_circuit():
         ))
         for _ in range(4)
     ]
-    block = simulate_block(circuits)
+    block = np.zeros((4, 1 << BLOCK_QUBITS), dtype=complex)
+    block[:, 0] = 1.0
+    apply_gates(block, BLOCK_QUBITS, [
+        (column[0].kind, column[0].targets,
+         None if column[0].kind in ("cnot", "cz")
+         else np.stack([_single_qubit_matrix(g) for g in column]))
+        for column in zip(*(c.gates for c in circuits))
+    ])
     for row, circuit in enumerate(circuits):
         expected = apply_circuit(new_zero_state(BLOCK_QUBITS), circuit).amplitudes
         np.testing.assert_array_equal(block[row], expected)
 
 
-def test_simulate_block_rejects_mixed_layouts():
-    with pytest.raises(ValueError):
-        simulate_block([Circuit(2, (rx(0, 0.1),)), Circuit(2, (ry(0, 0.1),))])
-    with pytest.raises(ValueError):
-        simulate_block([Circuit(2, (rx(0, 0.1),)), Circuit(2, (rx(1, 0.1),))])
-    with pytest.raises(ValueError):
-        simulate_block([Circuit(2, (rx(0, 0.1),)), Circuit(2, ())])
-
-
 def test_block_size_mismatch():
     with pytest.raises(ValueError):
-        apply_circuit_block(np.zeros((2, 8), dtype=complex), Circuit(2, (x(0),)))
+        apply_gates(np.zeros((2, 8), dtype=complex), 2, [("x", (0,), np.eye(2)[None])])
+    with pytest.raises(ValueError):
+        apply_gates(np.zeros(4, dtype=complex), 2, [])
 
 
 # validation
@@ -361,7 +360,7 @@ def test_qubit_count_limits():
     with pytest.raises(ValueError):
         new_zero_state(MAX_QUBITS + 1)
     with pytest.raises(ValueError, match="1 to 20 qubits"):
-        simulate_block([Circuit(MAX_QUBITS + 1, (x(0),))])
+        encode_states(FeatureMapSpec(MAX_QUBITS + 1, 1), np.zeros((1, 1)), np.zeros(MAX_QUBITS + 1))
 
 
 def test_state_must_be_normalized():

@@ -4,12 +4,12 @@ rotation_matrices must give, byte for byte, the matrices of the scalar
 math.cos/math.sin formulas in oracles.single_qubit_matrix_oracle, for any
 angle including signed zeros, subnormals and |theta| up to 1e6.
 
-Random circuits of every gate kind on 1-10 qubits, applied to blocks of
-1-70 rows, once with one shared circuit (apply_circuit_block) and once with
-one circuit per row (simulate_block), must match oracles.apply_single_oracle
-and oracles.apply_two_qubit_oracle exactly. The per-pair reference tests in
-test_statevector.py compare the kernel with itself, so they cannot see a
-change in rounding; these can.
+Random gate lists of every gate kind on 1-10 qubits, applied by apply_gates
+to blocks of 1-70 rows, once with one (1, 2, 2) matrix shared by every row
+and once with a (rows, 2, 2) stack of one matrix per row, must match
+oracles.apply_single_oracle and oracles.apply_two_qubit_oracle exactly. The
+per-pair reference tests in test_statevector.py compare the kernel with
+itself, so they cannot see a change in rounding; these can.
 """
 
 import numpy as np
@@ -17,14 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_single_oracle, apply_two_qubit_oracle, single_qubit_matrix_oracle
-from qkflow.statevector import (
-    Circuit,
-    Gate,
-    _single_qubit_matrix,
-    apply_circuit_block,
-    rotation_matrices,
-    simulate_block,
-)
+from qkflow.statevector import Gate, _single_qubit_matrix, apply_gates, rotation_matrices
 
 PARAM_COUNTS = {"h": 0, "x": 0, "p": 1, "rx": 1, "ry": 1, "rz": 1, "u3": 3, "cnot": 0, "cz": 0}
 
@@ -51,15 +44,22 @@ def bind(positions, rng):
     )
 
 
+def as_triples(gates):
+    """Position by position; gates[p] holds position p's gate for every row."""
+    return [
+        (column[0].kind, column[0].targets,
+         None if column[0].kind in ("cnot", "cz")
+         else np.stack([_single_qubit_matrix(g) for g in column]))
+        for column in gates
+    ]
+
+
 def oracle_apply(amps, gates):
-    """Apply position by position; gates[p] holds position p's gate for every row."""
-    for column in gates:
-        first = column[0]
-        if first.kind in ("cnot", "cz"):
-            apply_two_qubit_oracle(amps, first.kind, *first.targets)
+    for kind, targets, matrices in as_triples(gates):
+        if matrices is None:
+            apply_two_qubit_oracle(amps, kind, *targets)
         else:
-            matrices = np.stack([_single_qubit_matrix(g) for g in column])
-            apply_single_oracle(amps, first.targets[0], matrices)
+            apply_single_oracle(amps, targets[0], matrices)
 
 
 @settings(max_examples=80, deadline=None)
@@ -72,7 +72,9 @@ def test_shared_circuit_matches_oracle(layout):
     expected = block.copy()
     for gate in gates:
         oracle_apply(expected, [[gate]])
-    apply_circuit_block(block, Circuit(n, gates))
+    triples = as_triples([[gate] for gate in gates])
+    assert all(m is None or m.shape == (1, 2, 2) for _, _, m in triples)
+    apply_gates(block, n, triples)
     np.testing.assert_array_equal(block, expected)
 
 
@@ -81,11 +83,12 @@ def test_shared_circuit_matches_oracle(layout):
 def test_per_row_circuits_match_oracle(layout):
     n, rows, positions, seed = layout
     rng = np.random.default_rng(seed)
-    circuits = [Circuit(n, bind(positions, rng)) for _ in range(rows)]
-    expected = np.zeros((rows, 1 << n), dtype=np.complex128)
-    expected[:, 0] = 1.0
-    oracle_apply(expected, list(zip(*(c.gates for c in circuits))))
-    np.testing.assert_array_equal(simulate_block(circuits), expected)
+    columns = list(zip(*(bind(positions, rng) for _ in range(rows))))
+    block = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    expected = block.copy()
+    oracle_apply(expected, columns)
+    apply_gates(block, n, as_triples(columns))
+    np.testing.assert_array_equal(block, expected)
 
 
 ANGLES = st.one_of(
