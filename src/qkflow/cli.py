@@ -309,7 +309,22 @@ def _cmd_predict(args) -> int:
     ds = load_csv(args.data, label_column=args.label_column)
     if normalize:
         ds = normalize_unit_sphere(ds)
-    predictions = kind.predict(model, evaluate_cross(kernel, ds.features, train))
+    weights = getattr(model, kind.weights)
+    if weights.size != len(train):
+        raise ValueError(f"model file holds {weights.size} weights for {len(train)} training points")
+    # The inversion test simulates every pair on its own, and a column whose
+    # weight is exactly 0 adds K_ij * 0 = 0 * 0 = +0 to each decision value
+    # (a fidelity is never -0), so it evaluates only the other columns and
+    # leaves the rest 0. A matrix product (classical kernels, the swap test)
+    # can round differently as the column count changes, so those kernels
+    # evaluate every column.
+    used = np.flatnonzero(weights != 0)
+    if isinstance(kernel, KernelEngineConfig) and kernel.circuit_kind == "inversion" and used.size:
+        K_new = np.zeros((ds.n_points, len(train)))
+        K_new[:, used] = evaluate_cross(kernel, ds.features, train[used])
+    else:
+        K_new = evaluate_cross(kernel, ds.features, train)
+    predictions = kind.predict(model, K_new)
     _write_column_csv(args.out, "prediction", predictions)
     note = f"wrote {args.out}: {predictions.size} predictions"
     if ds.labels is not None:
@@ -475,3 +490,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -116,8 +116,9 @@ class TrainedSVC:
     dual_objective: float
 
 
-def _movable(a: np.ndarray, z: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the multipliers that can move up (z_i a_i rises) and down."""
+def _movable(a, z, C: float):
+    """Masks of the multipliers that can move up (z_i a_i rises) and down;
+    on one multiplier's floats, its two flags."""
     up = ((z > 0) & (a < C)) | ((z < 0) & (a > 0))
     low = ((z > 0) & (a > 0)) | ((z < 0) & (a < C))
     return up, low
@@ -132,32 +133,47 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     products g = Q (a z) and the intercept b of the decision sum_j a_j z_j
     Q_ij + b: the mean of r_i - g_i over the free multipliers or, with none
     free, the midpoint of the interval the KKT conditions leave open.
+
+    A step allocates nothing. Row 0 of ``bounds`` holds r_k where multiplier
+    k can move up and -inf elsewhere, row 1 holds r_k where it can move down
+    and +inf elsewhere, so ``bounds - g`` equals np.where(up, r - g, -inf)
+    and np.where(low, r - g, inf) entry for entry, first-index ties
+    included. Only the entries of the pair that moved change after a step.
     """
-    a = np.zeros(z.size)
-    g = np.zeros(z.size)  # g_i = sum_j a_j z_j Q_ij
-    up, low = _movable(a, z, C)
+    n = z.size
+    cols = list(np.ascontiguousarray(Q.T))  # cols[k] is Q[:, k], bit for bit
+    diag = Q.diagonal().tolist()
+    zs, rs = z.tolist(), r.tolist()
+    a = [0.0] * n
+    g = np.zeros(n)  # g_i = sum_j a_j z_j Q_ij
+    up, low = _movable(np.zeros(n), z, C)
+    bounds = np.array([np.where(up, r, -np.inf), np.where(low, r, np.inf)])
+    work = np.empty_like(bounds)
+    score_up, score_low = work  # -z_i grad_i of the minimization form, or +-inf
+    step = np.empty(n)
     for _ in range(SMO_MAX_ITER):
-        score = r - g  # -z_i grad_i of the minimization form
-        # the first index on ties; when up (low) is empty every entry is
-        # -inf (+inf) and the index returned lies outside the set
-        i = int(np.where(up, score, -np.inf).argmax())
-        j = int(np.where(low, score, np.inf).argmin())
-        if not (up[i] and low[j]):
-            break
-        gap = score[i] - score[j]
+        np.subtract(bounds, g, out=work)
+        i = int(score_up.argmax())  # the first index on ties
+        j = int(score_low.argmin())
+        # (r_i - g_i) - (r_j - g_j); -inf when the up or the low set is empty
+        gap = score_up.item(i) - score_low.item(j)
         if gap <= SMO_GAP:
             break
-        quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+        quad = diag[i] + diag[j] - 2.0 * Q.item(i, j)
         quad = max(quad, 1e-12)
         # move t along the feasible pair direction: a_i += z_i t, a_j -= z_j t
-        head_i = C - a[i] if z[i] > 0 else a[i]
-        head_j = a[j] if z[j] > 0 else C - a[j]
+        head_i = C - a[i] if zs[i] > 0 else a[i]
+        head_j = a[j] if zs[j] > 0 else C - a[j]
         t = min(gap / quad, head_i, head_j)
-        a[i] += z[i] * t
-        a[j] -= z[j] * t
-        g += t * (Q[:, i] - Q[:, j])
+        a[i] += zs[i] * t
+        a[j] -= zs[j] * t
+        np.subtract(cols[i], cols[j], out=step)
+        step *= t
+        g += step  # g += t (Q[:, i] - Q[:, j])
         for k in (i, j):  # only these multipliers moved
-            up[k], low[k] = _movable(a[k], z[k], C)
+            up_k, low_k = _movable(a[k], zs[k], C)
+            bounds[0, k] = rs[k] if up_k else -np.inf
+            bounds[1, k] = rs[k] if low_k else np.inf
     else:
         warnings.warn(f"{caller} hit the iteration cap before reaching tolerance")
 

@@ -59,15 +59,16 @@ FORMAT_VERSION = 1
 class ModelKind(NamedTuple):
     model: type | None  # the trained-model dataclass the payload holds
     predict: Callable | None  # predict(model, K_new), for kinds `predict` accepts
+    weights: str | None  # the model field predict multiplies K_new's columns by
     task: str | None  # the pretraining task an embedding should match
 
 
 MODEL_KINDS = {
-    "svc": ModelKind(TrainedSVC, svc_predict, "classification"),
-    "krr": ModelKind(TrainedKRR, krr_predict, "regression"),
-    "svr": ModelKind(TrainedSVR, svr_predict, "regression"),
-    "kpca": ModelKind(KpcaModel, None, None),
-    "embedding": ModelKind(None, None, None),
+    "svc": ModelKind(TrainedSVC, svc_predict, "alphas", "classification"),
+    "krr": ModelKind(TrainedKRR, krr_predict, "alphas", "regression"),
+    "svr": ModelKind(TrainedSVR, svr_predict, "coef", "regression"),
+    "kpca": ModelKind(KpcaModel, None, None, None),
+    "embedding": ModelKind(None, None, None, None),
 }
 
 

@@ -9,8 +9,15 @@ import pytest
 
 import qkflow
 from qkflow.cli import run_command
-from qkflow.datasets import load_csv
-from qkflow.model_io import evaluate_gram, kernel_from_json, load_model
+from qkflow.datasets import load_csv, normalize_unit_sphere
+from qkflow.model_io import (
+    MODEL_KINDS,
+    evaluate_cross,
+    evaluate_gram,
+    kernel_from_json,
+    load_model,
+    model_from_payload,
+)
 
 
 def run(*argv):
@@ -429,3 +436,117 @@ def test_import_and_parser_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m qkflow.cli` runs the command line, exit codes included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qkflow.__file__).resolve().parents[1]))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "qkflow.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = module_run("gen-data", "--kind", "blobs", "--m", "10", "--seed", "1", "--out", "d.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert load_csv(tmp_path / "d.csv").n_points == 10
+    proc = module_run("train", "--method", "svc", "--kernel", "linear",
+                      "--data", "missing.csv", "--out", "m.json")
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+README_LOSS_BEST = 40.280843  # the README `align` result, pinned to the same bound by perfbench
+
+
+def test_readme_align_reaches_the_pinned_loss(tmp_path):
+    data, emb = tmp_path / "pretrain.csv", tmp_path / "embedding.json"
+    assert run("gen-data", "--kind", "hidden_rotation", "--m", "40", "--seed", "7",
+               "--out", str(data)) == 0
+    assert run("align", "--data", str(data), "--qubits", "1", "--layers", "1",
+               "--spsa-iters", "100", "--C", "10", "--seed", "7", "--out", str(emb)) == 0
+    loss_best = load_model(emb).pretraining["loss_best"]
+    assert abs(loss_best - README_LOSS_BEST) <= 5e-7
+
+
+# predict evaluates the kernel only against training points with a nonzero weight
+
+PREDICT_KERNELS = {
+    "linear": ("--kernel", "linear", "--c", "0.5"),
+    "polynomial": ("--kernel", "polynomial", "--c", "1", "--degree", "3"),
+    "exponential": ("--kernel", "exponential", "--sigma", "2", "--normalize"),
+    "gaussian": ("--kernel", "gaussian", "--gamma", "0.7"),
+    "quantum_inversion": ("--kernel", "quantum", "--qubits", "2", "--layers", "2",
+                          "--params", "0.3,-0.8,1.1,0.2"),
+    "quantum_swap": ("--kernel", "quantum", "--qubits", "2", "--layers", "1",
+                     "--circuit", "swap", "--params", "0.4,-1.3"),
+}
+
+
+def train_and_predict(root, method, kernel_flags):
+    train, test = root / "train.csv", root / "test.csv"
+    model, preds = root / f"{method}.json", root / f"{method}.csv"
+    assert run("gen-data", "--kind", "circles", "--m", "24", "--seed", "5", "--out", str(train)) == 0
+    assert run("gen-data", "--kind", "circles", "--m", "9", "--seed", "6", "--out", str(test)) == 0
+    assert run("train", "--method", method, *kernel_flags, "--data", str(train),
+               "--C", "2", "--epsilon", "0.3", "--out", str(model)) == 0
+    assert run("predict", "--model", str(model), "--data", str(test), "--out", str(preds)) == 0
+    return load_model(model), load_csv(test), np.loadtxt(preds, skiprows=1, ndmin=1)
+
+
+@pytest.mark.parametrize("method", ["svc", "krr", "svr"])
+@pytest.mark.parametrize("kernel", sorted(PREDICT_KERNELS))
+def test_predict_matches_the_full_cross_gram_bit_for_bit(tmp_path, method, kernel):
+    model_file, test, predictions = train_and_predict(tmp_path, method, PREDICT_KERNELS[kernel])
+    kind = MODEL_KINDS[model_file.kind]
+    model, train_features, normalize = model_from_payload(model_file.kind, model_file.payload)
+    if normalize:
+        test = normalize_unit_sphere(test)
+    K_full = evaluate_cross(kernel_from_json(model_file.kernel), test.features, train_features)
+    expected = kind.predict(model, K_full)
+    assert predictions.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["quantum_inversion", "quantum_swap", "gaussian"])
+@pytest.mark.parametrize("method, field", [("svc", "alphas"), ("svr", "coef")])
+def test_predict_evaluates_only_nonzero_weight_training_points(tmp_path, monkeypatch,
+                                                               method, field, kernel):
+    """Only the inversion test, which simulates each pair on its own, skips columns."""
+    seen = []
+
+    def recording_cross(kernel, data_new, data_train):
+        seen.append(np.array(data_train))
+        return evaluate_cross(kernel, data_new, data_train)
+
+    monkeypatch.setattr(qkflow.cli, "evaluate_cross", recording_cross)
+    model_file, _, _ = train_and_predict(tmp_path, method, PREDICT_KERNELS[kernel])
+    weights = np.asarray(model_file.payload[field])
+    assert 0 < np.count_nonzero(weights) < weights.size
+    train_features = np.asarray(model_file.payload["train_features"])
+    expected = train_features[weights != 0] if kernel == "quantum_inversion" else train_features
+    assert len(seen) == 1
+    assert seen[0].tobytes() == expected.tobytes()
+
+
+def test_predict_with_every_weight_zero_returns_the_bias(tmp_path):
+    """An epsilon tube wider than the targets leaves every SVR coefficient at 0."""
+    data, model, preds = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    run("gen-data", "--kind", "blobs", "--m", "12", "--seed", "3", "--out", str(data))
+    assert run("train", "--method", "svr", "--kernel", "gaussian", "--epsilon", "5",
+               "--data", str(data), "--out", str(model)) == 0
+    model_file = load_model(model)
+    assert not np.any(model_file.payload["coef"])
+    assert run("predict", "--model", str(model), "--data", str(data), "--out", str(preds)) == 0
+    assert np.all(np.loadtxt(preds, skiprows=1) == model_file.payload["bias"])
+
+
+def test_predict_rejects_a_weight_count_that_differs_from_the_training_set(tmp_path, capsys):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run("gen-data", "--kind", "blobs", "--m", "10", "--seed", "1", "--out", str(data))
+    run("train", "--method", "svc", "--kernel", "linear", "--data", str(data), "--out", str(model))
+    doc = json.loads(model.read_text())
+    doc["payload"]["alphas"].append(1.0)
+    model.write_text(json.dumps(doc))
+    assert run("predict", "--model", str(model), "--data", str(data),
+               "--out", str(tmp_path / "p.csv")) == 2
+    assert "11 weights for 10 training points" in capsys.readouterr().err

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import svc_dual_oracle, svc_kkt_violation, svr_kkt_violation, two_blobs
+from oracles import smo_oracle, svc_dual_oracle, svc_kkt_violation, svr_kkt_violation, two_blobs
 from qkflow.classical_kernels import ClassicalKernel, classical_cross, classical_gram
 from qkflow.datasets import gen_synthetic
-from qkflow.featuremap import FeatureMapSpec
+from qkflow.featuremap import FeatureMapSpec, param_count
 from qkflow.kernel_methods import (
     SUPPORT_THRESHOLD,
     TrainedSVC,
@@ -266,6 +266,43 @@ def test_svr_converges_on_quantum_kernel_at_large_capacity():
     C, epsilon = 100.0, 0.1
     model = svr_fit(K, ds.labels, C=C, epsilon=epsilon)
     assert svr_kkt_violation(K, ds.labels, model.coef, model.bias, C, epsilon) <= 1e-5
+
+
+# the benchmark's own Grams against oracles.smo_oracle, which rebuilds both
+# candidate masks every step; the hypothesis property covers m <= 12
+
+
+def assert_same_bits(actual, expected):
+    assert np.asarray(actual, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_svc_matches_the_smo_oracle_on_an_8_qubit_3_layer_gram(seed):
+    """The `wide` training Gram: 60 circles, 8 qubits x 3 layers, angles 0, C=1."""
+    ds = gen_synthetic("circles", 60, seed)
+    spec = FeatureMapSpec(8, 3)
+    K = gram_matrix(KernelEngineConfig(spec=spec, params=np.zeros(param_count(spec))),
+                    ds.features).values
+    alphas, g, bias = smo_oracle(K, ds.labels, ds.labels, 1.0)
+    model = svc_fit(K, ds.labels, C=1.0)
+    assert_same_bits(model.alphas, alphas)
+    assert_same_bits(model.bias, bias)
+    assert_same_bits(model.dual_objective, alphas.sum() - 0.5 * np.dot(alphas * ds.labels, g))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_svr_matches_the_smo_oracle_on_a_2_qubit_2_layer_gram(seed):
+    """The `regress` training Gram: 40 circles, 2 qubits x 2 layers, C=100, epsilon 0.1."""
+    ds = gen_synthetic("circles", 40, seed)
+    K = gram_matrix(KernelEngineConfig(spec=FeatureMapSpec(2, 2), params=np.zeros(4)),
+                    ds.features).values
+    m, epsilon = 40, 0.1
+    z = np.concatenate([np.ones(m), -np.ones(m)])
+    r = np.concatenate([ds.labels - epsilon, ds.labels + epsilon])
+    a, _, bias = smo_oracle(np.tile(K, (2, 2)), z, r, 100.0)
+    model = svr_fit(K, ds.labels, C=100.0, epsilon=epsilon)
+    assert_same_bits(model.coef, a[:m] - a[m:])
+    assert_same_bits(model.bias, bias)
 
 
 def test_svr_input_validation():
