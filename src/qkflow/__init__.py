@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .classical_kernels import ClassicalKernel, classical_cross, classical_gram
 from .datasets import Dataset, gen_synthetic, load_csv, normalize_unit_sphere, save_dataset
-from .featuremap import FeatureMapSpec, build_encoding_circuit, param_count, random_params
+from .featuremap import FeatureMapSpec, param_count, random_params
 from .kernel_methods import (
     kernel_kmeans,
     kpca_fit,
@@ -24,7 +24,6 @@ from .kernel_methods import (
 )
 from .model_io import ModelFile, load_model, save_model
 from .qkernel import GramMatrix, KernelEngineConfig, cross_gram, gram_matrix, kernel_value
-from .statevector import StateVector, apply_circuit, inner_product, probability_all_zeros
 from .training import MlkrrConfig, SpsaConfig, export_embedding, mlkrr_fit, qka_align, svc_loss
 
 __version__ = "0.1.0"
@@ -38,16 +37,12 @@ __all__ = [
     "MlkrrConfig",
     "ModelFile",
     "SpsaConfig",
-    "StateVector",
-    "apply_circuit",
-    "build_encoding_circuit",
     "classical_cross",
     "classical_gram",
     "cross_gram",
     "export_embedding",
     "gen_synthetic",
     "gram_matrix",
-    "inner_product",
     "kernel_kmeans",
     "kernel_value",
     "kpca_fit",
@@ -59,7 +54,6 @@ __all__ = [
     "mlkrr_fit",
     "normalize_unit_sphere",
     "param_count",
-    "probability_all_zeros",
     "qka_align",
     "random_params",
     "save_dataset",

@@ -14,10 +14,9 @@ rotation slots than input features reuse coordinates. Data points and
 parameter vectors are plain 1-D float arrays.
 
 The circuit is written down once, in `_encoding_angles`, as (kind, targets,
-angles) for a whole block of points. `build_encoding_circuit` binds one point
-into a `Circuit`. The kernels use `encode_states` and `encoding_gates`
-instead: the same gates as `statevector.apply_gates` triples, with 2x2
-matrix stacks in place of angles, simulated without building circuit objects.
+angles) for a whole block of points. `encoding_gates` turns it into
+`statevector.apply_gates` triples, with 2x2 matrix stacks in place of
+angles, and `encode_states` runs them on a block of |0...0> rows.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import (
-    Circuit,
-    Gate,
-    _zero_block,
-    apply_gates,
-    cnot,
-    rotation_matrices,
-    rng_entropy,
-)
+from .statevector import _zero_block, apply_gates, rotation_matrices, rng_entropy
 
 __all__ = [
     "DATA_AXES",
@@ -42,7 +33,6 @@ __all__ = [
     "ENTANGLEMENTS",
     "FeatureMapSpec",
     "param_count",
-    "build_encoding_circuit",
     "encoding_gates",
     "encode_states",
     "random_params",
@@ -147,17 +137,6 @@ def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarra
     return gates[::-1] if inverse else gates
 
 
-def build_encoding_circuit(
-    spec: FeatureMapSpec, data_point: np.ndarray, params: np.ndarray
-) -> Circuit:
-    """Bind one data point and one parameter vector into a concrete circuit."""
-    point = np.asarray(data_point, dtype=float).reshape(1, -1)
-    return Circuit(spec.n_qubits, tuple(
-        cnot(*targets) if angles is None else Gate(kind, targets, (float(angles[0]),))
-        for kind, targets, angles in _encoding_angles(spec, point, params)
-    ))
-
-
 def encoding_gates(
     spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray, inverse: bool = False
 ) -> list[tuple[str, tuple[int, ...], np.ndarray | None]]:
@@ -173,8 +152,8 @@ def encoding_gates(
 def encode_states(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Return U(x_r)|0...0> as row r of one (len(points), 2**n) block.
 
-    Each row gets exactly the arithmetic `apply_circuit` gives the circuit
-    `build_encoding_circuit` makes for it, without building that circuit.
+    Every row is evolved by the gates of its own point, in circuit order, so
+    each row has the bits it would have if it were encoded on its own.
     """
     amps = _zero_block(len(points), spec.n_qubits)
     apply_gates(amps, spec.n_qubits, encoding_gates(spec, points, params))

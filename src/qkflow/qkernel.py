@@ -10,11 +10,11 @@ the squared inner product; a shot-sampled ancilla gives p0 = 1/2 + k/2, so
 the estimate is 2*p0_hat - 1 clamped to [0, 1]).
 
 Each point of a call is encoded once, from per-row gate matrices, into one
-amplitude block; no circuit objects are built. The inversion test stacks the
-(i, j) pairs column by column into chunks of at most PAIR_BLOCK_AMPLITUDES
-amplitudes and applies to every row the adjoint gates of its column's point.
-The swap test is one product of two blocks. Every exact entry has the bits of
-the per-pair circuit path.
+amplitude block. The inversion test stacks the (i, j) pairs column by column
+into chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes and applies to every
+row the adjoint gates of its column's point. The swap test is one product of
+two blocks. Every exact inversion entry has the bits of simulating its pair
+on its own: U(x_i), then U(x_j)^dag, then |amplitude 0|^2.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -193,8 +193,8 @@ def _all_zeros_probabilities(n_qubits, states, inverse, columns, upper) -> np.nd
         apply_gates(block, n_qubits, [
             (kind, t, m if m is None or len(m) == 1 else m[pick]) for kind, t, m in inverse
         ])
-        # Bit-equal to probability_all_zeros: its scalar abs(a) ** 2 is
-        # hypot then libm pow, which np.abs(a) ** 2 does not reproduce.
+        # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is
+        # hypot then libm pow; np.abs(a) ** 2 does not reproduce it.
         amp = block[:, 0]
         probs[rows, cols] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
     return probs

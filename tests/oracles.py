@@ -3,7 +3,9 @@
 These are deliberately slow and written from the optimality conditions
 rather than from the library's own algorithms. The gate-kernel, SMO and
 classical-kernel references are the library's first straightforward
-versions, kept so that a faster rewrite can be checked against them.
+versions, kept so that a faster rewrite can be checked against them. The
+encoding references simulate one point or one pair at a time from the
+feature-map description, with no library gate code.
 """
 
 import itertools
@@ -143,42 +145,22 @@ def two_blobs(m_per_blob, spread, seed):
     return X, y
 
 
-def single_qubit_matrix_oracle(gate):
-    """The 2x2 matrix of a one-qubit gate, one math.cos/math.sin call per entry."""
-    kind = gate.kind
-    if kind == "h":
-        s = 1.0 / math.sqrt(2.0)
-        return np.array([[s, s], [s, -s]], dtype=np.complex128)
-    if kind == "x":
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+def rotation_matrix_oracle(kind, theta):
+    """The 2x2 matrix of a one-angle rotation, one math.cos/math.sin call per entry."""
     if kind == "p":
-        (theta,) = gate.params
         return np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]], dtype=np.complex128)
     if kind == "rx":
-        (theta,) = gate.params
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
     if kind == "ry":
-        (theta,) = gate.params
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
     if kind == "rz":
-        (theta,) = gate.params
         return np.array(
             [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]],
             dtype=np.complex128,
         )
-    if kind == "u3":
-        theta, phi, lam = gate.params
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        return np.array(
-            [
-                [c, -np.exp(1j * lam) * s],
-                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-            ],
-            dtype=np.complex128,
-        )
-    raise ValueError(f"gate {kind!r} has no single-qubit matrix")
+    raise ValueError(f"{kind!r} is not a one-angle rotation")
 
 
 def apply_single_oracle(amps, q, u):
@@ -193,16 +175,100 @@ def apply_single_oracle(amps, q, u):
     view[:, :, 1, :] = u[:, :, 1, 0] * a0 + u[:, :, 1, 1] * a1
 
 
-def apply_two_qubit_oracle(amps, kind, qubit_a, qubit_b):
-    """cnot (control qubit_a, target qubit_b) or cz in place, on basis indices:
-    cnot moves amplitude k to k with bit b flipped when bit a is set, cz
-    negates every amplitude with both bits set."""
+def apply_cnot_oracle(amps, control, target):
+    """CNOT in place on basis indices: amplitude k moves to k with the target
+    bit flipped when the control bit is set."""
     index = np.arange(amps.shape[1])
-    bit_a = (index >> qubit_a) & 1
-    if kind == "cnot":
-        amps[:] = amps[:, index ^ (bit_a << qubit_b)]
-    else:
-        amps[:, (bit_a & (index >> qubit_b) & 1).astype(bool)] *= -1.0
+    amps[:] = amps[:, index ^ (((index >> control) & 1) << target)]
+
+
+def encoding_oracle(spec, params, x, inverse=False):
+    """The gates of U(x), or of U(x)^dag, as (kind, targets, angle) with one
+    float angle per rotation and None for a CNOT, transcribed from the
+    featuremap docstring: per layer l, trainable_axis(lambda[l n + q]) on
+    every qubit q, then data_axis(data_scaling * x[(l n + q) mod d]) on every
+    qubit q, then the CNOTs (q, q + 1) for a linear chain, plus (n - 1, 0) for
+    a ring. The adjoint reverses the order and negates every angle."""
+    n = spec.n_qubits
+    gates = []
+    for layer in range(spec.n_layers):
+        for q in range(n):
+            gates.append((spec.trainable_axis, (q,), float(params[layer * n + q])))
+        for q in range(n):
+            feature = float(x[(layer * n + q) % len(x)])
+            gates.append((spec.data_axis, (q,), spec.data_scaling * feature))
+        if spec.entanglement != "none" and n > 1:
+            gates.extend(("cnot", (q, q + 1), None) for q in range(n - 1))
+            if spec.entanglement == "ring":
+                gates.append(("cnot", (n - 1, 0), None))
+    if inverse:
+        return [(kind, t, None if a is None else -a) for kind, t, a in reversed(gates)]
+    return gates
+
+
+def run_gates_oracle(amps, gates):
+    """Apply (kind, targets, angle) gates in place to every row of a block."""
+    for kind, targets, angle in gates:
+        if kind == "cnot":
+            apply_cnot_oracle(amps, *targets)
+        else:
+            apply_single_oracle(amps, targets[0], rotation_matrix_oracle(kind, angle))
+
+
+def state_oracle(spec, params, x):
+    """U(x)|0...0> as a (1, 2**n) block, simulated gate by gate."""
+    amps = np.zeros((1, 1 << spec.n_qubits), dtype=np.complex128)
+    amps[0, 0] = 1.0
+    run_gates_oracle(amps, encoding_oracle(spec, params, x))
+    return amps
+
+
+def inversion_oracle(spec, params, xa, xb):
+    """One inversion test: U(xb)^dag U(xa)|0...0>, then |amplitude 0|^2."""
+    amps = state_oracle(spec, params, xa)
+    run_gates_oracle(amps, encoding_oracle(spec, params, xb, inverse=True))
+    return abs(complex(amps[0, 0])) ** 2
+
+
+def swap_oracle(spec, params, xa, xb):
+    """One swap-test fidelity: |<b|a>|^2 of two separately simulated states."""
+    overlap = np.vdot(state_oracle(spec, params, xb), state_oracle(spec, params, xa))
+    return abs(complex(overlap)) ** 2
+
+
+def one_layer_gram_oracle(spec, params, X):
+    """Closed-form Gram matrix of a one-layer feature map.
+
+    With one layer, U(x) = E D(x) T, where T = (x)_q T(lambda_q) is the
+    trainable layer, D(x) = (x)_q R_a(s x_q) the data layer on axis a, with
+    s = data_scaling and x_q = x[q mod d], and E the CNOT entangler, which does
+    not depend on x. E cancels in <psi(x')|psi(x)>, and rotations about one
+    axis compose, so the overlap is a product over qubits of
+    <phi_q| R_a(s (x_q - x'_q)) |phi_q> with phi_q = T(lambda_q)|0>. Since
+    R_a(t) = cos(t/2) I - i sin(t/2) sigma_a, that factor is
+    cos(t/2) - i sin(t/2) b_q, where b_q = <phi_q|sigma_a|phi_q> is the
+    a-component of the Bloch vector of phi_q:
+
+        ry(l)|0>: (sin l, 0, cos l)    rx(l)|0>: (0, -sin l, cos l)
+        rz(l)|0> and p(l)|0>: (0, 0, 1)
+
+    Hence k(x, x') = prod_q [1 - sin^2(s (x_q - x'_q) / 2) (1 - b_q^2)].
+    """
+    X = np.asarray(X, dtype=float)
+    n = spec.n_qubits
+    if spec.n_layers != 1:
+        raise ValueError("the closed form holds for one layer only")
+    bloch = {
+        "ry": lambda lam: (math.sin(lam), 0.0, math.cos(lam)),
+        "rx": lambda lam: (0.0, -math.sin(lam), math.cos(lam)),
+        "rz": lambda lam: (0.0, 0.0, 1.0),
+        "p": lambda lam: (0.0, 0.0, 1.0),
+    }[spec.trainable_axis]
+    axis = "xyz".index(spec.data_axis[1])
+    b = np.array([bloch(float(lam))[axis] for lam in params])
+    cols = X[:, np.arange(n) % X.shape[1]]
+    half = spec.data_scaling * (cols[:, None, :] - cols[None, :, :]) / 2.0
+    return np.prod(1.0 - np.sin(half) ** 2 * (1.0 - b ** 2), axis=2)
 
 
 def _movable_oracle(a, z, C):

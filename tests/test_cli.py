@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import qkflow
+from oracles import one_layer_gram_oracle
 from qkflow.cli import run_command
 from qkflow.datasets import load_csv, normalize_unit_sphere
+from qkflow.featuremap import FeatureMapSpec
+from qkflow.kernel_methods import SMO_GAP
 from qkflow.model_io import (
     MODEL_KINDS,
     evaluate_cross,
@@ -18,6 +21,7 @@ from qkflow.model_io import (
     load_model,
     model_from_payload,
 )
+from qkflow.training import svc_loss
 
 
 def run(*argv):
@@ -467,6 +471,17 @@ def test_readme_align_reaches_the_pinned_loss(tmp_path):
                "--spsa-iters", "100", "--C", "10", "--seed", "7", "--out", str(emb)) == 0
     loss_best = load_model(emb).pretraining["loss_best"]
     assert abs(loss_best - README_LOSS_BEST) <= 5e-7
+
+    # The default map is RX(x) RY(lambda)|0>, whose kernel is
+    # 1 - c sin^2((x - x')/2) with c = cos^2(lambda). Under sum(alpha y) = 0
+    # the dual value is sum(alpha) - (c/4) (alpha y)' [cos(x_i - x_j)] (alpha y),
+    # and that matrix is PSD, so the loss falls as c grows: c = 1 is the
+    # global optimum, whatever path SPSA takes. SMO stops within SMO_GAP of it.
+    ds = load_csv(data)
+    optimum, _ = svc_loss(one_layer_gram_oracle(FeatureMapSpec(1, 1), np.zeros(1), ds.features),
+                          ds.labels, 10.0)
+    print(f"loss_best {loss_best:.9f}, optimum {optimum:.9f}, gap {loss_best - optimum:.3e}")
+    assert loss_best >= optimum - SMO_GAP
 
 
 # predict evaluates the kernel only against training points with a nonzero weight

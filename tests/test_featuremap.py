@@ -1,36 +1,32 @@
 """Feature-map construction tests: exact gate order, parameter wiring, errors,
-and the circuit-free encoder against the circuits it stands for."""
+and the encoder against a gate-by-gate reference simulation."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from oracles import encoding_oracle, run_gates_oracle, state_oracle
 from qkflow.featuremap import (
     DATA_AXES,
     ENTANGLEMENTS,
     TRAINABLE_AXES,
     FeatureMapSpec,
-    build_encoding_circuit,
+    _encoding_angles,
     encode_states,
     encoding_gates,
     param_count,
     random_params,
 )
-from qkflow.statevector import (
-    Gate,
-    StateVector,
-    adjoint,
-    apply_circuit,
-    apply_gates,
-    cnot,
-    new_zero_state,
-    rotation_matrices,
-)
+from qkflow.statevector import apply_gates, rotation_matrices
 
 
-def kinds_and_args(circuit):
-    return [(g.kind, g.targets, g.params) for g in circuit.gates]
+def kinds_and_args(spec, point, params):
+    """The gates of U(point) as (kind, targets, angles), one float per angle."""
+    return [
+        (kind, targets, () if angles is None else (float(angles[0]),))
+        for kind, targets, angles in _encoding_angles(spec, np.reshape(point, (1, -1)), params)
+    ]
 
 
 def test_param_count():
@@ -40,8 +36,7 @@ def test_param_count():
 
 def test_single_qubit_transcription():
     spec = FeatureMapSpec(1, 1, data_axis="rx", trainable_axis="rz", entanglement="none")
-    circuit = build_encoding_circuit(spec, np.array([0.5]), np.array([0.0]))
-    assert kinds_and_args(circuit) == [
+    assert kinds_and_args(spec, np.array([0.5]), np.array([0.0])) == [
         ("rz", (0,), (0.0,)),
         ("rx", (0,), (0.5,)),
     ]
@@ -51,8 +46,7 @@ def test_two_qubit_ring_transcription():
     """Per layer: all trainable rotations, all data rotations, then the entangler."""
     a, b, c, d = 0.1, 0.2, 0.3, 0.4
     spec = FeatureMapSpec(2, 1, data_axis="ry", trainable_axis="rz", entanglement="ring")
-    circuit = build_encoding_circuit(spec, np.array([a, b]), np.array([c, d]))
-    assert kinds_and_args(circuit) == [
+    assert kinds_and_args(spec, np.array([a, b]), np.array([c, d])) == [
         ("rz", (0,), (c,)),
         ("rz", (1,), (d,)),
         ("ry", (0,), (a,)),
@@ -64,30 +58,26 @@ def test_two_qubit_ring_transcription():
 
 def test_linear_chain_omits_wraparound():
     spec = FeatureMapSpec(3, 1, entanglement="linear_chain")
-    circuit = build_encoding_circuit(spec, np.ones(3), np.zeros(3))
-    entanglers = [g for g in circuit.gates if g.kind == "cnot"]
-    assert entanglers == [cnot(0, 1), cnot(1, 2)]
+    gates = kinds_and_args(spec, np.ones(3), np.zeros(3))
+    assert [g for g in gates if g[0] == "cnot"] == [("cnot", (0, 1), ()), ("cnot", (1, 2), ())]
 
 
 def test_entanglement_skipped_on_single_qubit():
     spec = FeatureMapSpec(1, 2, entanglement="ring")
-    circuit = build_encoding_circuit(spec, np.ones(1), np.zeros(2))
-    assert all(g.kind != "cnot" for g in circuit.gates)
+    assert all(g[0] != "cnot" for g in kinds_and_args(spec, np.ones(1), np.zeros(2)))
 
 
 def test_round_robin_feature_reuse_with_layer_offset():
     """Rotation slot l*n+q reads feature (l*n+q) mod d."""
     spec = FeatureMapSpec(2, 2, data_axis="rx", trainable_axis="ry", entanglement="none")
     point = np.array([10.0, 20.0, 30.0])
-    circuit = build_encoding_circuit(spec, point, np.zeros(4))
-    data_angles = [g.params[0] for g in circuit.gates if g.kind == "rx"]
+    data_angles = [g[2][0] for g in kinds_and_args(spec, point, np.zeros(4)) if g[0] == "rx"]
     assert data_angles == [10.0, 20.0, 30.0, 10.0]
 
 
 def test_data_scaling_multiplies_angles():
     spec = FeatureMapSpec(1, 1, data_axis="ry", trainable_axis="p", data_scaling=0.5)
-    circuit = build_encoding_circuit(spec, np.array([2.0]), np.array([1.0]))
-    assert kinds_and_args(circuit) == [
+    assert kinds_and_args(spec, np.array([2.0]), np.array([1.0])) == [
         ("p", (0,), (1.0,)),
         ("ry", (0,), (1.0,)),
     ]
@@ -97,16 +87,15 @@ def test_construction_is_deterministic():
     spec = FeatureMapSpec(3, 2, entanglement="ring")
     point = np.array([0.3, -0.4])
     lam = np.linspace(-1, 1, 6)
-    assert build_encoding_circuit(spec, point, lam) == build_encoding_circuit(
-        spec, point, lam
-    )
+    assert kinds_and_args(spec, point, lam) == kinds_and_args(spec, point, lam)
+    np.testing.assert_array_equal(encode_states(spec, point[None], lam),
+                                  encode_states(spec, point[None], lam))
 
 
 def test_gate_count():
     spec = FeatureMapSpec(3, 2, entanglement="ring")
-    circuit = build_encoding_circuit(spec, np.ones(2), np.zeros(6))
     # per layer: 3 trainable + 3 data + 3 ring CNOTs
-    assert len(circuit.gates) == 2 * (3 + 3 + 3)
+    assert len(encoding_gates(spec, np.ones((1, 2)), np.zeros(6))) == 2 * (3 + 3 + 3)
 
 
 def test_random_params_range_and_determinism():
@@ -122,20 +111,20 @@ def test_random_params_range_and_determinism():
 def test_param_length_mismatch():
     spec = FeatureMapSpec(2, 2)
     with pytest.raises(ValueError):
-        build_encoding_circuit(spec, np.ones(2), np.zeros(3))
+        encode_states(spec, np.ones((1, 2)), np.zeros(3))
 
 
 def test_empty_data_point():
     with pytest.raises(ValueError):
-        build_encoding_circuit(FeatureMapSpec(1, 1), np.array([]), np.zeros(1))
+        encode_states(FeatureMapSpec(1, 1), np.ones((1, 0)), np.zeros(1))
 
 
 def test_non_finite_rejected():
     spec = FeatureMapSpec(1, 1)
     with pytest.raises(ValueError):
-        build_encoding_circuit(spec, np.array([np.nan]), np.zeros(1))
+        encode_states(spec, np.array([[np.nan]]), np.zeros(1))
     with pytest.raises(ValueError):
-        build_encoding_circuit(spec, np.ones(1), np.array([np.inf]))
+        encode_states(spec, np.ones((1, 1)), np.array([np.inf]))
 
 
 def test_spec_validation():
@@ -160,26 +149,26 @@ def test_encoder_is_bitwise_the_circuit_path(data_axis, trainable_axis, entangle
     spec = FeatureMapSpec(3, 2, data_axis, trainable_axis, entanglement, data_scaling=0.8)
     lam = rng.uniform(-np.pi, np.pi, param_count(spec))
     X = rng.uniform(-np.pi, np.pi, size=(6, 2))
-    circuits = [build_encoding_circuit(spec, x, lam) for x in X]
     states = encode_states(spec, X, lam)
-    for row, circuit in enumerate(circuits):
-        expected = apply_circuit(new_zero_state(spec.n_qubits), circuit).amplitudes
-        np.testing.assert_array_equal(states[row], expected)
+    for row, x in enumerate(X):
+        np.testing.assert_array_equal(states[row], state_oracle(spec, lam, x)[0])
 
-    # inverse gates of column 2 on every row, as adjoint(circuit 2) runs them
-    inverse = encoding_gates(spec, X[2:3], lam, inverse=True)
+    def undone(row, x):
+        amps = states[row:row + 1].copy()
+        run_gates_oracle(amps, encoding_oracle(spec, lam, x, inverse=True))
+        return amps[0]
+
+    # inverse gates of column 2 on every row, one shared matrix per gate
     got = states.copy()
-    apply_gates(got, spec.n_qubits, inverse)
+    apply_gates(got, spec.n_qubits, encoding_gates(spec, X[2:3], lam, inverse=True))
     for row in range(len(X)):
-        expected = apply_circuit(StateVector(spec.n_qubits, states[row]), adjoint(circuits[2]))
-        np.testing.assert_array_equal(got[row], expected.amplitudes)
+        np.testing.assert_array_equal(got[row], undone(row, X[2]))
 
     # and every column's inverse gates at once, one matrix per row
     got = states.copy()
     apply_gates(got, spec.n_qubits, encoding_gates(spec, X, lam, inverse=True))
-    for row, circuit in enumerate(circuits):
-        expected = apply_circuit(StateVector(spec.n_qubits, states[row]), adjoint(circuit))
-        np.testing.assert_array_equal(got[row], expected.amplitudes)
+    for row, x in enumerate(X):
+        np.testing.assert_array_equal(got[row], undone(row, x))
 
 
 def test_encoder_gate_list():

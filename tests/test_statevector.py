@@ -10,147 +10,96 @@ import math
 import numpy as np
 import pytest
 
-from qkflow.featuremap import FeatureMapSpec, encode_states
-from qkflow.statevector import (
-    MAX_QUBITS,
-    Circuit,
-    Gate,
-    StateVector,
-    adjoint,
-    _single_qubit_matrix,
-    apply_circuit,
-    apply_gate,
-    apply_gates,
-    cnot,
-    cz,
-    h,
-    inner_product,
-    new_zero_state,
-    p,
-    probability_all_zeros,
-    rx,
-    ry,
-    rz,
-    sample_measurements,
-    u3,
-    x,
-)
+from oracles import apply_cnot_oracle, apply_single_oracle, rotation_matrix_oracle
+from qkflow.featuremap import FeatureMapSpec, encode_states, encoding_gates
+from qkflow.statevector import MAX_QUBITS, _zero_block, apply_gates, rotation_matrices
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+ROTATIONS = ("p", "rx", "ry", "rz")
+
+
+def rotation(kind, target, theta):
+    """One gate with one matrix shared by every row."""
+    return (kind, (target,), rotation_matrices(kind, [theta]))
+
+
+def run(n_qubits, gates, start=None):
+    """The amplitudes after `gates`, from |0...0> or from a copy of `start`."""
+    amps = _zero_block(1, n_qubits) if start is None else np.array(start, dtype=complex)[None]
+    apply_gates(amps, n_qubits, gates)
+    return amps[0]
+
+
+def basis_state(n_qubits, index):
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def random_state(n_qubits, rng):
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    amps /= np.linalg.norm(amps)
-    return StateVector(n_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
-def random_circuit(n_qubits, n_gates, rng):
+def random_gates(n_qubits, n_gates, rng):
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["h", "x", "p", "rx", "ry", "rz", "u3", "cnot", "cz"])
-        if kind in ("cnot", "cz") and n_qubits >= 2:
+        kind = str(rng.choice(ROTATIONS + ("cnot",)))
+        if kind == "cnot" and n_qubits >= 2:
             a, b = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(cnot(int(a), int(b)) if kind == "cnot" else cz(int(a), int(b)))
+            gates.append(("cnot", (int(a), int(b)), None))
         else:
-            q = int(rng.integers(n_qubits))
-            angles = rng.uniform(-np.pi, np.pi, size=3)
-            gates.append(
-                {
-                    "h": h(q),
-                    "x": x(q),
-                    "p": p(q, angles[0]),
-                    "rx": rx(q, angles[0]),
-                    "ry": ry(q, angles[0]),
-                    "rz": rz(q, angles[0]),
-                    "u3": u3(q, *angles),
-                    "cnot": rx(q, angles[0]),
-                    "cz": rx(q, angles[0]),
-                }[kind]
-            )
-    return Circuit(n_qubits, tuple(gates))
+            kind = "rx" if kind == "cnot" else kind
+            gates.append(rotation(kind, int(rng.integers(n_qubits)), rng.uniform(-np.pi, np.pi)))
+    return gates
 
 
 # single-gate actions on |0> and |1>
 
 
 def test_zero_state():
-    state = new_zero_state(2)
-    np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
-
-
-def test_hadamard_on_zero():
-    state = apply_gate(new_zero_state(1), h(0))
-    np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
-
-
-def test_x_flips():
-    state = apply_gate(new_zero_state(1), x(0))
-    np.testing.assert_allclose(state.amplitudes, [0, 1], atol=1e-15)
+    np.testing.assert_allclose(_zero_block(1, 2)[0], [1, 0, 0, 0], atol=1e-15)
 
 
 def test_rx_pi_on_zero():
     """RX(pi)|0> = -i|1>."""
-    state = apply_gate(new_zero_state(1), rx(0, math.pi))
-    np.testing.assert_allclose(state.amplitudes, [0, -1j], atol=1e-12)
+    np.testing.assert_allclose(run(1, [rotation("rx", 0, math.pi)]), [0, -1j], atol=1e-12)
 
 
 def test_ry_half_pi_on_zero():
-    state = apply_gate(new_zero_state(1), ry(0, math.pi / 2))
-    np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-12)
+    state = run(1, [rotation("ry", 0, math.pi / 2)])
+    np.testing.assert_allclose(state, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
 
 def test_rz_is_phase_on_zero():
     theta = 0.7391
-    state = apply_gate(new_zero_state(1), rz(0, theta))
-    np.testing.assert_allclose(
-        state.amplitudes, [np.exp(-0.5j * theta), 0], atol=1e-12
-    )
+    state = run(1, [rotation("rz", 0, theta)])
+    np.testing.assert_allclose(state, [np.exp(-0.5j * theta), 0], atol=1e-12)
 
 
 def test_p_phases_one_component():
     theta = 1.234
-    state = apply_circuit(new_zero_state(1), Circuit(1, (x(0), p(0, theta))))
-    np.testing.assert_allclose(state.amplitudes, [0, np.exp(1j * theta)], atol=1e-12)
-
-
-def test_u3_reduces_to_ry():
-    rng = np.random.default_rng(11)
-    theta = 2.1
-    start = random_state(1, rng)
-    via_u3 = apply_gate(start, u3(0, theta, 0.0, 0.0))
-    via_ry = apply_gate(start, ry(0, theta))
-    np.testing.assert_allclose(via_u3.amplitudes, via_ry.amplitudes, atol=1e-12)
+    state = run(1, [rotation("p", 0, theta)], start=basis_state(1, 1))
+    np.testing.assert_allclose(state, [0, np.exp(1j * theta)], atol=1e-12)
+    np.testing.assert_allclose(run(1, [rotation("p", 0, theta)]), [1, 0], atol=1e-15)
 
 
 def test_cnot_on_basis_states():
     """Qubit 0 is the least significant bit: CNOT(1 -> 0) maps |10> to |11>."""
-    state = new_zero_state(2)
-    state = apply_gate(state, x(1))  # |10>, index 2
-    state = apply_gate(state, cnot(1, 0))
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
+    state = run(2, [("cnot", (1, 0), None)], start=basis_state(2, 2))
+    np.testing.assert_allclose(state, [0, 0, 0, 1], atol=1e-15)
     # control = 0 leaves the target alone
-    state = apply_gate(new_zero_state(2), cnot(1, 0))
-    np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(run(2, [("cnot", (1, 0), None)]), [1, 0, 0, 0], atol=1e-15)
 
 
 def test_cnot_control_zero_direction():
-    state = apply_gate(new_zero_state(2), x(0))  # |01>, index 1
-    state = apply_gate(state, cnot(0, 1))
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
-
-
-def test_cz_phase():
-    state = apply_circuit(new_zero_state(2), Circuit(2, (x(0), x(1), cz(0, 1))))
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 0, -1], atol=1e-15)
-    # symmetric in its arguments
-    other = apply_circuit(new_zero_state(2), Circuit(2, (x(0), x(1), cz(1, 0))))
-    np.testing.assert_allclose(state.amplitudes, other.amplitudes, atol=1e-15)
+    state = run(2, [("cnot", (0, 1), None)], start=basis_state(2, 1))  # |01>
+    np.testing.assert_allclose(state, [0, 0, 0, 1], atol=1e-15)
 
 
 def test_bell_state():
-    state = apply_circuit(new_zero_state(2), Circuit(2, (h(0), cnot(0, 1))))
-    np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12)
+    state = run(2, [rotation("ry", 0, math.pi / 2), ("cnot", (0, 1), None)])
+    np.testing.assert_allclose(state, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12)
 
 
 # algebraic properties
@@ -162,110 +111,34 @@ def test_rotation_composition():
     for _ in range(10):
         a, b = rng.uniform(-np.pi, np.pi, size=2)
         start = random_state(2, rng)
-        two_step = apply_gate(apply_gate(start, rx(1, a)), rx(1, b))
-        one_step = apply_gate(start, rx(1, a + b))
-        np.testing.assert_allclose(two_step.amplitudes, one_step.amplitudes, atol=1e-12)
+        two_step = run(2, [rotation("rx", 1, a), rotation("rx", 1, b)], start=start)
+        one_step = run(2, [rotation("rx", 1, a + b)], start=start)
+        np.testing.assert_allclose(two_step, one_step, atol=1e-12)
 
 
 def test_norm_preserved_through_long_circuits():
     rng = np.random.default_rng(17)
     for n_qubits in (1, 2, 3):
-        circuit = random_circuit(n_qubits, 30, rng)
-        state = apply_circuit(new_zero_state(n_qubits), circuit)
-        norm = np.sum(np.abs(state.amplitudes) ** 2)
-        assert abs(norm - 1.0) <= 1e-12
+        state = run(n_qubits, random_gates(n_qubits, 30, rng))
+        assert abs(np.sum(np.abs(state) ** 2) - 1.0) <= 1e-12
 
 
 def test_adjoint_round_trip():
+    """The inverse encoding gates undo the encoding: U(x)^dag U(x)|0...0> = |0...0>."""
     rng = np.random.default_rng(23)
-    for trial in range(10):
-        n_qubits = int(rng.integers(1, 4))
-        circuit = random_circuit(n_qubits, 12, rng)
-        state = apply_circuit(new_zero_state(n_qubits), circuit)
-        state = apply_circuit(state, adjoint(circuit))
-        assert probability_all_zeros(state) >= 1.0 - 1e-12
+    for entanglement in ("none", "linear_chain", "ring"):
+        spec = FeatureMapSpec(3, 2, "ry", "rx", entanglement, data_scaling=1.3)
+        lam = rng.uniform(-np.pi, np.pi, 6)
+        X = rng.uniform(-np.pi, np.pi, size=(4, 2))
+        states = encode_states(spec, X, lam)
+        apply_gates(states, 3, encoding_gates(spec, X, lam, inverse=True))
+        assert np.all(np.abs(states[:, 0]) ** 2 >= 1.0 - 1e-12)
 
 
-def test_adjoint_twice_is_identity_structurally():
-    rng = np.random.default_rng(5)
-    circuit = random_circuit(3, 15, rng)
-    assert adjoint(adjoint(circuit)) == circuit
-
-
-def test_adjoint_of_u3():
-    rng = np.random.default_rng(29)
-    start = random_state(1, rng)
-    gate = u3(0, 0.4, -1.1, 2.2)
-    back = apply_circuit(
-        apply_gate(start, gate), adjoint(Circuit(1, (gate,)))
-    )
-    np.testing.assert_allclose(back.amplitudes, start.amplitudes, atol=1e-12)
-
-
-def test_gate_application_is_pure():
-    state = new_zero_state(1)
-    apply_gate(state, x(0))
-    np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0  # stored amplitudes are read-only
-
-
-# inner products and probabilities
-
-
-def test_inner_product_with_hadamard():
-    zero = new_zero_state(1)
-    plus = apply_gate(zero, h(0))
-    value = inner_product(zero, plus)
-    assert abs(value - INV_SQRT2) <= 1e-12
-
-
-def test_inner_product_conjugate_symmetry():
-    rng = np.random.default_rng(41)
-    a, b = random_state(2, rng), random_state(2, rng)
-    assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) <= 1e-12
-
-
-def test_probability_all_zeros():
-    state = apply_gate(new_zero_state(1), rx(0, math.pi / 2))
-    assert abs(probability_all_zeros(state) - 0.5) <= 1e-12
-    assert probability_all_zeros(new_zero_state(3)) == 1.0
-
-
-# sampling
-
-
-def test_sampling_zero_state_is_all_zeros():
-    counts = sample_measurements(new_zero_state(2), 1000, seed=0)
-    assert counts == {"00": 1000}
-
-
-def test_sampling_matches_distribution():
-    state = apply_gate(new_zero_state(1), h(0))
-    counts = sample_measurements(state, 10_000, seed=1234)
-    assert 0.45 <= counts["0"] / 10_000 <= 0.55
-
-
-def test_sampling_is_deterministic_per_seed():
-    rng = np.random.default_rng(53)
-    state = random_state(3, rng)
-    first = sample_measurements(state, 500, seed=99)
-    second = sample_measurements(state, 500, seed=99)
-    assert first == second
-    assert sum(first.values()) == 500
-
-
-def test_sampling_accepts_negative_seed():
-    state = apply_gate(new_zero_state(1), h(0))
-    first = sample_measurements(state, 100, seed=-7)
-    second = sample_measurements(state, 100, seed=-7)
-    assert first == second
-
-
-# amplitude blocks: every row gets exactly the arithmetic of apply_gate
+# amplitude blocks: a shared matrix gives every row the oracle's arithmetic,
+# and one matrix per row gives each row what that gate alone gives it
 
 BLOCK_QUBITS = 4
-SINGLE_KINDS = ("h", "x", "p", "rx", "ry", "rz", "u3")
 
 
 def random_block(rows, n_qubits, rng):
@@ -273,80 +146,69 @@ def random_block(rows, n_qubits, rng):
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def random_single_gate(kind, target, rng):
-    count = {"h": 0, "x": 0, "u3": 3}.get(kind, 1)
-    return Gate(kind, (target,), tuple(rng.uniform(-7.0, 7.0, size=count)))
-
-
-def assert_rows_match_apply_gate(before, after, gates):
-    for row, gate in enumerate(gates):
-        expected = apply_gate(StateVector(BLOCK_QUBITS, before[row]), gate).amplitudes
-        np.testing.assert_array_equal(after[row], expected)
-
-
 def block_gates():
-    for kind in SINGLE_KINDS:
+    for kind in ROTATIONS:
         for target in range(BLOCK_QUBITS):
             yield kind, (target,)
-    for kind in ("cnot", "cz"):
-        for a in range(BLOCK_QUBITS):
-            for b in range(BLOCK_QUBITS):
-                if a != b:  # control above and below the target
-                    yield kind, (a, b)
+    for a in range(BLOCK_QUBITS):
+        for b in range(BLOCK_QUBITS):
+            if a != b:  # control above and below the target
+                yield "cnot", (a, b)
 
 
 @pytest.mark.parametrize("kind,targets", list(block_gates()))
-def test_block_with_shared_gate_matches_apply_gate(kind, targets):
+def test_block_with_shared_gate_matches_the_oracle(kind, targets):
     rng = np.random.default_rng(len(kind) * 10 + targets[0])
-    if kind in ("cnot", "cz"):
-        gate, matrices = Gate(kind, targets), None
-    else:
-        gate = random_single_gate(kind, targets[0], rng)
-        matrices = _single_qubit_matrix(gate)[None]
     before = random_block(5, BLOCK_QUBITS, rng)
-    after = before.copy()
-    apply_gates(after, BLOCK_QUBITS, [(kind, targets, matrices)])
-    assert_rows_match_apply_gate(before, after, [gate] * 5)
+    after, expected = before.copy(), before.copy()
+    if kind == "cnot":
+        apply_gates(after, BLOCK_QUBITS, [(kind, targets, None)])
+        apply_cnot_oracle(expected, *targets)
+    else:
+        matrix = rotation_matrix_oracle(kind, rng.uniform(-7.0, 7.0))
+        apply_gates(after, BLOCK_QUBITS, [(kind, targets, matrix[None])])
+        apply_single_oracle(expected, targets[0], matrix)
+    np.testing.assert_array_equal(after, expected)
 
 
-@pytest.mark.parametrize("kind", SINGLE_KINDS)
+@pytest.mark.parametrize("kind", ROTATIONS)
 def test_block_with_one_matrix_per_row_matches_apply_gate(kind):
-    rng = np.random.default_rng(SINGLE_KINDS.index(kind))
+    rng = np.random.default_rng(ROTATIONS.index(kind))
     for target in range(BLOCK_QUBITS):
-        gates = [random_single_gate(kind, target, rng) for _ in range(6)]
+        matrices = rotation_matrices(kind, rng.uniform(-7.0, 7.0, size=6))
         before = random_block(6, BLOCK_QUBITS, rng)
         after = before.copy()
-        matrices = np.stack([_single_qubit_matrix(g) for g in gates])
         apply_gates(after, BLOCK_QUBITS, [(kind, (target,), matrices)])
-        assert_rows_match_apply_gate(before, after, gates)
+        for row in range(6):
+            alone = before[row:row + 1].copy()
+            apply_gates(alone, BLOCK_QUBITS, [(kind, (target,), matrices[row:row + 1])])
+            np.testing.assert_array_equal(after[row], alone[0])
 
 
-def test_block_with_per_row_circuits_matches_apply_circuit():
+def test_block_with_per_row_gate_lists_matches_the_oracle():
     rng = np.random.default_rng(83)
-    layout = random_circuit(BLOCK_QUBITS, 30, rng)
-    circuits = [
-        Circuit(BLOCK_QUBITS, tuple(
-            random_single_gate(g.kind, g.targets[0], rng) if len(g.targets) == 1 else g
-            for g in layout.gates
-        ))
-        for _ in range(4)
+    layout = random_gates(BLOCK_QUBITS, 30, rng)
+    angles = rng.uniform(-7.0, 7.0, size=(len(layout), 4))
+    gates = [
+        (kind, targets, None if kind == "cnot" else rotation_matrices(kind, row_angles))
+        for (kind, targets, _), row_angles in zip(layout, angles)
     ]
-    block = np.zeros((4, 1 << BLOCK_QUBITS), dtype=complex)
-    block[:, 0] = 1.0
-    apply_gates(block, BLOCK_QUBITS, [
-        (column[0].kind, column[0].targets,
-         None if column[0].kind in ("cnot", "cz")
-         else np.stack([_single_qubit_matrix(g) for g in column]))
-        for column in zip(*(c.gates for c in circuits))
-    ])
-    for row, circuit in enumerate(circuits):
-        expected = apply_circuit(new_zero_state(BLOCK_QUBITS), circuit).amplitudes
-        np.testing.assert_array_equal(block[row], expected)
+    block = _zero_block(4, BLOCK_QUBITS)
+    apply_gates(block, BLOCK_QUBITS, gates)
+    for row in range(4):
+        expected = _zero_block(1, BLOCK_QUBITS)
+        for (kind, targets, _), row_angles in zip(layout, angles):
+            if kind == "cnot":
+                apply_cnot_oracle(expected, *targets)
+            else:
+                apply_single_oracle(expected, targets[0],
+                                    rotation_matrix_oracle(kind, row_angles[row]))
+        np.testing.assert_array_equal(block[row], expected[0])
 
 
 def test_block_size_mismatch():
     with pytest.raises(ValueError):
-        apply_gates(np.zeros((2, 8), dtype=complex), 2, [("x", (0,), np.eye(2)[None])])
+        apply_gates(np.zeros((2, 8), dtype=complex), 2, [rotation("rx", 0, 1.0)])
     with pytest.raises(ValueError):
         apply_gates(np.zeros(4, dtype=complex), 2, [])
 
@@ -356,47 +218,27 @@ def test_block_size_mismatch():
 
 def test_qubit_count_limits():
     with pytest.raises(ValueError):
-        new_zero_state(0)
+        _zero_block(1, 0)
     with pytest.raises(ValueError):
-        new_zero_state(MAX_QUBITS + 1)
+        _zero_block(1, MAX_QUBITS + 1)
     with pytest.raises(ValueError, match="1 to 20 qubits"):
         encode_states(FeatureMapSpec(MAX_QUBITS + 1, 1), np.zeros((1, 1)), np.zeros(MAX_QUBITS + 1))
 
 
-def test_state_must_be_normalized():
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([1.0, 1.0]))
-
-
 def test_gate_target_out_of_range():
-    with pytest.raises(IndexError):
-        apply_gate(new_zero_state(1), x(1))
+    with pytest.raises(ValueError, match="targets qubit 1"):
+        apply_gates(_zero_block(1, 1), 1, [rotation("rx", 0, 1.0), rotation("rx", 1, 1.0)])
 
 
-def test_circuit_rejects_bad_targets():
-    with pytest.raises(ValueError):
-        Circuit(1, (cnot(0, 1),))
-
-
-def test_circuit_size_mismatch():
-    with pytest.raises(ValueError):
-        apply_circuit(new_zero_state(2), Circuit(3, (x(0),)))
-
-
-def test_gate_validation():
-    with pytest.raises(ValueError):
-        cnot(1, 1)
-    with pytest.raises(ValueError):
-        Gate("rx", (0,), ())
-    with pytest.raises(ValueError):
-        rx(0, float("nan"))
-
-
-def test_inner_product_size_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(new_zero_state(1), new_zero_state(2))
-
-
-def test_sample_shots_positive():
-    with pytest.raises(ValueError):
-        sample_measurements(new_zero_state(1), 0, seed=0)
+@pytest.mark.parametrize("gate,message", [
+    (("cnot", (0, 0), None), "distinct"),
+    (("cnot", (0, 3), None), "targets qubit 3"),
+    (("h", (0,), None), "unknown gate kind 'h'"),
+    (("rx", (-1,), rotation_matrices("rx", [1.0])), "targets qubit -1"),
+], ids=["equal-targets", "target-past-the-register", "unknown-kind", "negative-target"])
+def test_bad_gates_are_rejected_before_any_amplitude_changes(gate, message):
+    block = _zero_block(2, 2)
+    gates = [rotation("ry", 1, 0.4), gate]
+    with pytest.raises(ValueError, match=message):
+        apply_gates(block, 2, gates)
+    np.testing.assert_array_equal(block, _zero_block(2, 2))
