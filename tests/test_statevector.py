@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_cnot_oracle, apply_single_oracle, rotation_matrix_oracle
+from oracles import apply_cnot_oracle, apply_single_oracle, rotation_matrix_oracle, run_gates_oracle
 from qkflow.featuremap import FeatureMapSpec, encode_states, encoding_gates
 from qkflow.statevector import MAX_QUBITS, _zero_block, apply_gates, rotation_matrices
 
@@ -197,12 +197,10 @@ def test_block_with_per_row_gate_lists_matches_the_oracle():
     apply_gates(block, BLOCK_QUBITS, gates)
     for row in range(4):
         expected = _zero_block(1, BLOCK_QUBITS)
-        for (kind, targets, _), row_angles in zip(layout, angles):
-            if kind == "cnot":
-                apply_cnot_oracle(expected, *targets)
-            else:
-                apply_single_oracle(expected, targets[0],
-                                    rotation_matrix_oracle(kind, row_angles[row]))
+        run_gates_oracle(expected, [
+            (kind, targets, row_angles[row])
+            for (kind, targets, _), row_angles in zip(layout, angles)
+        ])
         np.testing.assert_array_equal(block[row], expected[0])
 
 
