@@ -11,7 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
+import qkflow
 from oracles import inversion_oracle, one_layer_gram_oracle, swap_oracle
+from qkflow import featuremap, qkernel, statevector
 from qkflow.featuremap import (
     DATA_AXES,
     ENTANGLEMENTS,
@@ -405,6 +407,44 @@ def test_pair_blocks_with_one_column_per_chunk(mode):
     assert set(chunk_widths(np.full(len(X), len(Y)), WIDE_QUBITS)) == {1}
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
     np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
+
+
+@pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
+def test_kernels_build_no_gate_or_circuit(monkeypatch, circuit_kind, mode, entanglement):
+    """The kernels reach the simulator only through `apply_gates`, and hand it
+    plain (kind, targets, matrices) triples: no gate or circuit objects."""
+    assert not any(hasattr(module, name) for module in (qkflow, statevector, featuremap)
+                   for name in ("Gate", "Circuit", "StateVector"))
+    spec = FeatureMapSpec(3, 2, data_axis="rx", trainable_axis="p", entanglement=entanglement)
+    cfg = KernelEngineConfig(
+        spec=spec, params=np.linspace(-1.0, 1.0, param_count(spec)), mode=mode,
+        shots=50 if mode == "shots" else None, circuit_kind=circuit_kind,
+    )
+    X = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(4, 2))
+    seen = []
+
+    def recording(amps, n_qubits, gates):
+        gates = list(gates)
+        seen.extend(gates)
+        statevector.apply_gates(amps, n_qubits, gates)
+
+    monkeypatch.setattr(featuremap, "apply_gates", recording)
+    monkeypatch.setattr(qkernel, "apply_gates", recording)
+    assert gram_matrix(cfg, X).values.shape == (4, 4)
+    assert cross_gram(cfg, X[:2], X).shape == (2, 4)
+    assert 0.0 <= kernel_value(cfg, X[0], X[1]) <= 1.0
+    assert seen
+    for gate in seen:
+        assert type(gate) is tuple and len(gate) == 3
+        kind, targets, matrices = gate
+        assert all(type(t) is int for t in targets)
+        if kind == "cnot":
+            assert matrices is None
+        else:
+            assert kind in ("rx", "p") and isinstance(matrices, np.ndarray)
+            assert matrices.shape[1:] == (2, 2)
 
 
 def test_qubit_bound_is_checked_through_the_kernel_api():

@@ -147,17 +147,19 @@ def random_block(rows, n_qubits, rng):
 
 
 def block_gates():
-    for kind in ROTATIONS:
-        for target in range(BLOCK_QUBITS):
-            yield kind, (target,)
-    for a in range(BLOCK_QUBITS):
-        for b in range(BLOCK_QUBITS):
-            if a != b:  # control above and below the target
-                yield "cnot", (a, b)
+    """Every rotation on every qubit, then cnot with the control above and
+    below the target. The case ids keep the numbers the cases have always
+    had: the rotations are cases 8-23 and cnot is 28-39."""
+    cases = [(kind, (target,)) for kind in ROTATIONS for target in range(BLOCK_QUBITS)]
+    cnots = [("cnot", (a, b)) for a in range(BLOCK_QUBITS) for b in range(BLOCK_QUBITS) if a != b]
+    for first, group in ((8, cases), (28, cnots)):
+        for number, (kind, targets) in enumerate(group, start=first):
+            yield pytest.param(kind, targets, id=f"{kind}-targets{number}")
 
 
 @pytest.mark.parametrize("kind,targets", list(block_gates()))
-def test_block_with_shared_gate_matches_the_oracle(kind, targets):
+def test_block_with_shared_gate_matches_apply_gate(kind, targets):
+    """One matrix shared by every row gives each row the oracle's arithmetic."""
     rng = np.random.default_rng(len(kind) * 10 + targets[0])
     before = random_block(5, BLOCK_QUBITS, rng)
     after, expected = before.copy(), before.copy()
@@ -185,7 +187,9 @@ def test_block_with_one_matrix_per_row_matches_apply_gate(kind):
             np.testing.assert_array_equal(after[row], alone[0])
 
 
-def test_block_with_per_row_gate_lists_matches_the_oracle():
+def test_block_with_per_row_circuits_matches_apply_circuit():
+    """A gate list with one matrix per row gives each row what the oracle gives
+    that row's own gate list."""
     rng = np.random.default_rng(83)
     layout = random_gates(BLOCK_QUBITS, 30, rng)
     angles = rng.uniform(-7.0, 7.0, size=(len(layout), 4))
@@ -226,6 +230,23 @@ def test_qubit_count_limits():
 def test_gate_target_out_of_range():
     with pytest.raises(ValueError, match="targets qubit 1"):
         apply_gates(_zero_block(1, 1), 1, [rotation("rx", 0, 1.0), rotation("rx", 1, 1.0)])
+
+
+def test_circuit_rejects_bad_targets():
+    with pytest.raises(ValueError, match="targets qubit 1 on a 1-qubit register"):
+        apply_gates(_zero_block(1, 1), 1, [("cnot", (0, 1), None)])
+
+
+def test_gate_validation():
+    block = _zero_block(1, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        apply_gates(block, 2, [("cnot", (1, 1), None)])
+    with pytest.raises(ValueError, match="takes 2 target"):
+        apply_gates(block, 2, [("cnot", (0,), None)])
+    with pytest.raises(ValueError, match="takes 1 target"):
+        apply_gates(block, 2, [("rx", (0, 1), rotation_matrices("rx", [1.0]))])
+    with pytest.raises(ValueError, match="not a one-angle rotation"):
+        rotation_matrices("h", [1.0])
 
 
 @pytest.mark.parametrize("gate,message", [
