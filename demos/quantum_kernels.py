@@ -26,7 +26,7 @@ for shots in (100, 1_000, 10_000, 100_000):
     estimate = kernel_value(noisy_cfg, x, x2)
     print(f"{shots:>7} shots -> {estimate:.5f}  (error {abs(estimate - exact):.5f})")
 
-# Gram matrix over a small dataset; exact mode mirrors the upper triangle.
+# Gram matrix over a small dataset; the upper triangle is evaluated and mirrored.
 X = rng.uniform(-np.pi, np.pi, size=(6, 2))
 K = gram_matrix(cfg, X)
 print("Gram diagonal:", np.diag(K.values))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import GramMatrix, _as_points, _cross_points, _pair
+from .qkernel import GramMatrix, _as_points, _column_sums, _cross_points, _pair
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -137,23 +137,21 @@ def _metric_rows(kernel: ClassicalKernel, points: np.ndarray) -> np.ndarray:
             f"transform is {kernel.transform.shape[0]}x{kernel.transform.shape[1]} "
             f"but points have {points.shape[1]} features"
         )
-    return points @ kernel.transform.T
+    return _column_sums(points, kernel.transform, np.multiply)
+
+
+def _squared_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.square(np.subtract(a, b, out=out), out=out)
 
 
 def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Entries k(left[i], right[j]): the one place each kind's formula is written."""
+    """Entries k(left[i], right[j]): the one place each kind's formula is written.
+    Dot products and squared distances are column sums, so a Gram is exactly
+    symmetric and its squared distances are exactly 0 on the diagonal."""
     if kernel.kind == "gaussian_metric":
-        z_left = _metric_rows(kernel, left)
-        z_right = _metric_rows(kernel, right)
-        # summed one feature column at a time: the peak memory stays at one
-        # block, the diagonal of a Gram is exactly 0 and the block is exactly
-        # symmetric, which the |a|^2 + |b|^2 - 2ab expansion does not give
-        sq_dist = np.zeros((left.shape[0], right.shape[0]))
-        for column in range(z_left.shape[1]):
-            diff = z_left[:, column, None] - z_right[:, column]
-            sq_dist += diff * diff
-        return np.exp(-kernel.gamma * sq_dist)
-    dots = left @ right.T
+        z_left, z_right = _metric_rows(kernel, left), _metric_rows(kernel, right)
+        return np.exp(-kernel.gamma * _column_sums(z_left, z_right, _squared_difference))
+    dots = _column_sums(left, right, np.multiply)
     if kernel.kind == "linear":
         return dots + kernel.c
     if kernel.kind == "polynomial":
@@ -168,13 +166,10 @@ def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:
 
 
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
-    """Kernel matrix of a point set against itself (upper triangle mirrored)."""
+    """Kernel matrix of a point set against itself; exactly symmetric."""
     points = _as_points(data, "data")
-    m = points.shape[0]
-    values = _block(kernel, points, points)
-    lower = np.tril_indices(m, -1)
-    values[lower] = values.T[lower]
-    return GramMatrix(values=values, kernel_id=describe_classical(kernel), point_count=m)
+    return GramMatrix(values=_block(kernel, points, points),
+                      kernel_id=describe_classical(kernel), point_count=len(points))
 
 
 def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray:

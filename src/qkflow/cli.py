@@ -312,18 +312,15 @@ def _cmd_predict(args) -> int:
     weights = getattr(model, kind.weights)
     if weights.size != len(train):
         raise ValueError(f"model file holds {weights.size} weights for {len(train)} training points")
-    # The inversion test simulates every pair on its own, and a column whose
-    # weight is exactly 0 adds K_ij * 0 = 0 * 0 = +0 to each decision value
-    # (a fidelity is never -0), so it evaluates only the other columns and
-    # leaves the rest 0. A matrix product (classical kernels, the swap test)
-    # can round differently as the column count changes, so those kernels
-    # evaluate every column.
+    if ds.features.shape[1] != train.shape[1]:
+        raise ValueError(f"feature dimensions differ: {ds.features.shape[1]} vs {train.shape[1]}")
+    # A kernel entry depends on its own two points alone, so only columns with
+    # a nonzero weight are evaluated and the rest stay 0: a zero weight adds a
+    # signed zero, which cannot change a nonzero sum.
     used = np.flatnonzero(weights != 0)
-    if isinstance(kernel, KernelEngineConfig) and kernel.circuit_kind == "inversion" and used.size:
-        K_new = np.zeros((ds.n_points, len(train)))
+    K_new = np.zeros((ds.n_points, len(train)))
+    if used.size:
         K_new[:, used] = evaluate_cross(kernel, ds.features, train[used])
-    else:
-        K_new = evaluate_cross(kernel, ds.features, train)
     predictions = kind.predict(model, K_new)
     _write_column_csv(args.out, "prediction", predictions)
     note = f"wrote {args.out}: {predictions.size} predictions"

@@ -247,7 +247,7 @@ def krr_fit(K, y, reg: float) -> TrainedKRR:
         lower = np.linalg.cholesky(system)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
-            "kernel system is singular; add regularization (reg > 0)"
+            f"kernel system is singular: K + reg*I is not positive definite at reg={reg:g}"
         ) from exc
 
     def solve(rhs: np.ndarray) -> np.ndarray:

@@ -12,16 +12,16 @@ the estimate is 2*p0_hat - 1 clamped to [0, 1]).
 Each point of a call is encoded once, from per-row gate matrices, into one
 amplitude block. The inversion test stacks the (i, j) pairs column by column
 into chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes and applies to every
-row the adjoint gates of its column's point. The swap test is one product of
-two blocks. Every exact inversion entry has the bits of simulating its pair
-on its own: U(x_i), then U(x_j)^dag, then |amplitude 0|^2.
+row the adjoint gates of its column's point; each entry has the bits of
+simulating its pair on its own. The swap test sums Re<b|a> and Im<b|a> one
+amplitude column at a time in real arithmetic, like the classical kernels.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
-over the whole matrix from one stream seeded by `cfg.seed`: the inversion
-test's all-zeros count is Binomial(shots, k), the swap test's ancilla count
-Binomial(shots, 1/2 + k/2). Entries are drawn independently,
-so a shot Gram is not symmetric; its diagonal is exactly 1.
+from one stream seeded by `cfg.seed`: the inversion test's all-zeros count
+is Binomial(shots, k), the swap test's ancilla count Binomial(shots,
+1/2 + k/2). A Gram draws each pair above its diagonal once and mirrors it,
+so a shot Gram is symmetric and its diagonal is exactly 1.
 """
 
 from __future__ import annotations
@@ -157,6 +157,18 @@ def _pair(point_a, point_b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
+    """out[i, j] = sum_k term(left[i, k], right[j, k]), added one column k at a
+    time in increasing k, so an entry depends on its own two rows alone and
+    has the same bits in every block that holds it, which gemm does not give.
+    `term(a, b, out=scratch)` writes one column's terms into `scratch`."""
+    sums = np.zeros((len(left), len(right)))
+    scratch = np.empty_like(sums)
+    for a, b in zip(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)):
+        sums += term(a[:, None], b, out=scratch)
+    return sums
+
+
 def _pair_chunks(heights: np.ndarray, n_qubits: int):
     """Yield (first, stop) column ranges whose pairs fill at most
     PAIR_BLOCK_AMPLITUDES amplitudes; a taller column is a chunk of its own.
@@ -201,10 +213,7 @@ def _all_zeros_probabilities(n_qubits, states, inverse, columns, upper) -> np.nd
 
 
 def _fidelities(cfg, points_a, points_b, upper=False) -> np.ndarray:
-    """Exact K[i, j] = k(a_i, b_j) for the rows of two point arrays.
-
-    With `upper`, the inversion test evaluates only entries i < j.
-    """
+    """Exact K[i, j] = k(a_i, b_j); with `upper`, the inversion test evaluates only i < j."""
     if cfg.params is None:
         raise ValueError("kernel evaluation needs a bound parameter vector")
     states = encode_states(cfg.spec, points_a, cfg.params)
@@ -212,8 +221,10 @@ def _fidelities(cfg, points_a, points_b, upper=False) -> np.ndarray:
         inverse = encoding_gates(cfg.spec, points_b, cfg.params, inverse=True)
         probs = _all_zeros_probabilities(cfg.spec.n_qubits, states, inverse, len(points_b), upper)
         return np.clip(probs, 0.0, 1.0)
-    others = states if points_b is points_a else encode_states(cfg.spec, points_b, cfg.params)
-    return np.clip(np.abs(states @ others.conj().T) ** 2, 0.0, 1.0)
+    a, b = states, states if points_b is points_a else encode_states(cfg.spec, points_b, cfg.params)
+    real = _column_sums(np.hstack([a.real, a.imag]), np.hstack([b.real, b.imag]), np.multiply)
+    imag = _column_sums(np.hstack([a.imag, a.real]), np.hstack([b.real, -b.imag]), np.multiply)
+    return np.clip(real * real + imag * imag, 0.0, 1.0)
 
 
 def _measured(cfg, K: np.ndarray) -> np.ndarray:
@@ -239,17 +250,14 @@ def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
 
 
 def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
-    """Kernel matrix of a point set against itself.
-
-    Only the upper triangle is evaluated and mirrored, and the diagonal is
-    set to 1 without evaluation; shots mode then measures every entry.
-    """
+    """Kernel matrix of a point set against itself: the entries above the diagonal
+    are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
-    upper = np.triu(_fidelities(cfg, points, points, upper=True), 1)
-    values = upper + upper.T
-    np.fill_diagonal(values, 1.0)
-    return GramMatrix(values=_measured(cfg, values), kernel_id=describe(cfg),
-                      point_count=len(points))
+    rows, cols = np.triu_indices(len(points), 1)
+    upper = _fidelities(cfg, points, points, upper=True)[rows, cols]
+    values = np.ones((len(points), len(points)))
+    values[rows, cols] = values[cols, rows] = _measured(cfg, upper)
+    return GramMatrix(values=values, kernel_id=describe(cfg), point_count=len(points))
 
 
 def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:

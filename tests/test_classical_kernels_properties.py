@@ -55,7 +55,7 @@ def assert_matches_oracle(kernel, block, left, right):
     assert np.all(np.abs(block - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(kernel_cases())
 def test_gram_and_cross_match_the_per_pair_oracle(case):
     kernel, left, right = case

@@ -318,6 +318,18 @@ def test_train_is_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
+@pytest.mark.parametrize("method", ["svc", "svr"])
+def test_svc_and_svr_train_on_a_shot_gram(tmp_path, method):
+    """A shot Gram draws each pair once, so it is symmetric and the solvers take it."""
+    data, model, preds = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    assert run("gen-data", "--kind", "blobs", "--m", "20", "--seed", "1", "--out", str(data)) == 0
+    assert run("train", "--method", method, "--kernel", "quantum", "--qubits", "2",
+               "--mode", "shots", "--shots", "100", "--C", "10",
+               "--data", str(data), "--out", str(model)) == 0
+    assert load_model(model).kind == method
+    assert run("predict", "--model", str(model), "--data", str(data), "--out", str(preds)) == 0
+
+
 def test_normalize_is_recorded_and_applied_at_predict_time(tmp_path):
     data = tmp_path / "d.csv"
     model = tmp_path / "m.json"
@@ -498,11 +510,11 @@ PREDICT_KERNELS = {
 }
 
 
-def train_and_predict(root, method, kernel_flags):
+def train_and_predict(root, method, kernel_flags, data="circles"):
     train, test = root / "train.csv", root / "test.csv"
     model, preds = root / f"{method}.json", root / f"{method}.csv"
-    assert run("gen-data", "--kind", "circles", "--m", "24", "--seed", "5", "--out", str(train)) == 0
-    assert run("gen-data", "--kind", "circles", "--m", "9", "--seed", "6", "--out", str(test)) == 0
+    assert run("gen-data", "--kind", data, "--m", "24", "--seed", "5", "--out", str(train)) == 0
+    assert run("gen-data", "--kind", data, "--m", "9", "--seed", "6", "--out", str(test)) == 0
     assert run("train", "--method", method, *kernel_flags, "--data", str(train),
                "--C", "2", "--epsilon", "0.3", "--out", str(model)) == 0
     assert run("predict", "--model", str(model), "--data", str(test), "--out", str(preds)) == 0
@@ -522,11 +534,10 @@ def test_predict_matches_the_full_cross_gram_bit_for_bit(tmp_path, method, kerne
     assert predictions.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("kernel", ["quantum_inversion", "quantum_swap", "gaussian"])
+@pytest.mark.parametrize("kernel", sorted(PREDICT_KERNELS))
 @pytest.mark.parametrize("method, field", [("svc", "alphas"), ("svr", "coef")])
 def test_predict_evaluates_only_nonzero_weight_training_points(tmp_path, monkeypatch,
                                                                method, field, kernel):
-    """Only the inversion test, which simulates each pair on its own, skips columns."""
     seen = []
 
     def recording_cross(kernel, data_new, data_train):
@@ -534,13 +545,13 @@ def test_predict_evaluates_only_nonzero_weight_training_points(tmp_path, monkeyp
         return evaluate_cross(kernel, data_new, data_train)
 
     monkeypatch.setattr(qkflow.cli, "evaluate_cross", recording_cross)
-    model_file, _, _ = train_and_predict(tmp_path, method, PREDICT_KERNELS[kernel])
+    # on hidden_rotation every kernel leaves some weights at 0
+    model_file, _, _ = train_and_predict(tmp_path, method, PREDICT_KERNELS[kernel], "hidden_rotation")
     weights = np.asarray(model_file.payload[field])
     assert 0 < np.count_nonzero(weights) < weights.size
     train_features = np.asarray(model_file.payload["train_features"])
-    expected = train_features[weights != 0] if kernel == "quantum_inversion" else train_features
     assert len(seen) == 1
-    assert seen[0].tobytes() == expected.tobytes()
+    assert seen[0].tobytes() == train_features[weights != 0].tobytes()
 
 
 def test_predict_with_every_weight_zero_returns_the_bias(tmp_path):
@@ -553,6 +564,20 @@ def test_predict_with_every_weight_zero_returns_the_bias(tmp_path):
     assert not np.any(model_file.payload["coef"])
     assert run("predict", "--model", str(model), "--data", str(data), "--out", str(preds)) == 0
     assert np.all(np.loadtxt(preds, skiprows=1) == model_file.payload["bias"])
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "quantum"])
+def test_predict_rejects_another_feature_count_even_when_every_weight_is_zero(tmp_path, capsys,
+                                                                               kernel):
+    data, other, model = tmp_path / "d.csv", tmp_path / "o.csv", tmp_path / "m.json"
+    run("gen-data", "--kind", "blobs", "--m", "12", "--seed", "3", "--out", str(data))
+    run("gen-data", "--kind", "hidden_rotation", "--m", "5", "--seed", "3", "--out", str(other))
+    assert run("train", "--method", "svr", "--kernel", kernel, "--epsilon", "5",
+               "--data", str(data), "--out", str(model)) == 0
+    assert not np.any(load_model(model).payload["coef"])
+    assert run("predict", "--model", str(model), "--data", str(other),
+               "--out", str(tmp_path / "p.csv")) == 2
+    assert "feature dimensions differ: 1 vs 2" in capsys.readouterr().err
 
 
 def test_predict_rejects_a_weight_count_that_differs_from_the_training_set(tmp_path, capsys):

@@ -55,7 +55,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("malformed")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(text=malformed_csvs())
 @example(text=f"x0,x1,label\n0.5,{OVERSIZED},1\n-0.5,0.25,-1\n")
 def test_malformed_csv_is_a_data_error(workdir, text):

@@ -183,8 +183,10 @@ def test_krr_singular_needs_regularization():
     for m in (2, 3):
         K = np.ones((m, m))
         y = np.arange(1.0, m + 1.0)
-        with pytest.raises(ValueError, match="kernel system is singular"):
+        with pytest.raises(ValueError, match=r"singular: K \+ reg\*I is not positive definite at reg=0$"):
             krr_fit(K, y, reg=0.0)
+        with pytest.raises(ValueError, match=r"not positive definite at reg=0.5$"):
+            krr_fit(K - np.eye(m), y, reg=0.5)
         model = krr_fit(K, y, reg=0.5)
         assert np.all(np.isfinite(model.alphas))
 

@@ -38,7 +38,7 @@ def quantum_grams(draw):
     return gram_matrix(KernelEngineConfig(spec=spec, params=params), points).values
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(quantum_grams(), st.data(), capacities)
 def test_svc_meets_kkt_conditions(K, data, C):
     m = K.shape[0]
@@ -49,7 +49,7 @@ def test_svc_meets_kkt_conditions(K, data, C):
     assert svc_kkt_violation(K, y, model.alphas, model.bias, C) <= 1e-5
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(quantum_grams(), st.data(), capacities, st.floats(0.0, 0.5))
 def test_svr_meets_kkt_conditions(K, data, C, epsilon):
     m = K.shape[0]
@@ -62,7 +62,7 @@ def assert_same_bits(actual, expected):
     assert np.asarray(actual, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(quantum_grams(), st.data(), st.sampled_from([0.1, 1.0, 10.0, 100.0]), st.booleans())
 def test_svc_and_svr_match_the_smo_oracle(K, data, C, skewed):
     """Also on Grams symmetric only within 1e-10, where K[:, i] != K[i, :]."""

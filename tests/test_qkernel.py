@@ -217,14 +217,16 @@ def test_shot_gram_is_deterministic():
     assert np.max(np.abs(first - other)) > 0.0
 
 
-def test_shot_gram_evaluates_pairs_independently():
-    """Shots mode makes no symmetry assumption, so noise breaks symmetry."""
-    X = np.array([[0.0], [1.3], [2.1]])
+def test_shot_gram_is_symmetric_with_a_unit_diagonal():
+    """Each unordered pair is drawn once, so the noise keeps the Gram symmetric."""
+    X = np.array([[0.0], [1.3], [2.1], [-0.4], [0.9]])
     for kind in CIRCUIT_KINDS:
         cfg = one_qubit_cfg(circuit_kind=kind, mode="shots", shots=101, seed=5)
         K = gram_matrix(cfg, X).values
-        assert np.max(np.abs(K - K.T)) > 0.0
-        np.testing.assert_array_equal(np.diag(K), np.ones(3))
+        exact = gram_matrix(dataclasses.replace(cfg, mode="exact"), X).values
+        assert np.max(np.abs(K - exact)) > 0.0
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.ones(len(X)))
 
 
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
@@ -272,17 +274,27 @@ def reference_entry(cfg, xa, xb, seed):
 
 
 def reference_swap(cfg, A, B):
-    """|<b_j|a_i>|^2 one pair at a time; the batched product sums in another order."""
+    """|<b_j|a_i>|^2 one pair at a time; the library sums Re and Im in another order."""
     return np.array([[swap_oracle(cfg.spec, cfg.params, a, b) for b in B] for a in A])
 
 
+def reference_gram_measured(cfg, K):
+    """Shots mode on a Gram: one draw over the entries above the diagonal,
+    row by row, mirrored below it; the diagonal is 1."""
+    pairs = [(i, j) for i in range(len(K)) for j in range(i + 1, len(K))]
+    drawn = reference_measured(cfg, np.array([K[i, j] for i, j in pairs]), cfg.seed)
+    K = np.eye(len(K))
+    for (i, j), value in zip(pairs, drawn):
+        K[i, j] = K[j, i] = value
+    return K
+
+
 def reference_gram(cfg, X):
-    m = len(X)
-    K = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            K[i, j] = K[j, i] = reference_fidelity(cfg, X[i], X[j])
-    return reference_measured(cfg, K, cfg.seed)
+    K = np.eye(len(X))
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            K[i, j] = reference_fidelity(cfg, X[i], X[j])
+    return reference_gram_measured(cfg, K)
 
 
 def reference_cross(cfg, A, B):
@@ -354,7 +366,7 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     swap = dataclasses.replace(cfg, circuit_kind="swap")
     exact = dataclasses.replace(swap, mode="exact")
     np.testing.assert_array_equal(
-        gram_matrix(swap, X).values, reference_measured(swap, gram_matrix(exact, X).values, cfg.seed)
+        gram_matrix(swap, X).values, reference_gram_measured(swap, gram_matrix(exact, X).values)
     )
     np.testing.assert_array_equal(
         cross_gram(swap, Y, X), reference_measured(swap, cross_gram(exact, Y, X), cfg.seed)

@@ -36,7 +36,7 @@ def exact_cfg(spec, params, circuit_kind):
     return KernelEngineConfig(spec=spec, params=params, circuit_kind=circuit_kind)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(kernel_cases(), st.sampled_from(["inversion", "swap"]))
 def test_exact_gram_is_a_symmetric_psd_fidelity_matrix(case, circuit_kind):
     spec, params, X = case
@@ -47,7 +47,7 @@ def test_exact_gram_is_a_symmetric_psd_fidelity_matrix(case, circuit_kind):
     assert np.linalg.eigvalsh(K).min() >= -1e-8
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(kernel_cases())
 def test_inversion_equals_swap(case):
     spec, params, X = case
@@ -56,7 +56,7 @@ def test_inversion_equals_swap(case):
     np.testing.assert_allclose(inversion, swap, rtol=0.0, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(kernel_cases(), st.sampled_from(["inversion", "swap"]))
 def test_cross_gram_with_itself_is_the_gram(case, circuit_kind):
     spec, params, X = case

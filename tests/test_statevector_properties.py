@@ -53,7 +53,7 @@ def oracle_apply(amps, triples):
             apply_single_oracle(amps, targets[0], matrices)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(layouts())
 def test_shared_circuit_matches_oracle(layout):
     n, rows, positions, seed = layout
@@ -66,7 +66,7 @@ def test_shared_circuit_matches_oracle(layout):
     np.testing.assert_array_equal(block, expected)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(layouts())
 def test_per_row_circuits_match_oracle(layout):
     n, rows, positions, seed = layout
@@ -86,7 +86,7 @@ ANGLES = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(["p", "rx", "ry", "rz"]), st.lists(ANGLES, min_size=1, max_size=16))
 def test_rotation_matrices_are_bytewise_the_scalar_formulas(kind, angles):
     expected = np.stack([rotation_matrix_oracle(kind, a) for a in angles])
