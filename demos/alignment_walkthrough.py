@@ -20,19 +20,18 @@ train = gen_synthetic("hidden_rotation", 40, seed=7)
 held_out = gen_synthetic("hidden_rotation", 40, seed=8)
 
 spec = FeatureMapSpec(n_qubits=1, n_layers=1)
-template = KernelEngineConfig(spec=spec, params=None, mode="exact", seed=7)
 lam0 = random_params(spec, seed=21)
+start = KernelEngineConfig(spec=spec, params=lam0, mode="exact", seed=7)
 C = 10.0
 
-state = qka_align(template, train.features, train.labels, C,
-                  SpsaConfig(max_iter=60, seed=22), lam0)
+state = qka_align(start, train.features, train.labels, C, SpsaConfig(max_iter=60, seed=22))
 print(f"lambda: {lam0[0]:+.4f} -> {state.lam_best[0]:+.4f} "
       f"(mod pi: {state.lam_best[0] % np.pi:.4f})")
 print(f"dual loss: {state.loss_trace[0][1]:.4f} -> {state.loss_best:.4f}")
 
 
 def held_out_accuracy(lam):
-    cfg = dataclasses.replace(template, params=np.asarray(lam))
+    cfg = dataclasses.replace(start, params=np.asarray(lam))
     model = svc_fit(gram_matrix(cfg, train.features), train.labels, C=C)
     K_new = cross_gram(cfg, held_out.features, train.features)
     return np.mean(svc_predict(model, K_new) == held_out.labels)

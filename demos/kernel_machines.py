@@ -44,6 +44,6 @@ Kc = classical_gram(ClassicalKernel.gaussian_metric(gamma=2.0), circles.features
 pca = kpca_fit(Kc, n_components=2)
 print("kpca leading eigenvalues:", np.round(pca.eigenvalues, 4))
 
-assign = kernel_kmeans(classical_gram(kernel, blobs.features), 2, seed=1)
+assign, _ = kernel_kmeans(classical_gram(kernel, blobs.features), 2, seed=1)
 agreement = np.mean((assign == assign[0]) == (blobs.labels == blobs.labels[0]))
 print("k-means / blob agreement:", max(agreement, 1 - agreement))

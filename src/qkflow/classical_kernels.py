@@ -26,7 +26,6 @@ __all__ = [
     "CLASSICAL_KINDS",
     "CLASSICAL_PARAMS",
     "ClassicalKernel",
-    "euclidean_distance",
     "eval_classical",
     "classical_gram",
     "classical_cross",
@@ -67,10 +66,10 @@ class ClassicalKernel:
             raise ValueError("offset c must be finite")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {self.degree}")
-        if self.kind == "exponential" and not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kind == "gaussian_metric" and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.kind == "exponential" and not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.kind == "gaussian_metric" and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.transform is not None:
             if self.kind != "gaussian_metric":
                 raise ValueError("only gaussian_metric takes a transform matrix")
@@ -112,12 +111,6 @@ def describe_classical(kernel: ClassicalKernel) -> str:
         return f"classical:exponential:sigma={kernel.sigma:g}"
     size = "identity" if kernel.transform is None else "x".join(map(str, kernel.transform.shape))
     return f"classical:gaussian_metric:gamma={kernel.gamma:g}:transform={size}"
-
-
-def euclidean_distance(point_a, point_b) -> float:
-    """d(x, x') = sqrt(sum_i (x_i - x'_i)^2)."""
-    a, b = _pair(point_a, point_b)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def _check_exponential_domain(dots: np.ndarray, sigma: float) -> np.ndarray:
@@ -168,8 +161,7 @@ def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
     """Kernel matrix of a point set against itself; exactly symmetric."""
     points = _as_points(data, "data")
-    return GramMatrix(values=_block(kernel, points, points),
-                      kernel_id=describe_classical(kernel), point_count=len(points))
+    return GramMatrix(values=_block(kernel, points, points), kernel_id=describe_classical(kernel))
 
 
 def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray:

@@ -115,11 +115,11 @@ def _derived_path(out, suffix: str) -> Path:
     return out.with_name(out.stem + suffix)
 
 
-def _load_dataset(args, need_labels: bool) -> Dataset:
-    ds = load_csv(args.data, label_column=args.label_column)
+def _load_dataset(path, label_column, normalize: bool, need_labels: bool = False) -> Dataset:
+    ds = load_csv(path, label_column=label_column)
     if need_labels and ds.labels is None:
-        raise ValueError(f"{args.data}: a label column is required for this command")
-    if getattr(args, "normalize", False):
+        raise ValueError(f"{path}: a label column is required for this command")
+    if normalize:
         ds = normalize_unit_sphere(ds)
     return ds
 
@@ -166,6 +166,8 @@ def _quantum_spec_from_args(args) -> FeatureMapSpec:
 
 def _kernel_from_args(args, seed: int):
     """Build the kernel object plus pretraining metadata (embedding only)."""
+    if args.shots is not None and args.mode != "shots":
+        raise _UsageError("--shots needs --mode shots")
     if args.embedding is not None:
         model_file = load_model(args.embedding)
         artifact = embedding_from_model_file(model_file)
@@ -208,12 +210,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    ds = _load_dataset(args, need_labels=False)
+    ds = _load_dataset(args.data, args.label_column, args.normalize)
     kernel, _ = _kernel_from_args(args, seed=args.seed)
     if args.data2 is not None:
-        other = load_csv(args.data2, label_column=args.label_column)
-        if args.normalize:
-            other = normalize_unit_sphere(other)
+        other = _load_dataset(args.data2, args.label_column, args.normalize)
         matrix = evaluate_cross(kernel, other.features, ds.features)
         shape_note = f"{matrix.shape[0]}x{matrix.shape[1]} cross-Gram"
     else:
@@ -225,13 +225,13 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    ds = _load_dataset(args, need_labels=True)
+    ds = _load_dataset(args.data, args.label_column, args.normalize, need_labels=True)
     spec = _quantum_spec_from_args(args)
-    lam_init = random_params(spec, _role_seed(args.seed, 0))
     spsa = SpsaConfig(a0=args.a0, c0=args.c0, A_stab=args.stability,
                       max_iter=args.spsa_iters, seed=_role_seed(args.seed, 1))
-    template = KernelEngineConfig(spec=spec, params=None, mode="exact", seed=args.seed)
-    state = qka_align(template, ds.features, ds.labels, args.C, spsa, lam_init)
+    cfg = KernelEngineConfig(spec=spec, params=random_params(spec, _role_seed(args.seed, 0)),
+                             mode="exact", seed=args.seed)
+    state = qka_align(cfg, ds.features, ds.labels, args.C, spsa)
     artifact = export_embedding(state, spec)
     save_model(embedding_to_model_file(artifact, seed=args.seed), args.out)
     trace_path = args.trace_out or _derived_path(args.out, "_trace.csv")
@@ -269,7 +269,7 @@ def _save_trained(path, kind: str, kernel, model, ds: Dataset, args, pretraining
 
 
 def _cmd_train(args) -> int:
-    ds = _load_dataset(args, need_labels=True)
+    ds = _load_dataset(args.data, args.label_column, args.normalize, need_labels=True)
     kernel, pretraining = _kernel_from_args(args, seed=args.seed)
     _warn_task_mismatch(pretraining, args.method)
     gram = evaluate_gram(kernel, ds.features)
@@ -285,7 +285,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_mlkrr(args) -> int:
-    ds = _load_dataset(args, need_labels=True)
+    ds = _load_dataset(args.data, args.label_column, args.normalize, need_labels=True)
     cfg = MlkrrConfig(gamma=args.gamma, reg=args.reg, lr=args.lr, outer_iters=args.rounds)
     A, model, trace = mlkrr_fit(ds.features, ds.labels, cfg)
     kernel = ClassicalKernel.gaussian_metric(gamma=args.gamma, transform=A)
@@ -306,9 +306,7 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"cannot predict with a {model_file.kind!r} model file")
     kernel = kernel_from_json(model_file.kernel)
     model, train, normalize = model_from_payload(model_file.kind, model_file.payload)
-    ds = load_csv(args.data, label_column=args.label_column)
-    if normalize:
-        ds = normalize_unit_sphere(ds)
+    ds = _load_dataset(args.data, args.label_column, normalize)
     weights = getattr(model, kind.weights)
     if weights.size != len(train):
         raise ValueError(f"model file holds {weights.size} weights for {len(train)} training points")
@@ -340,7 +338,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_kpca(args) -> int:
-    ds = _load_dataset(args, need_labels=False)
+    ds = _load_dataset(args.data, args.label_column, args.normalize)
     kernel, pretraining = _kernel_from_args(args, seed=args.seed)
     gram = evaluate_gram(kernel, ds.features)
     model = kpca_fit(gram, n_components=args.components)
@@ -352,12 +350,11 @@ def _cmd_kpca(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    ds = _load_dataset(args, need_labels=False)
+    ds = _load_dataset(args.data, args.label_column, args.normalize)
     kernel, _ = _kernel_from_args(args, seed=args.seed)
     gram = evaluate_gram(kernel, ds.features)
     assign, trace = kernel_kmeans(gram, n_clusters=args.clusters,
-                                  seed=_role_seed(args.seed, 2),
-                                  return_objective_trace=True)
+                                  seed=_role_seed(args.seed, 2))
     _write_column_csv(args.out, "cluster", assign, fmt="%d")
     if args.trace_out:
         _write_trace_csv(args.trace_out, list(enumerate(trace)))

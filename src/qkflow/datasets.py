@@ -31,12 +31,11 @@ FLOAT_FORMAT = "%.17g"
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix with optional labels and provenance."""
+    """Feature matrix with optional labels and feature names."""
 
     features: np.ndarray
     labels: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
-    source: str = ""
 
     def __post_init__(self) -> None:
         features = np.array(self.features, dtype=float)
@@ -126,7 +125,6 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         features=np.asarray(features, dtype=float),
         labels=np.asarray(labels) if label_name is not None else None,
         feature_names=feature_names,
-        source=f"csv:{path}",
     )
 
 
@@ -151,8 +149,7 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
     circles: two concentric noisy rings, labels +1 (inner) / -1 (outer).
     hidden_rotation: one feature x ~ Uniform[-pi, pi] with
         label = sign(cos(x - theta_star)); theta_star (default 0) is the
-        rotation a 1-qubit trainable encoding can learn to undo, and is
-        recorded in the provenance string.
+        rotation a 1-qubit trainable encoding can learn to undo.
     """
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"kind must be one of {SYNTHETIC_KINDS}, got {kind!r}")
@@ -170,7 +167,6 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
         b = rng.normal(loc=(2.0, 0.0), scale=spread, size=(n_second, 2))
         features = np.vstack([a, b])
         labels = np.concatenate([np.ones(n_first), -np.ones(n_second)])
-        source = f"synthetic:blobs:m={m}:seed={seed}:spread={FLOAT_FORMAT % spread}"
     elif kind == "circles":
         inner = float(params.pop("inner_radius", 1.0))
         outer = float(params.pop("outer_radius", 2.0))
@@ -184,22 +180,14 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
             np.column_stack([radii_b * np.cos(angles_b), radii_b * np.sin(angles_b)]),
         ])
         labels = np.concatenate([np.ones(n_first), -np.ones(n_second)])
-        source = (
-            f"synthetic:circles:m={m}:seed={seed}:inner={FLOAT_FORMAT % inner}"
-            f":outer={FLOAT_FORMAT % outer}:noise={FLOAT_FORMAT % noise}"
-        )
     else:
         theta_star = float(params.pop("theta_star", 0.0))
         x = rng.uniform(-np.pi, np.pi, size=(m, 1))
         labels = np.where(np.cos(x[:, 0] - theta_star) >= 0.0, 1.0, -1.0)
         features = x
-        source = (
-            f"synthetic:hidden_rotation:m={m}:seed={seed}"
-            f":theta_star={FLOAT_FORMAT % theta_star}"
-        )
     if params:
         raise ValueError(f"unknown params for {kind}: {sorted(params)}")
-    return Dataset(features=features, labels=labels, source=source)
+    return Dataset(features=features, labels=labels)
 
 
 def normalize_unit_sphere(ds: Dataset) -> Dataset:
@@ -212,5 +200,4 @@ def normalize_unit_sphere(ds: Dataset) -> Dataset:
         features=ds.features / norms[:, None],
         labels=ds.labels,
         feature_names=ds.feature_names,
-        source=ds.source + ":unit-sphere",
     )

@@ -365,15 +365,18 @@ def kpca_transform(model: KpcaModel, K_new) -> np.ndarray:
 
 # kernel k-means
 
+KMEANS_MAX_ITER = 100  # Lloyd rounds after the kmeans++ start
 
-def kernel_kmeans(K, n_clusters: int, seed: int, max_iter: int = 100,
-                  return_objective_trace: bool = False):
+
+def kernel_kmeans(K, n_clusters: int, seed: int) -> tuple[np.ndarray, list[float]]:
     """Lloyd iterations with implicit feature-space centroids.
 
     Squared distance of point i to the centroid of cluster c is
     K_ii - (2/|c|) sum_{j in c} K_ij + (1/|c|^2) sum_{j,l in c} K_jl.
     Initial centers come from a seeded kmeans++ pass on kernel distances;
-    clusters that empty out are re-seeded with the farthest point.
+    clusters that empty out are re-seeded with the farthest point. Returns
+    the assignment and the objective after each of at most KMEANS_MAX_ITER
+    rounds, starting at the initial assignment.
     """
     values = _gram_values(K)
     m = values.shape[0]
@@ -431,13 +434,11 @@ def kernel_kmeans(K, n_clusters: int, seed: int, max_iter: int = 100,
     assign = repair_empty(assign)
     dists = centroid_dists(assign)
     trace = [float(dists[np.arange(m), assign].sum())]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_assign = repair_empty(np.argmin(dists, axis=1))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
         dists = centroid_dists(assign)
         trace.append(float(dists[np.arange(m), assign].sum()))
-    if return_objective_trace:
-        return assign, trace
-    return assign
+    return assign, trace

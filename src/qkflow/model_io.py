@@ -195,13 +195,11 @@ def load_model(path) -> ModelFile:
 
 
 def kernel_to_json(kernel) -> dict:
-    """Serialize a classical kernel or a bound quantum kernel config."""
+    """Serialize a classical kernel or a quantum kernel config."""
     if isinstance(kernel, ClassicalKernel):
         names = ("kind",) + CLASSICAL_PARAMS[kernel.kind]
         return {"type": "classical", **_to_fields(kernel, names)}
     if isinstance(kernel, KernelEngineConfig):
-        if kernel.params is None:
-            raise ValueError("cannot serialize an unbound quantum kernel template")
         return {"type": "quantum", **_to_fields(kernel)}
     raise TypeError(f"cannot serialize kernel of type {type(kernel).__name__}")
 
@@ -216,10 +214,7 @@ def kernel_from_json(desc: dict):
             raise ValueError(f"unknown classical kernel kind {name!r}")
         return _build(ClassicalKernel, desc, names, kind=name)
     if kind == "quantum":
-        cfg = _build(KernelEngineConfig, desc)
-        if cfg.params is None:
-            raise ValueError("a quantum kernel descriptor needs bound parameters")
-        return cfg
+        return _build(KernelEngineConfig, desc)
     raise ValueError(f"unknown kernel type {kind!r}")
 
 

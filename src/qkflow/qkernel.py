@@ -54,15 +54,13 @@ PAIR_BLOCK_AMPLITUDES = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class KernelEngineConfig:
-    """Everything needed to evaluate one quantum kernel family.
+    """One quantum kernel: a feature map with its trainable angles bound.
 
-    `params` may be left as None for configs that act as templates (the
-    aligner binds candidate vectors via dataclasses.replace); evaluation
-    requires a bound vector.
+    `params` is checked against `spec` and stored read-only.
     """
 
     spec: FeatureMapSpec
-    params: np.ndarray | None
+    params: np.ndarray
     mode: str = "exact"
     shots: int | None = None
     seed: int = 0
@@ -80,10 +78,9 @@ class KernelEngineConfig:
                 raise ValueError("shots mode needs a positive shot count")
             object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.params is not None:
-            lam = _checked_params(self.spec, self.params).copy()
-            lam.flags.writeable = False
-            object.__setattr__(self, "params", lam)
+        lam = _checked_params(self.spec, self.params).copy()
+        lam.flags.writeable = False
+        object.__setattr__(self, "params", lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +89,11 @@ class GramMatrix:
 
     values: np.ndarray
     kernel_id: str
-    point_count: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {values.shape}")
-        if values.shape[0] != self.point_count:
-            raise ValueError(
-                f"point_count {self.point_count} does not match shape {values.shape}"
-            )
         if not np.all(np.isfinite(values)):
             raise ValueError("Gram matrix contains non-finite entries")
         object.__setattr__(self, "values", values)
@@ -214,8 +206,6 @@ def _all_zeros_probabilities(n_qubits, states, inverse, columns, upper) -> np.nd
 
 def _fidelities(cfg, points_a, points_b, upper=False) -> np.ndarray:
     """Exact K[i, j] = k(a_i, b_j); with `upper`, the inversion test evaluates only i < j."""
-    if cfg.params is None:
-        raise ValueError("kernel evaluation needs a bound parameter vector")
     states = encode_states(cfg.spec, points_a, cfg.params)
     if cfg.circuit_kind == "inversion":
         inverse = encoding_gates(cfg.spec, points_b, cfg.params, inverse=True)
@@ -257,7 +247,7 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     upper = _fidelities(cfg, points, points, upper=True)[rows, cols]
     values = np.ones((len(points), len(points)))
     values[rows, cols] = values[cols, rows] = _measured(cfg, upper)
-    return GramMatrix(values=values, kernel_id=describe(cfg), point_count=len(points))
+    return GramMatrix(values=values, kernel_id=describe(cfg))
 
 
 def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:

@@ -11,12 +11,13 @@ a Gaussian kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classical_kernels import ClassicalKernel, classical_gram
-from .featuremap import FeatureMapSpec, _checked_params, param_count
+from .featuremap import FeatureMapSpec, param_count
 from .kernel_methods import SUPPORT_THRESHOLD, TrainedKRR, krr_fit, svc_fit
 from .qkernel import KernelEngineConfig, gram_matrix
 from .statevector import rng_entropy
@@ -46,32 +47,35 @@ def svc_loss(K, y, C: float) -> tuple[float, np.ndarray]:
     return model.dual_objective, model.alphas
 
 
+# SPSA gain-schedule exponents: Spall's standard values (IEEE Trans. Aerosp.
+# Electron. Syst. 34(3), 1998)
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+
+
 @dataclass(frozen=True)
 class SpsaConfig:
     """Gain schedule and budget for the SPSA optimizer.
 
-    Step sizes follow a_k = a0 / (k + 1 + A_stab)^alpha_exp and perturbation
-    sizes c_k = c0 / (k + 1)^gamma_exp, the standard slowly decaying pair.
+    Step sizes follow a_k = a0 / (k + 1 + A_stab)^SPSA_ALPHA and perturbation
+    sizes c_k = c0 / (k + 1)^SPSA_GAMMA, the standard slowly decaying pair.
     """
 
     a0: float = 0.25
     c0: float = 0.15
     A_stab: float = 5.0
-    alpha_exp: float = 0.602
-    gamma_exp: float = 0.101
     max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("a0", "c0", "A_stab"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.a0 > 0 and self.c0 > 0):
             raise ValueError("a0 and c0 must be positive")
         if self.A_stab < 0:
             raise ValueError(f"A_stab must be non-negative, got {self.A_stab}")
-        if not 0 < self.gamma_exp < self.alpha_exp <= 1:
-            raise ValueError(
-                "exponents must satisfy 0 < gamma_exp < alpha_exp <= 1, got "
-                f"gamma_exp={self.gamma_exp}, alpha_exp={self.alpha_exp}"
-            )
         if int(self.max_iter) != self.max_iter or self.max_iter < 0:
             raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
@@ -124,18 +128,16 @@ def spsa_gradient(f, lam, c_k: float, delta) -> np.ndarray:
     return (f_plus - f_minus) / (2.0 * c_k * delta)
 
 
-def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig,
-              lam_init) -> AlignmentState:
+def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> AlignmentState:
     """Minimize the maximized SVM dual over the encoding parameters.
 
-    cfg is a kernel-engine template (its params field is ignored); each
-    objective evaluation binds a candidate vector, builds the Gram on X,
-    and solves the SVM dual at capacity C. Parameters move by
-    lam <- lam - a_k * ghat with no projection, since every rotation angle
-    is periodic.
+    SPSA starts from cfg.params. Each objective evaluation binds a candidate
+    vector to cfg, builds the Gram on X, and solves the SVM dual at capacity
+    C. Parameters move by lam <- lam - a_k * ghat with no projection, since
+    every rotation angle is periodic.
     """
     X = np.asarray(X, dtype=float)
-    lam = _checked_params(cfg.spec, lam_init).copy()
+    lam = cfg.params.copy()
 
     rng = np.random.default_rng(rng_entropy(spsa.seed))
     sv_counts: list[int] = []
@@ -152,8 +154,8 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig,
 
     trace: list[tuple[int, float]] = [(0, objective(lam))]
     for k in range(spsa.max_iter):
-        a_k = spsa.a0 / (k + 1 + spsa.A_stab) ** spsa.alpha_exp
-        c_k = spsa.c0 / (k + 1) ** spsa.gamma_exp
+        a_k = spsa.a0 / (k + 1 + spsa.A_stab) ** SPSA_ALPHA
+        c_k = spsa.c0 / (k + 1) ** SPSA_GAMMA
         delta = rng.integers(0, 2, size=lam.size).astype(float) * 2.0 - 1.0
         probes: list[float] = []
 
@@ -186,7 +188,6 @@ class MlkrrConfig:
     reg: float = 1e-6
     lr: float = 0.05
     outer_iters: int = 30
-    A_init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.gamma > 0:
@@ -200,14 +201,6 @@ class MlkrrConfig:
                 f"outer_iters must be a non-negative integer, got {self.outer_iters}"
             )
         object.__setattr__(self, "outer_iters", int(self.outer_iters))
-        if self.A_init is not None:
-            A = np.array(self.A_init, dtype=float)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError(f"A_init must be square, got shape {A.shape}")
-            if not np.all(np.isfinite(A)):
-                raise ValueError("A_init contains non-finite values")
-            A.flags.writeable = False
-            object.__setattr__(self, "A_init", A)
 
 
 def mlkrr_loss(X, y, alpha, A, gamma: float, reg: float) -> float:
@@ -243,7 +236,7 @@ def mlkrr_loss_gradient(X, y, alpha, A, gamma: float, reg: float) -> np.ndarray:
 
 
 def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[float]]:
-    """Alternate ridge solves for alpha with gradient steps on A.
+    """Alternate ridge solves for alpha with gradient steps on A, from A = I.
 
     Each round refits alpha on the current metric, then takes one gradient
     step on A at fixed alpha, halving the step up to 10 times if the loss
@@ -260,14 +253,7 @@ def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[floa
         raise ValueError(f"got {y.size} targets for {m} points")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("X and y must be finite")
-    if cfg.A_init is None:
-        A = np.eye(d)
-    else:
-        if cfg.A_init.shape != (d, d):
-            raise ValueError(
-                f"A_init shape {cfg.A_init.shape} does not match {d} features"
-            )
-        A = cfg.A_init.copy()
+    A = np.eye(d)
 
     def fit_alpha(current: np.ndarray) -> TrainedKRR:
         K = classical_gram(ClassicalKernel.gaussian_metric(cfg.gamma, current), X)

@@ -187,20 +187,20 @@ def test_acceptance_07_alignment_improves_the_dual_objective():
     train = gen_synthetic("hidden_rotation", 40, 7)
     held_out = gen_synthetic("hidden_rotation", 40, 8)
     spec = FeatureMapSpec(n_qubits=1, n_layers=1)
-    template = KernelEngineConfig(spec=spec, params=None, mode="exact", seed=7)
     lam_init = random_params(spec, _role_seed(7, 0))
+    start_cfg = KernelEngineConfig(spec=spec, params=lam_init, mode="exact", seed=7)
     spsa = SpsaConfig(max_iter=100, seed=_role_seed(7, 1))
     C = 10.0
 
     start = time.perf_counter()
-    state = qka_align(template, train.features, train.labels, C, spsa, lam_init)
+    state = qka_align(start_cfg, train.features, train.labels, C, spsa)
     elapsed = time.perf_counter() - start
 
     evals = np.array([loss for _, loss in state.loss_trace])
     best_path = np.minimum.accumulate(evals)
 
     def held_out_accuracy(lam):
-        cfg = dataclasses.replace(template, params=np.asarray(lam, dtype=float))
+        cfg = dataclasses.replace(start_cfg, params=np.asarray(lam, dtype=float))
         K = gram_matrix(cfg, train.features)
         model = svc_fit(K, train.labels, C=C)
         K_new = cross_gram(cfg, held_out.features, train.features)

@@ -10,21 +10,8 @@ from qkflow.classical_kernels import (
     classical_cross,
     classical_gram,
     describe_classical,
-    euclidean_distance,
     eval_classical,
 )
-
-
-def test_euclidean_distance():
-    assert euclidean_distance([3.0, 4.0], [0.0, 0.0]) == 5.0
-    assert euclidean_distance([1.0, 1.0], [1.0, 1.0]) == 0.0
-    assert euclidean_distance([1.0], [-2.0]) == 3.0
-
-
-def test_euclidean_distance_symmetry():
-    rng = np.random.default_rng(2)
-    a, b = rng.normal(size=(2, 5))
-    assert euclidean_distance(a, b) == euclidean_distance(b, a)
 
 
 def test_linear_kernel():
@@ -158,6 +145,11 @@ def test_validation():
         ClassicalKernel.exponential(sigma=0.0)
     with pytest.raises(ValueError):
         ClassicalKernel.gaussian_metric(gamma=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ClassicalKernel.exponential(sigma=bad)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            ClassicalKernel.gaussian_metric(gamma=bad)
     with pytest.raises(ValueError):
         ClassicalKernel.gaussian_metric(transform=np.ones((2, 3)))
     with pytest.raises(ValueError):

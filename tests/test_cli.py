@@ -100,6 +100,46 @@ def test_kernel_cross_gram_shape(tmp_path):
     assert X.shape == (6, 8)
 
 
+def test_kernel_normalizes_data2_like_data(tmp_path):
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "X.csv"
+    run("gen-data", "--kind", "blobs", "--m", "8", "--seed", "1", "--out", str(a))
+    run("gen-data", "--kind", "blobs", "--m", "6", "--seed", "2", "--out", str(b))
+    assert run("kernel", "--data", str(a), "--data2", str(b), "--kernel", "exponential",
+               "--normalize", "--out", str(out)) == 0
+    from qkflow.classical_kernels import ClassicalKernel, classical_cross
+
+    expected = classical_cross(ClassicalKernel.exponential(),
+                               normalize_unit_sphere(load_csv(b)).features,
+                               normalize_unit_sphere(load_csv(a)).features)
+    assert np.array_equal(np.loadtxt(out, delimiter=","), expected)
+
+
+@pytest.mark.parametrize("kernel", [("exponential", "--sigma"), ("gaussian", "--gamma")],
+                         ids=["sigma", "gamma"])
+def test_kernel_rejects_a_non_finite_width(tmp_path, capsys, kernel):
+    data = tmp_path / "d.csv"
+    run("gen-data", "--kind", "blobs", "--m", "6", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    rc = run("kernel", "--data", str(data), "--kernel", kernel[0], kernel[1], "inf",
+             "--normalize", "--out", str(tmp_path / "K.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {kernel[1][2:]} must be positive and finite, got inf\n"
+    assert not (tmp_path / "K.csv").exists()
+
+
+@pytest.mark.parametrize("kernel", [("--kernel", "quantum"), ("--kernel", "linear")],
+                         ids=["quantum", "linear"])
+def test_shots_without_shots_mode_is_usage_error(tmp_path, capsys, kernel):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run("gen-data", "--kind", "blobs", "--m", "6", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    assert run("train", "--method", "svc", *kernel, "--shots", "10",
+               "--data", str(data), "--out", str(model)) == 1
+    assert "--shots needs --mode shots" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_kernel_beyond_the_qubit_bound_is_exit_two(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run("gen-data", "--kind", "blobs", "--m", "4", "--seed", "1", "--out", str(data))
@@ -203,6 +243,21 @@ def test_predict_with_missing_data_is_exit_two(tmp_path):
     assert run("predict", "--model", str(model), "--data", str(tmp_path / "missing.csv")) == 2
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--stability", "nan", "A_stab"),
+    ("--a0", "inf", "a0"),
+    ("--c0", "inf", "c0"),
+])
+def test_align_rejects_a_non_finite_gain(tmp_path, capsys, flag, value, field):
+    data, emb = tmp_path / "hr.csv", tmp_path / "emb.json"
+    run("gen-data", "--kind", "hidden_rotation", "--m", "8", "--seed", "2", "--out", str(data))
+    capsys.readouterr()
+    rc = run("align", "--data", str(data), "--spsa-iters", "2", flag, value, "--out", str(emb))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+    assert not emb.exists()
+
+
 def test_predict_rejects_embedding_model(tmp_path, capsys):
     data = tmp_path / "hr.csv"
     emb = tmp_path / "emb.json"
@@ -253,6 +308,18 @@ def test_predict_rejects_wrong_typed_model_field(svc_model_files, tmp_path, kern
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert repr(keys[-1]) in proc.stderr
+
+
+def test_predict_rejects_a_quantum_model_without_params(svc_model_files, tmp_path, capsys):
+    doc = json.loads((svc_model_files / "quantum.json").read_text())
+    doc["kernel"]["params"] = None
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    rc = run("predict", "--model", str(model), "--data", str(svc_model_files / "d.csv"),
+             "--out", str(tmp_path / "p.csv"))
+    assert rc == 2
+    assert "model file field 'params' must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("literal", ["NaN", "1e400"])

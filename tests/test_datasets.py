@@ -21,7 +21,6 @@ def test_load_csv_transcription(tmp_path):
     assert np.array_equal(ds.features, [[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(ds.labels, [1.0, -1.0])
     assert ds.feature_names == ("f0", "f1")
-    assert ds.source == f"csv:{path}"
 
 
 def test_load_csv_without_label_column(tmp_path):
@@ -91,7 +90,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
         np.array([[0.1, 1.0 / 3.0, np.pi], [1e17, -1e-17, 2.0 / 7.0]]),
     ])
     labels = rng.normal(size=7)
-    ds = Dataset(features=features, labels=labels, source="test")
+    ds = Dataset(features=features, labels=labels)
     path = tmp_path / "round.csv"
     save_dataset(ds, path)
     back = load_csv(path)
@@ -127,11 +126,9 @@ def test_hidden_rotation_labels_and_provenance():
     assert np.all(ds.features[:, 0] <= np.pi)
     expected = np.where(np.cos(ds.features[:, 0]) >= 0.0, 1.0, -1.0)
     assert np.array_equal(ds.labels, expected)
-    assert "theta_star=0" in ds.source
     shifted = gen_synthetic("hidden_rotation", 30, seed=7, params={"theta_star": 1.5})
     expected = np.where(np.cos(shifted.features[:, 0] - 1.5) >= 0.0, 1.0, -1.0)
     assert np.array_equal(shifted.labels, expected)
-    assert "theta_star=1.5" in shifted.source
 
 
 def test_gen_synthetic_validation():
@@ -144,17 +141,16 @@ def test_gen_synthetic_validation():
 
 
 def test_normalize_unit_sphere():
-    ds = Dataset(features=np.array([[3.0, 4.0], [0.6, 0.8]]), source="t")
+    ds = Dataset(features=np.array([[3.0, 4.0], [0.6, 0.8]]))
     out = normalize_unit_sphere(ds)
     assert np.allclose(out.features[0], [0.6, 0.8], atol=1e-15)
     assert np.allclose(out.features[1], [0.6, 0.8], atol=1e-15)
     dots = out.features @ out.features.T
     assert np.all(dots <= 1.0 + 1e-12)
-    assert out.source.endswith(":unit-sphere")
 
 
 def test_normalize_rejects_zero_row():
-    ds = Dataset(features=np.array([[1.0, 0.0], [0.0, 0.0]]), source="t")
+    ds = Dataset(features=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="row 1"):
         normalize_unit_sphere(ds)
 

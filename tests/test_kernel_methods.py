@@ -376,7 +376,7 @@ def test_kpca_rank_error():
 def test_kmeans_separates_two_blobs():
     X, y = two_blobs(6, 0.3, seed=3)
     K = classical_gram(ClassicalKernel.gaussian_metric(gamma=0.5), X)
-    assign = kernel_kmeans(K, n_clusters=2, seed=0)
+    assign, _ = kernel_kmeans(K, n_clusters=2, seed=0)
     first = assign[:6]
     second = assign[6:]
     assert len(set(first.tolist())) == 1
@@ -388,7 +388,7 @@ def test_kmeans_objective_trace_non_increasing():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(14, 2))
     K = classical_gram(ClassicalKernel.gaussian_metric(gamma=0.8), X)
-    assign, trace = kernel_kmeans(K, n_clusters=3, seed=5, return_objective_trace=True)
+    assign, trace = kernel_kmeans(K, n_clusters=3, seed=5)
     assert len(trace) >= 1
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
     assert assign.shape == (14,)
@@ -397,21 +397,22 @@ def test_kmeans_objective_trace_non_increasing():
 def test_kmeans_deterministic_per_seed():
     X, _ = two_blobs(5, 0.6, seed=12)
     K = classical_gram(ClassicalKernel.gaussian_metric(gamma=0.5), X)
-    a = kernel_kmeans(K, n_clusters=2, seed=123)
-    b = kernel_kmeans(K, n_clusters=2, seed=123)
+    a, trace_a = kernel_kmeans(K, n_clusters=2, seed=123)
+    b, trace_b = kernel_kmeans(K, n_clusters=2, seed=123)
     assert np.array_equal(a, b)
+    assert trace_a == trace_b
 
 
 def test_kmeans_extreme_cluster_counts():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(6, 2))
     K = classical_gram(ClassicalKernel.linear(), X)
-    one, trace_one = kernel_kmeans(K, n_clusters=1, seed=0, return_objective_trace=True)
+    one, trace_one = kernel_kmeans(K, n_clusters=1, seed=0)
     assert np.all(one == 0)
     values = K.values
     scatter = float(np.trace(values) - values.sum() / 6)
     assert abs(trace_one[-1] - scatter) <= 1e-8
-    full, trace_full = kernel_kmeans(K, n_clusters=6, seed=0, return_objective_trace=True)
+    full, trace_full = kernel_kmeans(K, n_clusters=6, seed=0)
     assert sorted(full.tolist()) == [0, 1, 2, 3, 4, 5]
     assert trace_full[-1] <= 1e-10
 

@@ -120,9 +120,10 @@ def test_quantum_kernel_descriptor_round_trip():
 
 
 def test_unbound_template_not_serializable():
-    cfg = KernelEngineConfig(spec=SPEC, params=None)
-    with pytest.raises(ValueError, match="template"):
-        kernel_to_json(cfg)
+    desc = kernel_to_json(KernelEngineConfig(spec=SPEC, params=np.zeros(4)))
+    desc["params"] = None
+    with pytest.raises(ValueError, match="'params'"):
+        kernel_from_json(desc)
 
 
 def test_unknown_descriptor_type_rejected():

@@ -140,23 +140,24 @@ def test_spsa_config_validation():
     with pytest.raises(ValueError):
         SpsaConfig(A_stab=-0.1)
     with pytest.raises(ValueError):
-        SpsaConfig(alpha_exp=0.05, gamma_exp=0.101)
-    with pytest.raises(ValueError):
         SpsaConfig(max_iter=-1)
+    for name in ("a0", "c0", "A_stab"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SpsaConfig(**{name: bad})
 
 
 # QKA
 
 
-def align_template():
-    return KernelEngineConfig(spec=ALIGN_SPEC, params=None)
+def align_start(*lam):
+    return KernelEngineConfig(spec=ALIGN_SPEC, params=np.array(lam))
 
 
 def test_qka_zero_iterations_returns_init():
     X, y = hidden_rotation_data(10, seed=2)
     lam0 = np.array([0.9])
-    state = qka_align(align_template(), X, y, C=1.0,
-                      spsa=SpsaConfig(max_iter=0, seed=3), lam_init=lam0)
+    state = qka_align(align_start(0.9), X, y, C=1.0, spsa=SpsaConfig(max_iter=0, seed=3))
     assert np.array_equal(state.lam_best, lam0)
     assert np.array_equal(state.lam_current, lam0)
     assert len(state.loss_trace) == 1
@@ -168,8 +169,8 @@ def test_qka_zero_iterations_returns_init():
 def test_qka_deterministic():
     X, y = hidden_rotation_data(10, seed=4)
     spsa = SpsaConfig(max_iter=8, seed=11)
-    a = qka_align(align_template(), X, y, 1.0, spsa, np.array([1.1]))
-    b = qka_align(align_template(), X, y, 1.0, spsa, np.array([1.1]))
+    a = qka_align(align_start(1.1), X, y, 1.0, spsa)
+    b = qka_align(align_start(1.1), X, y, 1.0, spsa)
     assert np.array_equal(a.lam_best, b.lam_best)
     assert a.loss_trace == b.loss_trace
     assert a.sv_counts == b.sv_counts
@@ -177,8 +178,7 @@ def test_qka_deterministic():
 
 def test_qka_best_tracks_minimum_of_trace():
     X, y = hidden_rotation_data(12, seed=5)
-    state = qka_align(align_template(), X, y, 1.0,
-                      SpsaConfig(max_iter=10, seed=1), np.array([0.7]))
+    state = qka_align(align_start(0.7), X, y, 1.0, SpsaConfig(max_iter=10, seed=1))
     trace_losses = [loss for _, loss in state.loss_trace]
     assert abs(state.loss_best - min(trace_losses)) <= 1e-12
     assert state.loss_best <= trace_losses[0]
@@ -189,8 +189,7 @@ def test_qka_best_tracks_minimum_of_trace():
 
 def test_qka_improves_hidden_rotation_loss():
     X, y = hidden_rotation_data(12, seed=7)
-    state = qka_align(align_template(), X, y, 1.0,
-                      SpsaConfig(max_iter=25, seed=7), np.array([1.2]))
+    state = qka_align(align_start(1.2), X, y, 1.0, SpsaConfig(max_iter=25, seed=7))
     assert state.loss_best < state.loss_trace[0][1]
 
 
@@ -199,10 +198,10 @@ def test_qka_flat_kernel_leaves_params_unchanged():
     # loss is constant and every SPSA gradient estimate is exactly zero
     spec = FeatureMapSpec(n_qubits=1, n_layers=1, data_axis="rx",
                           trainable_axis="ry", entanglement="none", data_scaling=0.0)
-    cfg = KernelEngineConfig(spec=spec, params=None)
     X, y = hidden_rotation_data(8, seed=9)
     lam0 = np.array([0.4])
-    state = qka_align(cfg, X, y, 1.0, SpsaConfig(max_iter=6, seed=2), lam0)
+    cfg = KernelEngineConfig(spec=spec, params=lam0)
+    state = qka_align(cfg, X, y, 1.0, SpsaConfig(max_iter=6, seed=2))
     losses = [loss for _, loss in state.loss_trace]
     assert max(losses) - min(losses) <= 1e-12
     assert np.max(np.abs(state.lam_current - lam0)) <= 1e-12
@@ -211,8 +210,9 @@ def test_qka_flat_kernel_leaves_params_unchanged():
 def test_qka_validation():
     X, y = hidden_rotation_data(6, seed=1)
     with pytest.raises(ValueError):
-        qka_align(align_template(), X, y, 1.0, SpsaConfig(max_iter=1),
-                  np.array([0.1, 0.2]))
+        qka_align(align_start(0.1, 0.2), X, y, 1.0, SpsaConfig(max_iter=1))
+    with pytest.raises(ValueError):
+        qka_align(align_start(0.1), X, y[:-1], 1.0, SpsaConfig(max_iter=1))
 
 
 # MLKRR
@@ -296,13 +296,9 @@ def test_mlkrr_validation():
         MlkrrConfig(lr=0.0)
     with pytest.raises(ValueError):
         MlkrrConfig(reg=-1.0)
-    with pytest.raises(ValueError):
-        MlkrrConfig(A_init=np.ones((2, 3)))
     X = np.zeros((3, 2))
     with pytest.raises(ValueError):
         mlkrr_fit(X, [1.0, 2.0], MlkrrConfig())
-    with pytest.raises(ValueError):
-        mlkrr_fit(X, [1.0, 2.0, 3.0], MlkrrConfig(A_init=np.eye(3)))
     with pytest.raises(ValueError):
         mlkrr_fit(np.zeros((1, 2)), [1.0], MlkrrConfig())
 
@@ -350,8 +346,7 @@ def test_embedding_artifact_validates_length():
 
 def test_embedding_kernel_reproducible():
     X, y = hidden_rotation_data(10, seed=13)
-    state = qka_align(align_template(), X, y, 1.0,
-                      SpsaConfig(max_iter=5, seed=3), np.array([0.8]))
+    state = qka_align(align_start(0.8), X, y, 1.0, SpsaConfig(max_iter=5, seed=3))
     artifact = export_embedding(state, ALIGN_SPEC)
     bound = KernelEngineConfig(spec=artifact.spec, params=artifact.lam)
     before = gram_matrix(bound, X).values
