@@ -148,7 +148,14 @@ def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.n
     if kernel.kind == "linear":
         return dots + kernel.c
     if kernel.kind == "polynomial":
-        return (dots + kernel.c) ** kernel.degree
+        with np.errstate(over="ignore"):
+            values = (dots + kernel.c) ** kernel.degree
+        if not np.all(np.isfinite(values)):
+            raise ValueError(
+                f"polynomial kernel overflows: (x . x' + {kernel.c:g}) ** {kernel.degree} "
+                "is not a finite float; lower the offset c or the degree"
+            )
+        return values
     return _check_exponential_domain(dots, kernel.sigma)
 
 

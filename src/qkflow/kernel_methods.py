@@ -196,8 +196,8 @@ def svc_fit(K, y, C: float) -> TrainedSVC:
     m = values.shape[0]
     labels = _binary_labels(y, m)
     C = float(C)
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
 
     alpha, g, bias = _smo(values, labels, labels, C, "svc_fit")
     objective = float(alpha.sum() - 0.5 * np.dot(alpha * labels, g))
@@ -286,8 +286,8 @@ def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
     targets = _real_targets(y, m)
     C = float(C)
     epsilon = float(epsilon)
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     if epsilon < 0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
 

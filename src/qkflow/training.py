@@ -192,8 +192,8 @@ class MlkrrConfig:
     def __post_init__(self) -> None:
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.reg < 0:
             raise ValueError(f"reg must be non-negative, got {self.reg}")
         if int(self.outer_iters) != self.outer_iters or self.outer_iters < 0:

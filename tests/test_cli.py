@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -126,6 +127,40 @@ def test_kernel_rejects_a_non_finite_width(tmp_path, capsys, kernel):
     err = capsys.readouterr().err
     assert err == f"error: {kernel[1][2:]} must be positive and finite, got inf\n"
     assert not (tmp_path / "K.csv").exists()
+
+
+def test_kernel_refuses_an_overflowing_polynomial(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run("gen-data", "--kind", "blobs", "--m", "6", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    rc = run("kernel", "--data", str(data), "--kernel", "polynomial", "--c", "1e200",
+             "--degree", "3", "--out", str(tmp_path / "K.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: polynomial kernel overflows") and err.count("\n") == 1
+    assert not (tmp_path / "K.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["svc", "svr"])
+def test_train_refuses_an_infinite_C(tmp_path, capsys, method):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run("gen-data", "--kind", "circles", "--m", "20", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    rc = run("train", "--method", method, "--kernel", "linear", "--C", "inf",
+             "--data", str(data), "--out", str(model))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: C must be positive and finite, got inf\n"
+    assert not model.exists()
+
+
+def test_mlkrr_refuses_an_infinite_learning_rate(tmp_path, capsys):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run("gen-data", "--kind", "circles", "--m", "20", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    rc = run("mlkrr", "--data", str(data), "--rounds", "3", "--lr", "inf", "--out", str(model))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: lr must be positive and finite, got inf\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("kernel", [("--kernel", "quantum"), ("--kernel", "linear")],
@@ -539,15 +574,29 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+README_SEED = 7
 README_LOSS_BEST = 40.280843  # the README `align` result, pinned to the same bound by perfbench
+
+
+def test_readme_pin_matches_the_benchmark_copy(monkeypatch):
+    """perfbench/workloads.py holds the same pin; a re-derived value changes both.
+    The module is loaded without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert (workloads.README_SEED, workloads.README_LOSS_BEST) == (README_SEED, README_LOSS_BEST)
 
 
 def test_readme_align_reaches_the_pinned_loss(tmp_path):
     data, emb = tmp_path / "pretrain.csv", tmp_path / "embedding.json"
-    assert run("gen-data", "--kind", "hidden_rotation", "--m", "40", "--seed", "7",
+    assert run("gen-data", "--kind", "hidden_rotation", "--m", "40", "--seed", str(README_SEED),
                "--out", str(data)) == 0
     assert run("align", "--data", str(data), "--qubits", "1", "--layers", "1",
-               "--spsa-iters", "100", "--C", "10", "--seed", "7", "--out", str(emb)) == 0
+               "--spsa-iters", "100", "--C", "10", "--seed", str(README_SEED),
+               "--out", str(emb)) == 0
     loss_best = load_model(emb).pretraining["loss_best"]
     assert abs(loss_best - README_LOSS_BEST) <= 5e-7
 

@@ -248,7 +248,13 @@ def test_negative_seed_accepted():
     assert 0.0 <= value <= 1.0
 
 
-# bitwise agreement with a per-pair statevector reference
+# agreement with a per-pair statevector reference: Grams bit for bit, and
+# cross-Grams, which compare encoded states, within 4 * 2**n eps
+
+
+def overlap_atol(n_qubits):
+    """Rounding of a 2**n-term overlap sum."""
+    return 4 * 2**n_qubits * np.finfo(float).eps
 
 
 def reference_fidelity(cfg, xa, xb):
@@ -266,10 +272,6 @@ def reference_measured(cfg, K, seed):
     if cfg.circuit_kind == "inversion":
         return counts / cfg.shots
     return np.clip(2.0 * counts / cfg.shots - 1.0, 0.0, 1.0)
-
-
-def reference_entry(cfg, xa, xb, seed):
-    return float(reference_measured(cfg, np.array([[reference_fidelity(cfg, xa, xb)]]), seed)[0, 0])
 
 
 def reference_swap(cfg, A, B):
@@ -297,8 +299,21 @@ def reference_gram(cfg, X):
 
 
 def reference_cross(cfg, A, B):
-    K = np.array([[reference_fidelity(cfg, a, b) for b in B] for a in A])
-    return reference_measured(cfg, K, cfg.seed)
+    """Exact per-pair inversion tests, unmeasured."""
+    return np.array([[reference_fidelity(cfg, a, b) for b in B] for a in A])
+
+
+def assert_cross_matches_reference(cfg, Y, X):
+    """The exact cross-Gram and kernel_value lie within 4 * 2**n eps of the
+    per-pair inversion test; shots mode is one draw over the library's exact
+    cross-Gram, for kernel_value too."""
+    exact = dataclasses.replace(cfg, mode="exact")
+    atol = overlap_atol(cfg.spec.n_qubits)
+    K = cross_gram(exact, Y, X)
+    np.testing.assert_allclose(K, reference_cross(cfg, Y, X), rtol=0, atol=atol)
+    assert abs(kernel_value(exact, Y[0], X[1]) - reference_fidelity(cfg, Y[0], X[1])) <= atol
+    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_measured(cfg, K, cfg.seed))
+    assert kernel_value(cfg, Y[0], X[1]) == reference_measured(cfg, K[:1, 1:2], cfg.seed)[0, 0]
 
 
 AXIS_GRID = list(itertools.product(DATA_AXES, TRAINABLE_AXES, ENTANGLEMENTS))
@@ -320,11 +335,11 @@ def test_exact_kernels_match_the_per_pair_reference(data_axis, trainable_axis, e
     X = rng.uniform(-np.pi, np.pi, size=(5, 2))
     Y = rng.uniform(-np.pi, np.pi, size=(3, 2))
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
-    assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+    assert_cross_matches_reference(cfg, Y, X)
 
     swap = KernelEngineConfig(spec=spec, params=cfg.params, circuit_kind="swap")
-    atol = 4 * 2**spec.n_qubits * np.finfo(float).eps  # rounding of a 2**n-term sum
+    np.testing.assert_array_equal(cross_gram(cfg, Y, X), cross_gram(swap, Y, X))
+    atol = overlap_atol(spec.n_qubits)
     expected = reference_swap(swap, X, X)
     np.fill_diagonal(expected, 1.0)
     np.testing.assert_allclose(gram_matrix(swap, X).values, expected, rtol=0, atol=atol)
@@ -358,8 +373,7 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     X = rng.uniform(-np.pi, np.pi, size=(4, 3))
     Y = rng.uniform(-np.pi, np.pi, size=(3, 3))
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
-    assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+    assert_cross_matches_reference(cfg, Y, X)
 
     # The swap test measures the library's exact swap matrices the same way.
     swap = dataclasses.replace(cfg, circuit_kind="swap")
@@ -372,16 +386,16 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     )
 
 
-# Pair blocks: the inversion test stacks (i, j) pairs column by column into
-# chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes.
+# Pair blocks: an inversion-test Gram stacks its (i, j) pairs column by column
+# into chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes.
 
 CHUNK_ROWS = 32  # pairs per chunk on the register below
 CHUNKED_QUBITS = (PAIR_BLOCK_AMPLITUDES // CHUNK_ROWS).bit_length() - 1
 WIDE_QUBITS = PAIR_BLOCK_AMPLITUDES.bit_length() - 1  # one pair fills a chunk
 
 
-def chunk_widths(heights, n_qubits):
-    return [stop - first for first, stop in _pair_chunks(np.asarray(heights), n_qubits)]
+def chunk_widths(n_points, n_qubits):
+    return [stop - first for first, stop in _pair_chunks(n_points, n_qubits)]
 
 
 def chunk_cfg(n_qubits, mode):
@@ -400,12 +414,9 @@ def test_pair_blocks_spanning_many_multi_column_chunks(mode):
     rng = np.random.default_rng(1)
     X = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 2 - 2, 2))
     Y = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 3, 2))
-    upper = chunk_widths(np.arange(len(X)), CHUNKED_QUBITS)
-    cross = chunk_widths(np.full(len(X), len(Y)), CHUNKED_QUBITS)
-    assert sum(w > 1 for w in upper) >= 3 and sum(w > 1 for w in cross) >= 3
+    assert sum(w > 1 for w in chunk_widths(len(X), CHUNKED_QUBITS)) >= 3
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
-    assert kernel_value(cfg, Y[0], X[1]) == reference_entry(cfg, Y[0], X[1], cfg.seed)
+    assert_cross_matches_reference(cfg, Y, X)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -414,10 +425,36 @@ def test_pair_blocks_with_one_column_per_chunk(mode):
     rng = np.random.default_rng(2)
     X = rng.uniform(-np.pi, np.pi, size=(4, 3))
     Y = rng.uniform(-np.pi, np.pi, size=(2, 3))
-    assert set(chunk_widths(np.arange(len(X)), WIDE_QUBITS)) == {1}
-    assert set(chunk_widths(np.full(len(X), len(Y)), WIDE_QUBITS)) == {1}
+    assert set(chunk_widths(len(X), WIDE_QUBITS)) == {1}
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    np.testing.assert_array_equal(cross_gram(cfg, Y, X), reference_cross(cfg, Y, X))
+    assert_cross_matches_reference(cfg, Y, X)
+
+
+@pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_cross_gram_encodes_each_point_once_and_simulates_no_pair(monkeypatch, mode,
+                                                                  circuit_kind):
+    cfg = random_cfg(np.random.default_rng(8), circuit_kind=circuit_kind, mode=mode,
+                     shots=100 if mode == "shots" else None)
+    rng = np.random.default_rng(9)
+    A = rng.uniform(-np.pi, np.pi, size=(5, 2))
+    B = rng.uniform(-np.pi, np.pi, size=(7, 2))
+    encoded = []
+
+    def counting(spec, points, params):
+        encoded.append(len(points))
+        return featuremap.encode_states(spec, points, params)
+
+    def no_pairs(*args):
+        raise AssertionError("a cross-Gram ran a per-pair inversion test")
+
+    monkeypatch.setattr(qkernel, "encode_states", counting)
+    monkeypatch.setattr(qkernel, "_all_zeros_probabilities", no_pairs)
+    assert cross_gram(cfg, A, B).shape == (len(A), len(B))
+    assert sum(encoded) == len(A) + len(B)
+    encoded.clear()
+    kernel_value(cfg, A[0], B[0])
+    assert sum(encoded) == 2
 
 
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
