@@ -114,7 +114,7 @@ def describe_classical(kernel: ClassicalKernel) -> str:
 
 
 def _check_exponential_domain(dots: np.ndarray, sigma: float) -> np.ndarray:
-    if np.max(dots) > 1.0 + _DOT_SLACK:
+    if not np.all(dots <= 1.0 + _DOT_SLACK):
         raise ValueError(
             "exponential kernel needs x . x' <= 1; "
             "normalize the data to the unit sphere first"
@@ -140,23 +140,36 @@ def _squared_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.nda
 def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Entries k(left[i], right[j]): the one place each kind's formula is written.
     Dot products and squared distances are column sums, so a Gram is exactly
-    symmetric and its squared distances are exactly 0 on the diagonal."""
-    if kernel.kind == "gaussian_metric":
-        z_left, z_right = _metric_rows(kernel, left), _metric_rows(kernel, right)
-        return np.exp(-kernel.gamma * _column_sums(z_left, z_right, _squared_difference))
-    dots = _column_sums(left, right, np.multiply)
-    if kernel.kind == "linear":
-        return dots + kernel.c
-    if kernel.kind == "polynomial":
-        with np.errstate(over="ignore"):
+    symmetric and its squared distances are exactly 0 on the diagonal.
+
+    Huge finite features can overflow a column sum. numpy's warning is
+    silenced and each kind says what the overflow means for it: a linear or
+    polynomial entry that is not a finite float is refused, a dot product
+    past 1 is the exponential kernel's domain error, and a squared distance
+    that overflows to inf gives the Gaussian entry exp(-inf) = 0, which is
+    the correctly rounded value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.kind == "gaussian_metric":
+            z_left, z_right = _metric_rows(kernel, left), _metric_rows(kernel, right)
+            if not (np.all(np.isfinite(z_left)) and np.all(np.isfinite(z_right))):
+                raise ValueError(
+                    "gaussian_metric kernel overflows: A x is not a finite float; "
+                    "rescale the features or the transform"
+                )
+            return np.exp(-kernel.gamma * _column_sums(z_left, z_right, _squared_difference))
+        dots = _column_sums(left, right, np.multiply)
+        if kernel.kind == "exponential":
+            return _check_exponential_domain(dots, kernel.sigma)
+        if kernel.kind == "linear":
+            values, formula, fix = dots + kernel.c, f"x . x' + {kernel.c:g}", "rescale the features"
+        else:
             values = (dots + kernel.c) ** kernel.degree
-        if not np.all(np.isfinite(values)):
-            raise ValueError(
-                f"polynomial kernel overflows: (x . x' + {kernel.c:g}) ** {kernel.degree} "
-                "is not a finite float; lower the offset c or the degree"
-            )
-        return values
-    return _check_exponential_domain(dots, kernel.sigma)
+            formula = f"(x . x' + {kernel.c:g}) ** {kernel.degree}"
+            fix = "rescale the features or lower the offset c or the degree"
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{kernel.kind} kernel overflows: {formula} is not a finite float; {fix}")
+    return values
 
 
 def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:

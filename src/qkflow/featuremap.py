@@ -16,7 +16,7 @@ parameter vectors are plain 1-D float arrays.
 The circuit is written down once, in `_encoding_angles`, as (kind, targets,
 angles) for a whole block of points. `encoding_gates` turns it into
 `statevector.apply_gates` triples, with 2x2 matrix stacks in place of
-angles, and `encode_states` runs them on a block of |0...0> rows.
+angles, and `encode_states` runs them on a block of |0...0> columns.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarra
     """The gates of U(x), or of U(x)^dag with `inverse`, for every row x of `points`.
 
     Each gate is (kind, targets, angles). A trainable rotation has one angle
-    shared by every row, a data rotation one angle per row and a CNOT None.
+    shared by every point, a data rotation one angle per point and a CNOT None.
     The adjoint reverses the order and negates every angle.
     """
     points = np.asarray(points, dtype=float)
@@ -141,8 +141,8 @@ def encoding_gates(
     spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray, inverse: bool = False
 ) -> list[tuple[str, tuple[int, ...], np.ndarray | None]]:
     """`_encoding_angles` as `apply_gates` triples: every angle becomes its
-    2x2 rotation matrix, so a data rotation has one matrix per row and a
-    trainable rotation one matrix shared by every row."""
+    2x2 rotation matrix, so a data rotation has one matrix per point and a
+    trainable rotation one matrix shared by every point."""
     return [
         (kind, targets, None if angles is None else rotation_matrices(kind, angles))
         for kind, targets, angles in _encoding_angles(spec, points, params, inverse)
@@ -150,10 +150,11 @@ def encoding_gates(
 
 
 def encode_states(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Return U(x_r)|0...0> as row r of one (len(points), 2**n) block.
+    """Return U(x_r)|0...0> as column r of one C-ordered (2**n, len(points))
+    block.
 
-    Every row is evolved by the gates of its own point, in circuit order, so
-    each row has the bits it would have if it were encoded on its own.
+    Every column is evolved by the gates of its own point, in circuit order,
+    so each column has the bits it would have if it were encoded on its own.
     """
     amps = _zero_block(len(points), spec.n_qubits)
     apply_gates(amps, spec.n_qubits, encoding_gates(spec, points, params))

@@ -9,16 +9,23 @@ U(x')^dag, read the all-zeros probability) or by the swap test (prepare both
 states and measure an ancilla, whose p0 = 1/2 + k/2, so the estimate is
 2*p0_hat - 1 clamped to [0, 1]).
 
-Each point of a call is encoded once, from per-row gate matrices, into one
-amplitude block. A cross-Gram, of either circuit kind, compares the two
-blocks: it sums Re<b|a> and Im<b|a> one amplitude column at a time in real
-arithmetic, like the classical kernels, and returns re^2 + im^2. So each
-cross entry depends on its two points alone, and the exact inversion and
-swap cross entries are equal bit for bit. A swap-test Gram compares states
-the same way. Only an inversion-test Gram simulates pairs: it stacks the
-pairs i < j column by column into chunks of at most PAIR_BLOCK_AMPLITUDES
-amplitudes and applies to every row the adjoint gates of its column's
-point, so each entry has the bits of simulating its pair on its own.
+Each point of a call is encoded once, from per-point gate matrices, into one
+amplitude block with one state per column. A cross-Gram, of either circuit
+kind, compares the two blocks: it sums Re<b|a> and Im<b|a> one amplitude at
+a time in real arithmetic, like the classical kernels, and returns
+re^2 + im^2. So each cross entry depends on its two points alone, and the
+exact inversion and swap cross entries are equal bit for bit. A swap-test
+Gram compares states the same way.
+
+Only an inversion-test Gram simulates pairs. It stacks the pairs i < j, one
+per block column, into chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes
+and applies to each the adjoint gates of its x_j. Two steps of the textbook
+test are skipped because they cannot change the read-out: the CNOTs that
+end U(x_i) and start U(x_j)^dag undo each other exactly, so neither runs,
+and the rotations that end U(x_j)^dag compute only what reaches amplitude
+|0...0> (`statevector._zero_amplitudes`). Every amplitude that reaches
+|0...0> gets the operations, in the order, of simulating its pair on its
+own, so each entry has the bits of that simulation.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featuremap import FeatureMapSpec, _checked_params, encode_states, encoding_gates
-from .statevector import apply_gates, rng_entropy
+from .statevector import _zero_amplitudes, _zero_block, apply_gates, rng_entropy
 
 __all__ = [
     "MODES",
@@ -50,9 +57,11 @@ __all__ = [
 MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
-# Amplitudes in one block of inversion-test pairs. On an 8-qubit, 3-layer
-# Gram plus cross-Gram of 60 points, 2**12 and 2**16 were both slower, and
-# 2**16 also raised peak memory by 3 MB.
+# Amplitudes in one block of inversion-test pairs. Measured with one state
+# per column on an 8-qubit, 3-layer Gram of 60 points: 2**13 was about 5%
+# slower; 2**15 and 2**16 were 5-12% faster on the Gram alone, but 2**15
+# did not shorten the benchmark's `wide` `fit_s` and raised its peak memory
+# by 0.6 MB, and 2**16 raised the `train` command's by 1.9 MB.
 PAIR_BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -153,16 +162,22 @@ def _pair(point_a, point_b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
-    """out[i, j] = sum_k term(left[i, k], right[j, k]), added one column k at a
-    time in increasing k, so an entry depends on its own two rows alone and
+def _row_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
+    """out[i, j] = sum_k term(left[k, i], right[k, j]), added one row k at a
+    time in increasing k, so an entry depends on its own two columns alone and
     has the same bits in every block that holds it, which gemm does not give.
-    `term(a, b, out=scratch)` writes one column's terms into `scratch`."""
-    sums = np.zeros((len(left), len(right)))
+    `term(a, b, out=scratch)` writes one row's terms into `scratch`."""
+    sums = np.zeros((left.shape[1], right.shape[1]))
     scratch = np.empty_like(sums)
-    for a, b in zip(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)):
+    for a, b in zip(left, right):
         sums += term(a[:, None], b, out=scratch)
     return sums
+
+
+def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
+    """`_row_sums` of points stored one per row: out[i, j] = sum_k
+    term(left[i, k], right[j, k]), added one column k at a time."""
+    return _row_sums(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T), term)
 
 
 def _pair_chunks(n_points: int, n_qubits: int):
@@ -184,40 +199,57 @@ def _pair_chunks(n_points: int, n_qubits: int):
 
 def _all_zeros_probabilities(n_qubits, states, inverse) -> np.ndarray:
     """P(0...0) after U(x_j)^dag U(x_i)|0...0> for the pairs i < j of one point
-    set, where row i of `states` is U(x_i)|0...0> and `inverse` holds the gates
-    of every U(x_j)^dag; the entries on and below the diagonal stay 0.
+    set, where column i of `states` is U(x_i)|0...0> and `inverse` holds the
+    gates of every U(x_j)^dag; the entries on and below the diagonal stay 0.
 
-    The pairs are stacked column by column into chunks; every row of a chunk
-    gets the matrices of its own column, or with one column the shared ones.
+    The pairs are stacked column by column into chunks, one pair per block
+    column; every pair gets the matrices of its own j, or with one j the
+    shared ones. Only amplitude 0 is computed at the end (`_zero_amplitudes`).
     """
-    probs = np.zeros((len(states), len(states)))
-    for first, stop in _pair_chunks(len(states), n_qubits):
+    probs = np.zeros((states.shape[1],) * 2)
+    for first, stop in _pair_chunks(states.shape[1], n_qubits):
         height = np.arange(first, stop)
         cols = np.repeat(np.arange(first, stop), height)
         rows = np.arange(cols.size) - np.repeat(np.cumsum(height) - height, height)
-        block = states[rows]
         pick = cols if stop - first > 1 else cols[:1]
-        apply_gates(block, n_qubits, [
+        amp = _zero_amplitudes(np.take(states, rows, axis=1), n_qubits, [
             (kind, t, m if m is None or len(m) == 1 else m[pick]) for kind, t, m in inverse
         ])
         # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is
         # hypot then libm pow; np.abs(a) ** 2 does not reproduce it.
-        amp = block[:, 0]
         probs[rows, cols] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
     return probs
 
 
+def _cancelling_cnots(gates, inverse) -> int:
+    """How many gates end `gates` and, in reverse order, start `inverse` as the
+    same CNOTs. A CNOT is its own inverse and only moves amplitudes, so the
+    pairs cancel exactly: U(x_i) ends with the entangler that U(x_j)^dag
+    starts with."""
+    k = 0
+    while (k < min(len(gates), len(inverse)) and gates[-1 - k][0] == "cnot"
+           and inverse[k][0] == "cnot" and tuple(gates[-1 - k][1]) == tuple(inverse[k][1])):
+        k += 1
+    return k
+
+
 def _inversion_tests(cfg, points) -> np.ndarray:
-    """Exact K[i, j] = k(x_i, x_j) for i < j by the per-pair inversion test; 0 elsewhere."""
-    states = encode_states(cfg.spec, points, cfg.params)
+    """Exact K[i, j] = k(x_i, x_j) for i < j by the per-pair inversion test; 0
+    elsewhere. The CNOTs that end U(x_i) and start U(x_j)^dag are skipped."""
+    n = cfg.spec.n_qubits
+    gates = encoding_gates(cfg.spec, points, cfg.params)
     inverse = encoding_gates(cfg.spec, points, cfg.params, inverse=True)
-    return np.clip(_all_zeros_probabilities(cfg.spec.n_qubits, states, inverse), 0.0, 1.0)
+    shared = _cancelling_cnots(gates, inverse)
+    states = _zero_block(len(points), n)
+    apply_gates(states, n, gates[:len(gates) - shared])
+    return np.clip(_all_zeros_probabilities(n, states, inverse[shared:]), 0.0, 1.0)
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact K[i, j] = |<b_j|a_i>|^2 of encoded states, summed column by column."""
-    real = _column_sums(np.hstack([a.real, a.imag]), np.hstack([b.real, b.imag]), np.multiply)
-    imag = _column_sums(np.hstack([a.imag, a.real]), np.hstack([b.real, -b.imag]), np.multiply)
+    """Exact K[i, j] = |<b_j|a_i>|^2 of encoded states, one per column, summed
+    one amplitude row at a time."""
+    real = _row_sums(np.vstack([a.real, a.imag]), np.vstack([b.real, b.imag]), np.multiply)
+    imag = _row_sums(np.vstack([a.imag, a.real]), np.vstack([b.real, -b.imag]), np.multiply)
     return np.clip(real * real + imag * imag, 0.0, 1.0)
 
 

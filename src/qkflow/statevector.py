@@ -1,15 +1,20 @@
 """Dense statevector simulation of small parameterized circuits.
 
-Amplitudes are stored as a ``(rows, 2**n_qubits)`` complex128 block, one
-state per row, that is evolved at once. Qubit 0 is the least significant bit
-of the computational basis index, so for two qubits the basis order is
-``|q1 q0> = |00>, |01>, |10>, |11>``.  Gates are applied by strided slicing
-of the amplitudes; the full ``2**n x 2**n`` operator is never materialized.
+Amplitudes are stored as a C-ordered ``(2**n_qubits, columns)`` complex128
+block, one state per column, that is evolved at once. Qubit 0 is the least
+significant bit of the computational basis index, which is the row, so for
+two qubits the rows are ``|q1 q0> = |00>, |01>, |10>, |11>``. Gates are
+applied by slicing rows: a gate on qubit q reads and writes contiguous runs
+of ``2**q * columns`` amplitudes. The full ``2**n x 2**n`` operator is never
+materialized.
 
 `apply_gates` is the one gate loop. It takes gates as ``(kind, targets,
-matrices)`` and gives a block's rows one shared 2x2 matrix or one each;
+matrices)`` and gives a block's columns one shared 2x2 matrix or one each;
 `rotation_matrices` makes those matrices from angles. The feature-map
-encoder builds its gates in this form.
+encoder builds its gates in this form. `_zero_amplitudes` runs a gate list
+through that loop but returns only amplitude |0...0> of each column: it
+folds the rotations at the end of the list into that amplitude, computing
+for each only the top row of its gate.
 """
 
 from __future__ import annotations
@@ -27,14 +32,14 @@ MAX_QUBITS = 20
 _ROTATIONS = ("p", "rx", "ry", "rz")
 
 
-def _zero_block(rows: int, n_qubits: int) -> np.ndarray:
+def _zero_block(columns: int, n_qubits: int) -> np.ndarray:
     n = int(n_qubits)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(
             f"simulator supports 1 to {MAX_QUBITS} qubits, got {n_qubits}"
         )
-    amps = np.zeros((rows, 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    amps = np.zeros((1 << n, columns), dtype=np.complex128)
+    amps[0] = 1.0
     return amps
 
 
@@ -72,56 +77,73 @@ def rotation_matrices(kind: str, angles) -> np.ndarray:
     return out
 
 
-def _gate_scratch(amps: np.ndarray) -> np.ndarray:
-    """Work space the gate kernels reuse for every gate applied to `amps`."""
-    return np.empty((3, amps.size >> 1), dtype=np.complex128)
+def _entries(u: np.ndarray, ndim: int) -> tuple[np.ndarray, ...]:
+    """u00, u01, u10, u11 of a (k, 2, 2) stack, each a contiguous array of
+    shape (1, ..., 1, k) with `ndim` axes, which broadcasts over the columns
+    of an `ndim`-axis view."""
+    entries = np.ascontiguousarray(u.reshape(-1, 4).T)
+    return tuple(entries.reshape((4,) + (1,) * (ndim - 1) + (-1,)))
+
+
+# numpy's vectorized complex multiply (a fused multiply-add on x86-64 with
+# AVX2 or AVX-512) can round differently from the one-element loop it runs
+# when a call has a single element and either writes over an input or
+# broadcasts an operand of fewer axes. So that every element rounds the same
+# in a block of any width, each product below goes to memory that none of
+# its inputs occupies, and every matrix entry has as many axes as the
+# amplitudes.
 
 
 def _apply_single_inplace(amps: np.ndarray, q: int, u: np.ndarray,
                           scratch: np.ndarray) -> None:
-    # amps is a (rows, 2**n) block, u one 2x2 matrix or one per row and
-    # scratch from _gate_scratch(amps). Along the last axis of the view, the
-    # first 2**q amplitudes have the target bit 0 and the next 2**q have it 1.
-    # Each product reads the same operands with the same layout as
-    # u00 * a0 + u01 * a1 on temporaries would (a0 a contiguous copy, a1 the
-    # strided view), so every element rounds the same. Outputs are passed
-    # positionally: on a few qubits the out= keyword costs more than the math.
-    rows, size = amps.shape
+    # amps is a (2**n, columns) block, u one 2x2 matrix or one per column and
+    # scratch work space of amps.size complex numbers. Along the middle axis
+    # of the view, the first 2**q rows have the target bit 0 and the next
+    # 2**q have it 1. The new a0 is u00 * a0 + u01 * a1 and the new a1 is
+    # u10 * a0 + u11 * a1; a0's rows hold u01 * a1 once a0 is read for the
+    # last time. Outputs are passed positionally: on a few qubits the out=
+    # keyword costs more than the math.
+    size, columns = amps.shape
     lo = 1 << q
-    view = amps.reshape(rows, size >> (q + 1), 2 * lo)
-    u = u.reshape(-1, 1, 4)
-    work = scratch.reshape(3, rows, size >> (q + 1), lo)
-    a0, prod0, prod1 = work[0], work[1], work[2]
-    a0[...] = view[:, :, :lo]
-    a1 = view[:, :, lo:]
-    np.multiply(u[:, :, 0:1], a0, prod0)
-    np.multiply(u[:, :, 1:2], a1, prod1)
-    np.add(prod0, prod1, view[:, :, :lo])
-    np.multiply(u[:, :, 2:3], a0, prod0)
-    np.multiply(u[:, :, 3:4], a1, prod1)
-    np.add(prod0, prod1, a1)
+    view = amps.reshape(size >> (q + 1), 2 * lo, columns)
+    u00, u01, u10, u11 = _entries(u, 3)
+    top, bottom = scratch.reshape(2, size >> (q + 1), lo, columns)
+    a0, a1 = view[:, :lo], view[:, lo:]
+    np.multiply(u00, a0, top)
+    np.multiply(u10, a0, bottom)
+    np.multiply(u01, a1, a0)
+    np.add(top, a0, a0)
+    np.multiply(u11, a1, top)
+    np.add(bottom, top, a1)
 
 
 def _qubit_tensor(amps: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    # C-order: after the row axis, axis n - q indexes qubit q.
-    return amps.reshape((amps.shape[0],) + (2,) * n), [slice(None)] * (n + 1)
+    # C-order: axis n - 1 - q indexes qubit q and the last axis the columns.
+    return amps.reshape((2,) * n + (amps.shape[1],)), [slice(None)] * (n + 1)
 
 
 def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int,
                         scratch: np.ndarray) -> None:
     tensor, lo = _qubit_tensor(amps, n)
-    lo[n - control] = 1
+    lo[n - 1 - control] = 1
     hi = list(lo)
-    lo[n - target] = 0
-    hi[n - target] = 1
+    lo[n - 1 - target] = 0
+    hi[n - 1 - target] = 1
     low, high = tensor[tuple(lo)], tensor[tuple(hi)]
-    tmp = scratch[0, :low.size].reshape(low.shape)
+    tmp = scratch[:low.size].reshape(low.shape)
     tmp[...] = low
     low[...] = high
     high[...] = tmp
 
 
-def _check_gates(n_qubits: int, gates) -> None:
+def _checked_gates(amps: np.ndarray, n_qubits: int, gates) -> list:
+    """`gates` as a list, once the block and every gate are checked."""
+    if amps.ndim != 2 or amps.shape[0] != 1 << n_qubits or not amps.flags.c_contiguous:
+        raise ValueError(
+            f"gates act on {n_qubits} qubit(s) but the block is not a C-ordered "
+            f"(2**{n_qubits}, columns) array: shape {amps.shape}"
+        )
+    gates = list(gates)
     for kind, targets, _ in gates:
         if kind == "cnot":
             arity = 2
@@ -138,28 +160,70 @@ def _check_gates(n_qubits: int, gates) -> None:
                 )
         if arity == 2 and targets[0] == targets[1]:
             raise ValueError(f"gate {kind!r} targets must be distinct, got {tuple(targets)}")
+    return gates
 
 
-def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
-    """Apply `gates` in place, in order, to every row of a (rows, 2**n) block.
-
-    A gate is (kind, targets, matrices): "cnot" takes (control, target) and
-    None; "p", "rx", "ry" and "rz" take (qubit,) and a (1, 2, 2) stack shared
-    by every row or a (rows, 2, 2) stack with one matrix per row. Every gate
-    is checked before any amplitude changes; a bad one raises ValueError.
-    """
-    if amps.ndim != 2 or amps.shape[1] != 1 << n_qubits:
-        raise ValueError(
-            f"gates act on {n_qubits} qubit(s) but the block has shape {amps.shape}"
-        )
-    gates = list(gates)
-    _check_gates(n_qubits, gates)
-    scratch = _gate_scratch(amps)
+def _run_gates(amps: np.ndarray, n_qubits: int, gates: list) -> None:
+    scratch = np.empty(amps.size, dtype=np.complex128)
     for kind, targets, matrices in gates:
         if kind == "cnot":
             _apply_cnot_inplace(amps, n_qubits, targets[0], targets[1], scratch)
         else:
             _apply_single_inplace(amps, targets[0], matrices, scratch)
+
+
+def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
+    """Apply `gates` in place, in order, to every column of a C-ordered
+    (2**n, columns) block.
+
+    A gate is (kind, targets, matrices): "cnot" takes (control, target) and
+    None; "p", "rx", "ry" and "rz" take (qubit,) and a (1, 2, 2) stack shared
+    by every column or a (columns, 2, 2) stack with one matrix per column.
+    Every gate is checked before any amplitude changes; a bad one raises
+    ValueError.
+    """
+    _run_gates(amps, n_qubits, _checked_gates(amps, n_qubits, gates))
+
+
+def _fold_length(gates: list) -> int:
+    """The largest k such that the i-th gate from the end rotates qubit i for
+    every i < k. Those k gates rotate qubits k - 1, ..., 0 in turn, and no
+    gate after the first of them touches a qubit >= k."""
+    k = 0
+    while k < len(gates) and gates[-1 - k][0] != "cnot" and tuple(gates[-1 - k][1]) == (k,):
+        k += 1
+    return k
+
+
+def _fold(top: np.ndarray, tail: list) -> np.ndarray:
+    """Amplitude |0...0> of each column of the block `top` after `tail`, the
+    rotations of qubits k - 1, ..., 0 that `_fold_length` found; `top` is
+    overwritten. Rows 2**k and after are not read. The result is a copy, so
+    that it does not keep the block alive.
+
+    The gate on qubit q reads the top 2**(q + 1) rows and computes only its
+    top row, u00 * a0 + u01 * a1, into the top half: the rows with bit q set
+    are never read again. Each element gets the operations that
+    `_apply_single_inplace` gives it.
+    """
+    for _, (q,), matrices in tail:
+        u00, u01, _, _ = _entries(matrices, 2)
+        a0, a1 = top[:1 << q], top[1 << q:2 << q]
+        product = np.multiply(u00, a0)
+        np.multiply(u01, a1, a0)
+        np.add(product, a0, a0)
+    return top[0].copy()
+
+
+def _zero_amplitudes(amps: np.ndarray, n_qubits: int, gates) -> np.ndarray:
+    """Amplitude |0...0> of every column of a (2**n, columns) block after
+    `gates`, which are all checked before any amplitude changes. The block
+    is overwritten: the rotations that end the list are folded by `_fold`
+    and the others run in `apply_gates`'s loop."""
+    gates = _checked_gates(amps, n_qubits, gates)
+    split = len(gates) - _fold_length(gates)
+    _run_gates(amps, n_qubits, gates[:split])
+    return _fold(amps, gates[split:])
 
 
 def rng_entropy(seed: int) -> int:

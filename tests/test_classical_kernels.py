@@ -42,6 +42,22 @@ def test_exponential_domain_error():
         eval_classical(k, [2.0], [1.0])
 
 
+def test_overflowing_column_sums_raise_one_error_per_kind():
+    """Huge finite features overflow a dot product or a transformed point;
+    every kind says so instead of a numpy warning or a NaN entry."""
+    huge = np.array([[1e200, 1e200], [-1e200, 1e200], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="linear kernel overflows"):
+        classical_cross(ClassicalKernel.linear(), huge, huge)
+    with pytest.raises(ValueError, match="polynomial kernel overflows"):
+        classical_gram(ClassicalKernel.polynomial(degree=3), huge)
+    with pytest.raises(ValueError, match="exponential kernel needs"):
+        classical_cross(ClassicalKernel.exponential(), huge, huge)
+    with pytest.raises(ValueError, match="gaussian_metric kernel overflows"):
+        classical_gram(ClassicalKernel.gaussian_metric(transform=[[1e200, 1e200], [0, 1]]), huge)
+    K = classical_gram(ClassicalKernel.gaussian_metric(), huge).values
+    np.testing.assert_array_equal(K, np.eye(3))
+
+
 def test_gaussian_metric_identity_transform():
     k = ClassicalKernel.gaussian_metric(gamma=1.0)
     assert abs(eval_classical(k, [2.0], [0.0]) - math.exp(-4.0)) <= 1e-15

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +140,43 @@ def test_kernel_refuses_an_overflowing_polynomial(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: polynomial kernel overflows") and err.count("\n") == 1
     assert not (tmp_path / "K.csv").exists()
+
+
+# Finite but huge features overflow the column sums of the classical kernels.
+# pyproject turns a numpy RuntimeWarning into an error in these tests.
+
+
+def huge_feature_csv(tmp_path):
+    data = tmp_path / "huge.csv"
+    data.write_text("x0,x1,label\n1e200,1.0,1\n0.5,2.0,-1\n-3.0,1.0,1\n")
+    return data
+
+
+@pytest.mark.parametrize("kernel,message", [
+    (("linear",), "linear kernel overflows: x . x' + 0 is not a finite float; "
+                  "rescale the features"),
+    (("polynomial", "--degree", "2"),
+     "polynomial kernel overflows: (x . x' + 0) ** 2 is not a finite float; "
+     "rescale the features or lower the offset c or the degree"),
+    (("exponential",), "exponential kernel needs x . x' <= 1; "
+                       "normalize the data to the unit sphere first"),
+], ids=["linear", "polynomial", "exponential"])
+def test_kernel_refuses_huge_features_with_one_message(tmp_path, capsys, kernel, message):
+    rc = run("kernel", "--data", str(huge_feature_csv(tmp_path)), "--kernel", *kernel,
+             "--out", str(tmp_path / "K.csv"))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "K.csv").exists()
+
+
+def test_gaussian_kernel_of_huge_features_is_the_rounded_zero(tmp_path, capsys):
+    out = tmp_path / "K.csv"
+    rc = run("kernel", "--data", str(huge_feature_csv(tmp_path)), "--kernel", "gaussian",
+             "--out", str(out))
+    assert rc == 0 and capsys.readouterr().err == ""
+    K = np.loadtxt(out, delimiter=",")
+    near = math.exp(-(3.5**2 + 1.0**2))
+    np.testing.assert_array_equal(K, [[1.0, 0.0, 0.0], [0.0, 1.0, near], [0.0, near, 1.0]])
 
 
 @pytest.mark.parametrize("method", ["svc", "svr"])

@@ -150,25 +150,26 @@ def test_encoder_is_bitwise_the_circuit_path(data_axis, trainable_axis, entangle
     lam = rng.uniform(-np.pi, np.pi, param_count(spec))
     X = rng.uniform(-np.pi, np.pi, size=(6, 2))
     states = encode_states(spec, X, lam)
-    for row, x in enumerate(X):
-        np.testing.assert_array_equal(states[row], state_oracle(spec, lam, x)[0])
+    assert states.shape == (2**spec.n_qubits, len(X)) and states.flags.c_contiguous
+    for column, x in enumerate(X):
+        np.testing.assert_array_equal(states[:, column], state_oracle(spec, lam, x)[0])
 
-    def undone(row, x):
-        amps = states[row:row + 1].copy()
+    def undone(column, x):
+        amps = states[:, column][None].copy()
         run_gates_oracle(amps, encoding_oracle(spec, lam, x, inverse=True))
         return amps[0]
 
-    # inverse gates of column 2 on every row, one shared matrix per gate
+    # inverse gates of point 2 on every column, one shared matrix per gate
     got = states.copy()
     apply_gates(got, spec.n_qubits, encoding_gates(spec, X[2:3], lam, inverse=True))
-    for row in range(len(X)):
-        np.testing.assert_array_equal(got[row], undone(row, X[2]))
+    for column in range(len(X)):
+        np.testing.assert_array_equal(got[:, column], undone(column, X[2]))
 
-    # and every column's inverse gates at once, one matrix per row
+    # and every point's inverse gates at once, one matrix per column
     got = states.copy()
     apply_gates(got, spec.n_qubits, encoding_gates(spec, X, lam, inverse=True))
-    for row, x in enumerate(X):
-        np.testing.assert_array_equal(got[row], undone(row, x))
+    for column, x in enumerate(X):
+        np.testing.assert_array_equal(got[:, column], undone(column, x))
 
 
 def test_encoder_gate_list():

@@ -270,6 +270,24 @@ def test_svr_converges_on_quantum_kernel_at_large_capacity():
     assert svr_kkt_violation(K, ds.labels, model.coef, model.bias, C, epsilon) <= 1e-5
 
 
+@pytest.mark.xfail(strict=True, raises=UserWarning, reason=(
+    "first-order SMO stops at its iteration cap on this rank-3 Gram; "
+    "ROADMAP item 4 (second-order working sets) is the fix"))
+def test_svr_converges_on_a_rank_three_gram_that_hits_the_iteration_cap():
+    """A draw of test_svc_and_svr_match_the_smo_oracle on which svr_fit runs to
+    its iteration cap, whose warning pyproject's filterwarnings makes an error."""
+    spec = FeatureMapSpec(2, 1, data_axis="rz", trainable_axis="rx", entanglement="none",
+                          data_scaling=0.602)
+    cfg = KernelEngineConfig(spec=spec, params=np.array([0.0, -1.8717022693034826]))
+    points = np.array([[-2.775397130999931], [0.0], [-2.1400747019288433e-06],
+                       [-0.9576443374773813], [-2.2343774055323338]])
+    targets = np.array([-1.9953507612116326, 0.0, 0.0, 1.571617797865093, 1.6661511165112053])
+    K = gram_matrix(cfg, points).values
+    assert np.linalg.matrix_rank(K) == 3
+    model = svr_fit(K, targets, C=100.0, epsilon=0.1)
+    assert svr_kkt_violation(K, targets, model.coef, model.bias, 100.0, 0.1) <= 1e-5
+
+
 # the benchmark's own Grams against oracles.smo_oracle, which rebuilds both
 # candidate masks every step; the hypothesis property covers m <= 12
 

@@ -430,6 +430,56 @@ def test_pair_blocks_with_one_column_per_chunk(mode):
     assert_cross_matches_reference(cfg, Y, X)
 
 
+@pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entanglement):
+    """The Gram skips the CNOTs that U(x_i) ends and U(x_j)^dag starts with and
+    folds the last rotations into amplitude 0, yet keeps every bit of
+    simulating each pair on its own, gate by gate."""
+    rng = np.random.default_rng(10 * n_qubits + n_layers)
+    spec = FeatureMapSpec(n_qubits, n_layers,
+                          data_axis=DATA_AXES[(n_qubits + n_layers) % len(DATA_AXES)],
+                          trainable_axis=TRAINABLE_AXES[n_qubits * n_layers % len(TRAINABLE_AXES)],
+                          entanglement=entanglement, data_scaling=float(rng.uniform(0.5, 1.5)))
+    cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)))
+    X = rng.uniform(-np.pi, np.pi, size=(6, 3))
+    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+
+
+@pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_inversion_gram_cancels_the_shared_entangler_and_folds_the_last_rotations(
+        monkeypatch, n_layers, entanglement):
+    """With one layer no CNOT runs at all: the entangler that ends U(x_i)
+    cancels the one that starts U(x_j)^dag. With two, the states and each
+    chunk of pairs run the first layer's entangler once. The n rotations that
+    end every pair's gates, on qubits n - 1, ..., 0, all go through the fold."""
+    n, m = 3, 7
+    spec = FeatureMapSpec(n, n_layers, data_axis="ry", trainable_axis="rx",
+                          entanglement=entanglement)
+    cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, param_count(spec)))
+    X = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(m, 2))
+    cnots, folded = [], []
+    apply_cnot, fold = statevector._apply_cnot_inplace, statevector._fold
+
+    def counting_cnot(amps, *args):
+        cnots.append(amps.shape[1])
+        return apply_cnot(amps, *args)
+
+    def recording_fold(top, tail):
+        folded.append((top.shape[1], [(kind, t) for kind, t, _ in tail]))
+        return fold(top, tail)
+
+    monkeypatch.setattr(statevector, "_apply_cnot_inplace", counting_cnot)
+    monkeypatch.setattr(statevector, "_fold", recording_fold)
+    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    chunks = len(list(_pair_chunks(m, n)))
+    assert len(cnots) == (n_layers - 1) * len(featuremap._entangler_pairs(spec)) * (1 + chunks)
+    assert sum(width for width, _ in folded) == m * (m - 1) // 2
+    assert all(tail == [("rx", (q,)) for q in reversed(range(n))] for _, tail in folded)
+
+
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
 @pytest.mark.parametrize("mode", MODES)
 def test_cross_gram_encodes_each_point_once_and_simulates_no_pair(monkeypatch, mode,
@@ -461,8 +511,10 @@ def test_cross_gram_encodes_each_point_once_and_simulates_no_pair(monkeypatch, m
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
 def test_kernels_build_no_gate_or_circuit(monkeypatch, circuit_kind, mode, entanglement):
-    """The kernels reach the simulator only through `apply_gates`, and hand it
-    plain (kind, targets, matrices) triples: no gate or circuit objects."""
+    """The kernels reach the simulator only through `apply_gates` and, for the
+    inversion test's pairs, `_zero_amplitudes`, and hand them plain (kind,
+    targets, matrices) triples: no gate or circuit objects. Every gate that
+    the simulator runs, in the gate loop or in the fold, is one of those."""
     assert not any(hasattr(module, name) for module in (qkflow, statevector, featuremap)
                    for name in ("Gate", "Circuit", "StateVector"))
     spec = FeatureMapSpec(3, 2, data_axis="rx", trainable_axis="p", entanglement=entanglement)
@@ -471,19 +523,32 @@ def test_kernels_build_no_gate_or_circuit(monkeypatch, circuit_kind, mode, entan
         shots=50 if mode == "shots" else None, circuit_kind=circuit_kind,
     )
     X = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(4, 2))
-    seen = []
+    seen, ran = [], []
 
-    def recording(amps, n_qubits, gates):
-        gates = list(gates)
-        seen.extend(gates)
-        statevector.apply_gates(amps, n_qubits, gates)
+    def recording(entry):
+        def record(amps, n_qubits, gates):
+            gates = list(gates)
+            seen.extend(gates)
+            return entry(amps, n_qubits, gates)
+        return record
 
-    monkeypatch.setattr(featuremap, "apply_gates", recording)
-    monkeypatch.setattr(qkernel, "apply_gates", recording)
+    def running(kernel, count):
+        def run(*args):
+            ran.append(count(*args))
+            return kernel(*args)
+        return run
+
+    monkeypatch.setattr(featuremap, "apply_gates", recording(statevector.apply_gates))
+    monkeypatch.setattr(qkernel, "apply_gates", recording(statevector.apply_gates))
+    monkeypatch.setattr(qkernel, "_zero_amplitudes", recording(statevector._zero_amplitudes))
+    for name in ("_apply_single_inplace", "_apply_cnot_inplace"):
+        monkeypatch.setattr(statevector, name, running(getattr(statevector, name), lambda *a: 1))
+    monkeypatch.setattr(statevector, "_fold",
+                        running(statevector._fold, lambda top, tail: len(tail)))
     assert gram_matrix(cfg, X).values.shape == (4, 4)
     assert cross_gram(cfg, X[:2], X).shape == (2, 4)
     assert 0.0 <= kernel_value(cfg, X[0], X[1]) <= 1.0
-    assert seen
+    assert seen and len(seen) == sum(ran)
     for gate in seen:
         assert type(gate) is tuple and len(gate) == 3
         kind, targets, matrices = gate

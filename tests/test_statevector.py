@@ -25,9 +25,9 @@ def rotation(kind, target, theta):
 
 def run(n_qubits, gates, start=None):
     """The amplitudes after `gates`, from |0...0> or from a copy of `start`."""
-    amps = _zero_block(1, n_qubits) if start is None else np.array(start, dtype=complex)[None]
+    amps = _zero_block(1, n_qubits) if start is None else np.array(start, dtype=complex)[:, None]
     apply_gates(amps, n_qubits, gates)
-    return amps[0]
+    return amps[:, 0]
 
 
 def basis_state(n_qubits, index):
@@ -58,7 +58,8 @@ def random_gates(n_qubits, n_gates, rng):
 
 
 def test_zero_state():
-    np.testing.assert_allclose(_zero_block(1, 2)[0], [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(_zero_block(1, 2)[:, 0], [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_array_equal(_zero_block(3, 1), [[1, 1, 1], [0, 0, 0]])
 
 
 def test_rx_pi_on_zero():
@@ -132,18 +133,28 @@ def test_adjoint_round_trip():
         X = rng.uniform(-np.pi, np.pi, size=(4, 2))
         states = encode_states(spec, X, lam)
         apply_gates(states, 3, encoding_gates(spec, X, lam, inverse=True))
-        assert np.all(np.abs(states[:, 0]) ** 2 >= 1.0 - 1e-12)
+        assert np.all(np.abs(states[0]) ** 2 >= 1.0 - 1e-12)
 
 
-# amplitude blocks: a shared matrix gives every row the oracle's arithmetic,
-# and one matrix per row gives each row what that gate alone gives it
+# amplitude blocks, one state per column: a shared matrix gives every column
+# the oracle's arithmetic, and one matrix per column gives each column what
+# that gate alone gives it. The oracles evolve one state per row, so they run
+# on the transposed block.
 
 BLOCK_QUBITS = 4
 
 
-def random_block(rows, n_qubits, rng):
-    amps = rng.normal(size=(rows, 1 << n_qubits)) + 1j * rng.normal(size=(rows, 1 << n_qubits))
-    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+def random_block(columns, n_qubits, rng):
+    shape = (1 << n_qubits, columns)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps, axis=0, keepdims=True)
+
+
+def on_rows(block, oracle, *args):
+    """`oracle(rows, *args)` on the states of a column block, as columns again."""
+    rows = np.ascontiguousarray(block.T)
+    oracle(rows, *args)
+    return rows.T
 
 
 def block_gates():
@@ -159,17 +170,17 @@ def block_gates():
 
 @pytest.mark.parametrize("kind,targets", list(block_gates()))
 def test_block_with_shared_gate_matches_apply_gate(kind, targets):
-    """One matrix shared by every row gives each row the oracle's arithmetic."""
+    """One matrix shared by every column gives each column the oracle's arithmetic."""
     rng = np.random.default_rng(len(kind) * 10 + targets[0])
     before = random_block(5, BLOCK_QUBITS, rng)
-    after, expected = before.copy(), before.copy()
+    after = before.copy()
     if kind == "cnot":
         apply_gates(after, BLOCK_QUBITS, [(kind, targets, None)])
-        apply_cnot_oracle(expected, *targets)
+        expected = on_rows(before, apply_cnot_oracle, *targets)
     else:
         matrix = rotation_matrix_oracle(kind, rng.uniform(-7.0, 7.0))
         apply_gates(after, BLOCK_QUBITS, [(kind, targets, matrix[None])])
-        apply_single_oracle(expected, targets[0], matrix)
+        expected = on_rows(before, apply_single_oracle, targets[0], matrix)
     np.testing.assert_array_equal(after, expected)
 
 
@@ -181,15 +192,15 @@ def test_block_with_one_matrix_per_row_matches_apply_gate(kind):
         before = random_block(6, BLOCK_QUBITS, rng)
         after = before.copy()
         apply_gates(after, BLOCK_QUBITS, [(kind, (target,), matrices)])
-        for row in range(6):
-            alone = before[row:row + 1].copy()
-            apply_gates(alone, BLOCK_QUBITS, [(kind, (target,), matrices[row:row + 1])])
-            np.testing.assert_array_equal(after[row], alone[0])
+        for column in range(6):
+            alone = before[:, column:column + 1].copy()
+            apply_gates(alone, BLOCK_QUBITS, [(kind, (target,), matrices[column:column + 1])])
+            np.testing.assert_array_equal(after[:, column], alone[:, 0])
 
 
 def test_block_with_per_row_circuits_matches_apply_circuit():
-    """A gate list with one matrix per row gives each row what the oracle gives
-    that row's own gate list."""
+    """A gate list with one matrix per column gives each column what the oracle
+    gives that column's own gate list."""
     rng = np.random.default_rng(83)
     layout = random_gates(BLOCK_QUBITS, 30, rng)
     angles = rng.uniform(-7.0, 7.0, size=(len(layout), 4))
@@ -199,13 +210,13 @@ def test_block_with_per_row_circuits_matches_apply_circuit():
     ]
     block = _zero_block(4, BLOCK_QUBITS)
     apply_gates(block, BLOCK_QUBITS, gates)
-    for row in range(4):
-        expected = _zero_block(1, BLOCK_QUBITS)
+    for column in range(4):
+        expected = basis_state(BLOCK_QUBITS, 0)[None]
         run_gates_oracle(expected, [
-            (kind, targets, row_angles[row])
+            (kind, targets, row_angles[column])
             for (kind, targets, _), row_angles in zip(layout, angles)
         ])
-        np.testing.assert_array_equal(block[row], expected[0])
+        np.testing.assert_array_equal(block[:, column], expected[0])
 
 
 def test_block_size_mismatch():
@@ -213,6 +224,11 @@ def test_block_size_mismatch():
         apply_gates(np.zeros((2, 8), dtype=complex), 2, [rotation("rx", 0, 1.0)])
     with pytest.raises(ValueError):
         apply_gates(np.zeros(4, dtype=complex), 2, [])
+    # one state per row, the pre-column layout, and a transposed view
+    with pytest.raises(ValueError, match="C-ordered"):
+        apply_gates(np.zeros((3, 4), dtype=complex), 2, [])
+    with pytest.raises(ValueError, match="C-ordered"):
+        apply_gates(np.zeros((3, 4), dtype=complex).T, 2, [])
 
 
 # validation
