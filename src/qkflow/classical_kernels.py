@@ -29,7 +29,6 @@ __all__ = [
     "eval_classical",
     "classical_gram",
     "classical_cross",
-    "describe_classical",
 ]
 
 # the hyperparameters each kind reads; a kernel descriptor records just these
@@ -102,17 +101,6 @@ class ClassicalKernel:
         return cls(kind="gaussian_metric", gamma=gamma, transform=transform)
 
 
-def describe_classical(kernel: ClassicalKernel) -> str:
-    if kernel.kind == "linear":
-        return f"classical:linear:c={kernel.c:g}"
-    if kernel.kind == "polynomial":
-        return f"classical:polynomial:c={kernel.c:g}:degree={kernel.degree}"
-    if kernel.kind == "exponential":
-        return f"classical:exponential:sigma={kernel.sigma:g}"
-    size = "identity" if kernel.transform is None else "x".join(map(str, kernel.transform.shape))
-    return f"classical:gaussian_metric:gamma={kernel.gamma:g}:transform={size}"
-
-
 def _check_exponential_domain(dots: np.ndarray, sigma: float) -> np.ndarray:
     if not np.all(dots <= 1.0 + _DOT_SLACK):
         raise ValueError(
@@ -181,7 +169,7 @@ def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
     """Kernel matrix of a point set against itself; exactly symmetric."""
     points = _as_points(data, "data")
-    return GramMatrix(values=_block(kernel, points, points), kernel_id=describe_classical(kernel))
+    return GramMatrix(values=_block(kernel, points, points))
 
 
 def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray:

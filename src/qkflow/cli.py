@@ -339,12 +339,10 @@ def _cmd_predict(args) -> int:
 
 def _cmd_kpca(args) -> int:
     ds = _load_dataset(args.data, args.label_column, args.normalize)
-    kernel, pretraining = _kernel_from_args(args, seed=args.seed)
+    kernel, _ = _kernel_from_args(args, seed=args.seed)
     gram = evaluate_gram(kernel, ds.features)
     model = kpca_fit(gram, n_components=args.components)
     _write_matrix_csv(args.out, model.train_projections)
-    if args.model_out:
-        _save_trained(args.model_out, "kpca", kernel, model, ds, args, pretraining)
     print(f"wrote {args.out}: {ds.n_points} points x {args.components} components")
     return 0
 
@@ -445,7 +443,6 @@ def build_parser() -> _Parser:
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--model-out", default=None)
     _add_kernel_flags(p)
     p.set_defaults(func=_cmd_kpca)
 

@@ -191,13 +191,28 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
 
 
 def normalize_unit_sphere(ds: Dataset) -> Dataset:
-    """Scale every feature row to unit Euclidean norm."""
-    norms = np.linalg.norm(ds.features, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"cannot normalize zero-norm row {int(zero[0])}")
+    """Scale every feature row to unit Euclidean norm.
+
+    The squared norm of a finite row can overflow or underflow. A row whose
+    squared norm is not a normal finite float is first divided by its
+    largest magnitude, which brings its squared norm into [1, n_features];
+    every other row is divided by its norm as it is.
+    """
+    rows = ds.features
+    with np.errstate(over="ignore"):
+        squared = np.sum(rows * rows, axis=1)
+    outside = ~((squared >= np.finfo(float).tiny) & (squared < np.inf))
+    if outside.any():
+        peaks = np.max(np.abs(rows[outside]), axis=1)
+        zero = np.flatnonzero(outside)[peaks == 0.0]
+        if zero.size:
+            raise ValueError(f"cannot normalize zero-norm row {int(zero[0])}")
+        scaled = rows[outside] / peaks[:, None]
+        rows = rows.copy()
+        rows[outside] = scaled
+        squared[outside] = np.sum(scaled * scaled, axis=1)
     return Dataset(
-        features=ds.features / norms[:, None],
+        features=rows / np.sqrt(squared)[:, None],
         labels=ds.labels,
         feature_names=ds.feature_names,
     )

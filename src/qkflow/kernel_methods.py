@@ -1,9 +1,11 @@
 """Kernel machines over precomputed Gram matrices.
 
 Every fit function takes a square training Gram (a GramMatrix or a plain
-array) and returns a small trained-model record; prediction functions take
-rectangular new-versus-training kernel blocks. Nothing here evaluates
-kernels, so quantum and classical kernels plug in interchangeably.
+array) and returns a small trained-model record that holds the fitted
+numbers alone; which kernel made the Gram is recorded once, by the caller
+(a model file's kernel descriptor). Prediction functions take rectangular
+new-versus-training kernel blocks. Nothing here evaluates kernels, so
+quantum and classical kernels plug in interchangeably.
 
 The SVC and the SVR share one SMO solver for the box-constrained dual
 
@@ -20,7 +22,7 @@ Q = [[K, K], [K, K]], with coefficients alpha - alpha*. KRR solves
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,10 +63,6 @@ def _gram_values(K, name: str = "K") -> np.ndarray:
     if np.max(np.abs(values - values.T)) > 1e-8:
         raise ValueError(f"{name} is not symmetric")
     return values
-
-
-def _kernel_id(K) -> str:
-    return K.kernel_id if isinstance(K, GramMatrix) else "precomputed"
 
 
 def _cross_values(K_new, m: int, name: str = "K_new") -> np.ndarray:
@@ -110,10 +108,13 @@ class TrainedSVC:
     alphas: np.ndarray
     labels: np.ndarray
     bias: float
-    support_indices: np.ndarray = field(metadata={"dtype": int})  # model files load it as integers
     C: float
-    kernel_id: str
     dual_objective: float
+
+    @property
+    def support_indices(self) -> np.ndarray:
+        """Indices of the multipliers above SUPPORT_THRESHOLD."""
+        return np.flatnonzero(self.alphas > SUPPORT_THRESHOLD)
 
 
 def _movable(a, z, C: float):
@@ -206,9 +207,7 @@ def svc_fit(K, y, C: float) -> TrainedSVC:
         alphas=alpha,
         labels=labels,
         bias=bias,
-        support_indices=np.flatnonzero(alpha > SUPPORT_THRESHOLD),
         C=C,
-        kernel_id=_kernel_id(K),
         dual_objective=objective,
     )
 
@@ -231,7 +230,6 @@ def svc_predict(model: TrainedSVC, K_new) -> np.ndarray:
 class TrainedKRR:
     alphas: np.ndarray
     reg: float
-    kernel_id: str
 
 
 def krr_fit(K, y, reg: float) -> TrainedKRR:
@@ -259,7 +257,7 @@ def krr_fit(K, y, reg: float) -> TrainedKRR:
     if np.max(np.abs(residual)) > 1e-11:
         alpha = alpha + solve(residual)
     alpha.flags.writeable = False
-    return TrainedKRR(alphas=alpha, reg=reg, kernel_id=_kernel_id(K))
+    return TrainedKRR(alphas=alpha, reg=reg)
 
 
 def krr_predict(model: TrainedKRR, K_new) -> np.ndarray:
@@ -276,7 +274,6 @@ class TrainedSVR:
     bias: float
     epsilon: float
     C: float
-    kernel_id: str
 
 
 def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
@@ -296,7 +293,7 @@ def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
     a, _, bias = _smo(np.tile(values, (2, 2)), z, r, C, "svr_fit")
     beta = a[:m] - a[m:]
     beta.flags.writeable = False
-    return TrainedSVR(coef=beta, bias=bias, epsilon=epsilon, C=C, kernel_id=_kernel_id(K))
+    return TrainedSVR(coef=beta, bias=bias, epsilon=epsilon, C=C)
 
 
 def svr_predict(model: TrainedSVR, K_new) -> np.ndarray:
@@ -315,7 +312,6 @@ class KpcaModel:
     total_mean: float
     n_components: int
     train_projections: np.ndarray
-    kernel_id: str
 
 
 EIGENVALUE_CUTOFF = 1e-10
@@ -351,7 +347,6 @@ def kpca_fit(K, n_components: int) -> KpcaModel:
         total_mean=total_mean,
         n_components=n_components,
         train_projections=projections,
-        kernel_id=_kernel_id(K),
     )
 
 

@@ -7,11 +7,16 @@ save -> load -> save is byte-identical.
 
 The schema is the objects' own dataclass fields, written by _to_fields and
 read back, converted to each field's annotated type, by _build. A payload
-holds the trained model's fields plus train_features and normalize. A
-quantum kernel descriptor holds the FeatureMapSpec fields plus the
-KernelEngineConfig fields; a classical one holds the kind and the
-hyperparameters that kind reads (CLASSICAL_PARAMS). An embedding's
-pretraining block holds the EmbeddingArtifact fields its kernel does not.
+holds the trained model's fields plus train_features and normalize. Each
+fact is stored once: the kernel is named only by the file's kernel
+descriptor, and what a model derives from its fields (an SVC's support
+indices) is not stored. _build reads only the keys it declares, so a file
+that holds more, such as the provenance string and support indices that
+older files store, still loads. A quantum kernel descriptor holds the
+FeatureMapSpec fields plus the KernelEngineConfig fields; a classical one
+holds the kind and the hyperparameters that kind reads (CLASSICAL_PARAMS).
+An embedding's pretraining block holds the EmbeddingArtifact fields its
+kernel does not.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 
 from .classical_kernels import CLASSICAL_PARAMS, ClassicalKernel, classical_cross, classical_gram
 from .kernel_methods import (
-    KpcaModel,
     TrainedKRR,
     TrainedSVC,
     TrainedSVR,
@@ -67,7 +71,6 @@ MODEL_KINDS = {
     "svc": ModelKind(TrainedSVC, svc_predict, "alphas", "classification"),
     "krr": ModelKind(TrainedKRR, krr_predict, "alphas", "regression"),
     "svr": ModelKind(TrainedSVR, svr_predict, "coef", "regression"),
-    "kpca": ModelKind(KpcaModel, None, None, None),
     "embedding": ModelKind(None, None, None, None),
 }
 
@@ -140,7 +143,7 @@ def _decode(f, hint, value):
             if hint is not np.ndarray:
                 decoded = hint(value)
             else:
-                decoded = np.asarray(value, dtype=f.metadata.get("dtype", float))
+                decoded = np.asarray(value, dtype=float)
             if hint not in (float, np.ndarray) or np.all(np.isfinite(decoded)):
                 return decoded
         except (TypeError, ValueError, OverflowError):

@@ -98,10 +98,9 @@ class KernelEngineConfig:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Square kernel matrix plus the identity of the kernel that made it."""
+    """A square kernel matrix of finite floats, checked when it is made."""
 
     values: np.ndarray
-    kernel_id: str
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -110,23 +109,6 @@ class GramMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("Gram matrix contains non-finite entries")
         object.__setattr__(self, "values", values)
-
-
-def describe(cfg: KernelEngineConfig) -> str:
-    """Stable one-line identifier for kernel provenance fields."""
-    spec = cfg.spec
-    parts = [
-        "quantum",
-        cfg.circuit_kind,
-        cfg.mode if cfg.mode == "exact" else f"shots={cfg.shots}",
-        f"qubits={spec.n_qubits}",
-        f"layers={spec.n_layers}",
-        f"data={spec.data_axis}",
-        f"trainable={spec.trainable_axis}",
-        f"entangle={spec.entanglement}",
-        f"scale={spec.data_scaling:g}",
-    ]
-    return ":".join(parts)
 
 
 def _as_points(data, name: str) -> np.ndarray:
@@ -292,7 +274,7 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     rows, cols = np.triu_indices(len(points), 1)
     values = np.ones((len(points), len(points)))
     values[rows, cols] = values[cols, rows] = _measured(cfg, exact[rows, cols])
-    return GramMatrix(values=values, kernel_id=describe(cfg))
+    return GramMatrix(values=values)
 
 
 def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:

@@ -256,9 +256,8 @@ def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[floa
     A = np.eye(d)
 
     def fit_alpha(current: np.ndarray) -> TrainedKRR:
-        K = classical_gram(ClassicalKernel.gaussian_metric(cfg.gamma, current), X)
-        # the bare values keep the saved model's kernel_id "precomputed"
-        return krr_fit(K.values, y, cfg.reg)
+        return krr_fit(classical_gram(ClassicalKernel.gaussian_metric(cfg.gamma, current), X),
+                       y, cfg.reg)
 
     model = fit_alpha(A)
     trace = [mlkrr_loss(X, y, model.alphas, A, cfg.gamma, cfg.reg)]

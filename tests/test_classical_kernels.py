@@ -9,7 +9,6 @@ from qkflow.classical_kernels import (
     ClassicalKernel,
     classical_cross,
     classical_gram,
-    describe_classical,
     eval_classical,
 )
 
@@ -182,11 +181,3 @@ def test_dimension_mismatches():
         eval_classical(ClassicalKernel.linear(), [1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         classical_cross(ClassicalKernel.linear(), np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_describe_strings():
-    assert describe_classical(ClassicalKernel.linear()) == "classical:linear:c=0"
-    assert "degree=3" in describe_classical(ClassicalKernel.polynomial(degree=3))
-    assert "sigma=2" in describe_classical(ClassicalKernel.exponential(sigma=2.0))
-    text = describe_classical(ClassicalKernel.gaussian_metric(transform=np.eye(2)))
-    assert "gamma=1" in text and "2x2" in text

@@ -14,7 +14,7 @@ from oracles import one_layer_gram_oracle
 from qkflow.cli import run_command
 from qkflow.datasets import load_csv, normalize_unit_sphere
 from qkflow.featuremap import FeatureMapSpec
-from qkflow.kernel_methods import SMO_GAP
+from qkflow.kernel_methods import SMO_GAP, SUPPORT_THRESHOLD
 from qkflow.model_io import (
     MODEL_KINDS,
     evaluate_cross,
@@ -167,6 +167,18 @@ def test_kernel_refuses_huge_features_with_one_message(tmp_path, capsys, kernel,
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "K.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["1e200,1.0", "1e-200,0"], ids=["overflow", "underflow"])
+def test_normalize_a_row_whose_squared_norm_leaves_the_float_range(tmp_path, capsys, row):
+    """The squared norm of (1e200, 1) overflows and that of (1e-200, 0)
+    underflows to 0; both rows still scale to unit norm."""
+    data, out = tmp_path / "d.csv", tmp_path / "K.csv"
+    data.write_text(f"x0,x1,label\n{row},1\n0.0,2.0,-1\n-3.0,0.0,1\n")
+    rc = run("kernel", "--data", str(data), "--kernel", "exponential", "--normalize",
+             "--out", str(out))
+    assert rc == 0 and capsys.readouterr().err == ""
+    np.testing.assert_array_equal(np.diag(np.loadtxt(out, delimiter=",")), 1.0)
 
 
 def test_gaussian_kernel_of_huge_features_is_the_rounded_zero(tmp_path, capsys):
@@ -383,6 +395,18 @@ def test_predict_rejects_wrong_typed_model_field(svc_model_files, tmp_path, kern
     assert repr(keys[-1]) in proc.stderr
 
 
+def test_predict_rejects_a_kpca_model_file(svc_model_files, tmp_path, capsys):
+    doc = json.loads((svc_model_files / "linear.json").read_text())
+    doc["kind"] = "kpca"
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    rc = run("predict", "--model", str(model), "--data", str(svc_model_files / "d.csv"),
+             "--out", str(tmp_path / "p.csv"))
+    assert rc == 2
+    assert "got 'kpca'" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_rejects_a_quantum_model_without_params(svc_model_files, tmp_path, capsys):
     doc = json.loads((svc_model_files / "quantum.json").read_text())
     doc["kernel"]["params"] = None
@@ -501,15 +525,19 @@ def test_mlkrr_writes_model_matrix_and_trace(tmp_path):
                "--out", str(tmp_path / "p.csv")) == 0
 
 
-def test_kpca_projections_shape_and_model_out(tmp_path):
+def test_kpca_projections_shape_and_model_out(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run("gen-data", "--kind", "circles", "--m", "14", "--seed", "2", "--out", str(data))
-    rc = run("kpca", "--data", str(data), "--kernel", "gaussian", "--components", "3",
-             "--out", str(tmp_path / "proj.csv"), "--model-out", str(tmp_path / "kp.json"))
-    assert rc == 0
+    flags = ("kpca", "--data", str(data), "--kernel", "gaussian", "--components", "3",
+             "--out", str(tmp_path / "proj.csv"))
+    assert run(*flags) == 0
     P = np.loadtxt(tmp_path / "proj.csv", delimiter=",")
     assert P.shape == (14, 3)
-    assert load_model(tmp_path / "kp.json").kind == "kpca"
+    # no command reads a kpca model, so kpca writes none
+    capsys.readouterr()
+    assert run(*flags, "--model-out", str(tmp_path / "kp.json")) == 1
+    assert "--model-out" in capsys.readouterr().err
+    assert not (tmp_path / "kp.json").exists()
 
 
 def test_cluster_assignments_and_determinism(tmp_path):
@@ -616,16 +644,52 @@ README_SEED = 7
 README_LOSS_BEST = 40.280843  # the README `align` result, pinned to the same bound by perfbench
 
 
-def test_readme_pin_matches_the_benchmark_copy(monkeypatch):
-    """perfbench/workloads.py holds the same pin; a re-derived value changes both.
-    The module is loaded without writing bytecode next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
+def load_benchmark_module(monkeypatch, name):
+    """perfbench/<name>.py, loaded without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_pin_matches_the_benchmark_copy(monkeypatch):
+    """perfbench/workloads.py holds the same pin; a re-derived value changes both."""
+    workloads = load_benchmark_module(monkeypatch, "workloads")
     assert (workloads.README_SEED, workloads.README_LOSS_BEST) == (README_SEED, README_LOSS_BEST)
+
+
+def test_the_benchmark_reads_what_the_library_returns(tmp_path, monkeypatch):
+    """perfbench/tracer.py counts kernel entries from a Gram's `.values`, support
+    vectors from svc_fit's `.support_indices` and objective evaluations from
+    qka_align's `sv_counts`; the `shots` workload's reference reads `.values`."""
+    tracer = load_benchmark_module(monkeypatch, "tracer").Tracer()
+    data = tmp_path / "d.csv"
+    assert run("gen-data", "--kind", "hidden_rotation", "--m", "12", "--seed", "1",
+               "--out", str(data)) == 0
+    tracer.install()
+    try:
+        codes = [
+            run("kernel", "--kernel", "quantum", "--data", str(data),
+                "--out", str(tmp_path / "K.csv")),
+            run("train", "--method", "svc", "--kernel", "quantum", "--data", str(data),
+                "--out", str(tmp_path / "m.json")),
+            run("align", "--spsa-iters", "2", "--data", str(data),
+                "--out", str(tmp_path / "e.json")),
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    for counter in ("qkernel.entries", "kernel_methods.svc_fit.support_vectors",
+                    "training.objective_evals"):
+        assert tracer.counts[counter] > 0, counter
+    shots = load_benchmark_module(monkeypatch, "workloads").Shots(tmp_path, 1)
+    for step in shots.prepare():
+        assert run(*step.argv) == 0
+    shots.reference()  # raises unless the exact Gram is symmetric with a unit diagonal
+    assert shots.exact_gram.shape == (shots.M, shots.M)
 
 
 def test_readme_align_reaches_the_pinned_loss(tmp_path):
@@ -706,6 +770,24 @@ def test_predict_evaluates_only_nonzero_weight_training_points(tmp_path, monkeyp
     train_features = np.asarray(model_file.payload["train_features"])
     assert len(seen) == 1
     assert seen[0].tobytes() == train_features[weights != 0].tobytes()
+
+
+@pytest.mark.parametrize("method", ["svc", "krr", "svr"])
+def test_predict_reads_an_older_model_file_bit_for_bit(tmp_path, method):
+    """Model files once also stored a kernel provenance string and an SVC's
+    support indices; load ignores both, so predictions keep their bits."""
+    train_and_predict(tmp_path, method, PREDICT_KERNELS["quantum_inversion"])
+    doc = json.loads((tmp_path / f"{method}.json").read_text())
+    doc["payload"]["kernel_id"] = ("quantum:inversion:exact:qubits=2:layers=2:data=rx:"
+                                   "trainable=ry:entangle=linear_chain:scale=1")
+    if method == "svc":
+        alphas = np.asarray(doc["payload"]["alphas"])
+        doc["payload"]["support_indices"] = np.flatnonzero(alphas > SUPPORT_THRESHOLD).tolist()
+    old, preds = tmp_path / "old.json", tmp_path / "old.csv"
+    old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert run("predict", "--model", str(old), "--data", str(tmp_path / "test.csv"),
+               "--out", str(preds)) == 0
+    assert preds.read_bytes() == (tmp_path / f"{method}.csv").read_bytes()
 
 
 def test_predict_with_every_weight_zero_returns_the_bias(tmp_path):

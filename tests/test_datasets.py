@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qkflow.datasets import (
     Dataset,
@@ -147,6 +149,23 @@ def test_normalize_unit_sphere():
     assert np.allclose(out.features[1], [0.6, 0.8], atol=1e-15)
     dots = out.features @ out.features.T
     assert np.all(dots <= 1.0 + 1e-12)
+
+
+mantissas = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=3)
+
+
+@given(rows=st.lists(st.tuples(st.floats(0.5, 1.0), mantissas, st.integers(-1073, 1023)),
+                     min_size=1, max_size=4))
+@example(rows=[(1.0, [], 1023), (0.5, [], -1073), (0.5, [1.0], 1023)])
+def test_normalize_reaches_unit_norm_over_the_whole_exponent_range(rows):
+    """Rows scaled by 2**k, from the smallest subnormal up to the largest finite
+    floats, normalize to unit norm within 4 eps, without a numpy warning."""
+    width = 1 + max(len(rest) for _, rest, _ in rows)
+    features = np.zeros((len(rows), width))
+    for i, (lead, rest, k) in enumerate(rows):
+        features[i, :1 + len(rest)] = np.ldexp([lead, *rest], k)
+    out = normalize_unit_sphere(Dataset(features=features)).features
+    assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 4 * np.finfo(float).eps)
 
 
 def test_normalize_rejects_zero_row():

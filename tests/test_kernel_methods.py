@@ -117,9 +117,7 @@ def test_svc_decision_tie_predicts_positive():
         alphas=np.array([0.5, 0.5]),
         labels=np.array([1.0, -1.0]),
         bias=0.0,
-        support_indices=np.array([0, 1]),
         C=1.0,
-        kernel_id="precomputed",
         dual_objective=0.5,
     )
     decision = svc_decision(model, np.array([[1.0, 1.0]]))

@@ -6,7 +6,7 @@ import pytest
 
 from qkflow.classical_kernels import ClassicalKernel, classical_gram, eval_classical
 from qkflow.featuremap import FeatureMapSpec
-from qkflow.kernel_methods import kpca_fit, kpca_transform, krr_fit, svc_fit, svr_fit
+from qkflow.kernel_methods import SUPPORT_THRESHOLD, krr_fit, svc_fit, svr_fit
 from qkflow.kernel_methods import krr_predict, svc_decision, svr_predict
 from qkflow.model_io import (
     FORMAT_VERSION,
@@ -198,17 +198,6 @@ def test_svr_payload_round_trip():
     assert np.array_equal(svr_predict(back, K), svr_predict(model, K))
 
 
-def test_kpca_payload_round_trip():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(7, 3))
-    kern = ClassicalKernel.gaussian_metric(gamma=0.6)
-    model = kpca_fit(classical_gram(kern, X), n_components=3)
-    back, train, _ = model_from_payload("kpca", model_to_payload(model, X, normalize=False))
-    K = evaluate_cross(kern, X, train)
-    assert np.allclose(kpca_transform(back, K), kpca_transform(model, K), atol=0)
-    assert np.array_equal(back.train_projections, model.train_projections)
-
-
 def test_evaluate_gram_dispatch():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(4, 2))
@@ -220,18 +209,15 @@ def test_evaluate_gram_dispatch():
     )
     quantum = evaluate_gram(cfg, X[:, :1])
     assert quantum.values.shape == (4, 4)
-    assert quantum.kernel_id.startswith("quantum:")
 
 
 # the file schema is the objects' own fields: pin it kind by kind
 
 TOP_LEVEL_KEYS = {"format_version", "kind", "kernel", "payload", "pretraining", "seed"}
 PAYLOAD_KEYS = {
-    "svc": {"alphas", "labels", "bias", "support_indices", "C", "dual_objective", "kernel_id"},
-    "krr": {"alphas", "reg", "kernel_id"},
-    "svr": {"coef", "bias", "epsilon", "C", "kernel_id"},
-    "kpca": {"eigenvalues", "eigenvectors", "col_means", "total_mean", "n_components",
-             "train_projections", "kernel_id"},
+    "svc": {"alphas", "labels", "bias", "C", "dual_objective"},
+    "krr": {"alphas", "reg"},
+    "svr": {"coef", "bias", "epsilon", "C"},
 }
 QUANTUM_KEYS = {"type", "n_qubits", "n_layers", "data_axis", "trainable_axis", "entanglement",
                 "data_scaling", "params", "mode", "shots", "seed", "circuit_kind"}
@@ -259,17 +245,15 @@ def fitted_models():
         "svc": svc_fit(K, labels, C=1.0),
         "krr": krr_fit(K, targets, reg=1e-3),
         "svr": svr_fit(K, targets, C=2.0, epsilon=0.1),
-        "kpca": kpca_fit(K, n_components=2),
     }
 
 
 def assert_same_fields(back, original):
-    """Equal values; arrays float64 (support_indices integer), scalars builtin."""
+    """Equal values; arrays float64, scalars builtin."""
     for f in fields(original):
         got, want = getattr(back, f.name), getattr(original, f.name)
         if isinstance(want, np.ndarray):
-            expected = np.dtype(int) if f.name == "support_indices" else np.dtype(np.float64)
-            assert got.dtype == expected, f.name
+            assert got.dtype == np.float64, f.name
             assert np.array_equal(got, want), f.name
         elif isinstance(want, FeatureMapSpec):
             assert got == want
@@ -301,6 +285,10 @@ def test_model_file_schema_and_round_trip(kind, tmp_path):
     assert_same_fields(back, model)
     assert train.dtype == np.float64 and np.array_equal(train, X)
     assert normalize is True
+    if kind == "svc":
+        support = np.flatnonzero(back.alphas > SUPPORT_THRESHOLD)
+        assert np.array_equal(back.support_indices, support)
+        assert np.array_equal(back.support_indices, model.support_indices)
 
 
 def test_embedding_file_schema_and_round_trip(tmp_path):
@@ -326,15 +314,12 @@ def test_descriptor_schema_and_round_trip(kernel, keys):
 @pytest.mark.parametrize("kind, key, value", [
     ("svc", "alphas", None),
     ("svc", "alphas", [1.0, None]),
-    ("svc", "support_indices", "0"),
+    ("svc", "labels", "0"),
     ("svc", "bias", [0.5]),
     ("svc", "bias", "0.5"),
-    ("svc", "kernel_id", 3),
     ("krr", "reg", None),
+    ("krr", "train_features", 2.0),
     ("svr", "normalize", 1),
-    ("kpca", "n_components", {}),
-    ("kpca", "n_components", 2.5),
-    ("kpca", "train_features", 2.0),
 ])
 def test_payload_field_of_wrong_type_names_the_field(kind, key, value):
     X, models = fitted_models()

@@ -30,7 +30,6 @@ from qkflow.qkernel import (
     KernelEngineConfig,
     _pair_chunks,
     cross_gram,
-    describe,
     gram_matrix,
     kernel_value,
 )
@@ -603,15 +602,9 @@ def test_dimension_mismatch():
 
 def test_gram_matrix_type_validation():
     with pytest.raises(ValueError):
-        GramMatrix(values=np.ones((2, 3)), kernel_id="k")
+        GramMatrix(values=np.ones((2, 3)))
     with pytest.raises(ValueError):
-        GramMatrix(values=np.array([[1.0, np.nan], [np.nan, 1.0]]), kernel_id="k")
-
-
-def test_describe_mentions_the_settings():
-    cfg = one_qubit_cfg(mode="shots", shots=64)
-    text = describe(cfg)
-    assert "inversion" in text and "shots=64" in text and "qubits=1" in text
+        GramMatrix(values=np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_random_params_binds():
