@@ -165,16 +165,14 @@ def _quantum_spec_from_args(args) -> FeatureMapSpec:
 
 
 def _kernel_from_args(args, seed: int):
-    """Build the kernel object plus pretraining metadata (embedding only)."""
+    """Build the kernel object plus pretraining metadata (embedding only); an
+    embedding takes the measurement flags like `--kernel quantum`."""
     if args.shots is not None and args.mode != "shots":
         raise _UsageError("--shots needs --mode shots")
-    if args.embedding is not None:
-        model_file = load_model(args.embedding)
-        artifact = embedding_from_model_file(model_file)
-        cfg = KernelEngineConfig(spec=artifact.spec, params=artifact.lam,
-                                 mode="exact", seed=seed)
-        return cfg, dict(model_file.pretraining or {})
-    if args.kernel is None:
+    if args.embedding is not None and (args.kernel is not None or args.params is not None):
+        raise _UsageError("--embedding supplies the kernel and its angles; "
+                          "drop --kernel and --params")
+    if args.embedding is None and args.kernel is None:
         raise _UsageError("choose a kernel with --kernel or --embedding")
     if args.kernel == "linear":
         return ClassicalKernel.linear(c=args.c), None
@@ -184,14 +182,20 @@ def _kernel_from_args(args, seed: int):
         return ClassicalKernel.exponential(sigma=args.sigma), None
     if args.kernel == "gaussian":
         return ClassicalKernel.gaussian_metric(gamma=args.gamma), None
-    spec = _quantum_spec_from_args(args)
-    if args.params is not None:
+    pretraining = None
+    if args.embedding is not None:
+        model_file = load_model(args.embedding)
+        artifact = embedding_from_model_file(model_file)
+        spec, lam, pretraining = artifact.spec, artifact.lam, dict(model_file.pretraining or {})
+    elif args.params is not None:
+        spec = _quantum_spec_from_args(args)
         lam = np.array([float(p) for p in args.params.split(",")], dtype=float)
     else:
+        spec = _quantum_spec_from_args(args)
         lam = np.zeros(param_count(spec))
     cfg = KernelEngineConfig(spec=spec, params=lam, mode=args.mode,
                              shots=args.shots, seed=seed, circuit_kind=args.circuit)
-    return cfg, None
+    return cfg, pretraining
 
 
 # subcommands

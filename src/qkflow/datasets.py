@@ -76,10 +76,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Read a header-first CSV into a Dataset.
 
     The label column is label_column when given, otherwise "label" if the
-    header has one, otherwise no labels. Parse failures and non-finite numbers
+    header has one, otherwise no labels. A UTF-8 byte order mark is skipped and
+    a repeated column name refused. Parse failures and non-finite numbers
     name the offending row and column.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -88,6 +89,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header row")
     header = [cell.strip() for cell in rows[0]]
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{path}: column {repeated!r} appears more than once in the header")
     if label_column is not None and label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
     label_name = label_column if label_column is not None else ("label" if "label" in header else None)
@@ -157,12 +161,17 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     params = dict(params or {})
+    for name, value in params.items():
+        if not math.isfinite(float(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng(rng_entropy(seed))
     n_first = (m + 1) // 2
     n_second = m - n_first
 
     if kind == "blobs":
         spread = float(params.pop("spread", 0.6))
+        if spread < 0:
+            raise ValueError(f"spread must be >= 0, got {spread}")
         a = rng.normal(loc=(-2.0, 0.0), scale=spread, size=(n_first, 2))
         b = rng.normal(loc=(2.0, 0.0), scale=spread, size=(n_second, 2))
         features = np.vstack([a, b])

@@ -17,6 +17,7 @@ The circuit is written down once, in `_encoding_angles`, as (kind, targets,
 angles) for a whole block of points. `encoding_gates` turns it into
 `statevector.apply_gates` triples, with 2x2 matrix stacks in place of
 angles, and `encode_states` runs them on a block of |0...0> columns.
+U(x)^dag is derived from these gates (`statevector._adjoint`).
 """
 
 from __future__ import annotations
@@ -105,13 +106,11 @@ def _checked_params(spec: FeatureMapSpec, params: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray,
-                     inverse: bool = False) -> list:
-    """The gates of U(x), or of U(x)^dag with `inverse`, for every row x of `points`.
+def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) -> list:
+    """The gates of U(x) for every row x of `points`.
 
     Each gate is (kind, targets, angles). A trainable rotation has one angle
     shared by every point, a data rotation one angle per point and a CNOT None.
-    The adjoint reverses the order and negates every angle.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -119,9 +118,6 @@ def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarra
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite values")
     lam = _checked_params(spec, params)
-    scale = spec.data_scaling
-    if inverse:
-        lam, scale = -lam, -scale
     gates = []
     for layer in range(spec.n_layers):
         base = layer * spec.n_qubits
@@ -130,22 +126,22 @@ def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarra
         with np.errstate(over="ignore"):  # an overflow is reported below
             for q in range(spec.n_qubits):
                 column = points[:, (base + q) % points.shape[1]]
-                gates.append((spec.data_axis, (q,), scale * column))
+                gates.append((spec.data_axis, (q,), spec.data_scaling * column))
         gates.extend(("cnot", pair, None) for pair in _entangler_pairs(spec))
     if not all(angles is None or np.all(np.isfinite(angles)) for _, _, angles in gates):
         raise ValueError("gate parameters must be finite")
-    return gates[::-1] if inverse else gates
+    return gates
 
 
 def encoding_gates(
-    spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray, inverse: bool = False
+    spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray
 ) -> list[tuple[str, tuple[int, ...], np.ndarray | None]]:
     """`_encoding_angles` as `apply_gates` triples: every angle becomes its
     2x2 rotation matrix, so a data rotation has one matrix per point and a
     trainable rotation one matrix shared by every point."""
     return [
         (kind, targets, None if angles is None else rotation_matrices(kind, angles))
-        for kind, targets, angles in _encoding_angles(spec, points, params, inverse)
+        for kind, targets, angles in _encoding_angles(spec, points, params)
     ]
 
 

@@ -17,15 +17,13 @@ re^2 + im^2. So each cross entry depends on its two points alone, and the
 exact inversion and swap cross entries are equal bit for bit. A swap-test
 Gram compares states the same way.
 
-Only an inversion-test Gram simulates pairs. It stacks the pairs i < j, one
-per block column, into chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes
-and applies to each the adjoint gates of its x_j. Two steps of the textbook
-test are skipped because they cannot change the read-out: the CNOTs that
-end U(x_i) and start U(x_j)^dag undo each other exactly, so neither runs,
-and the rotations that end U(x_j)^dag compute only what reaches amplitude
-|0...0> (`statevector._zero_amplitudes`). Every amplitude that reaches
-|0...0> gets the operations, in the order, of simulating its pair on its
-own, so each entry has the bits of that simulation.
+Only an inversion-test Gram simulates pairs. U(x) is V(x) and then CNOTs
+that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i). Blocks of
+at most PAIR_BLOCK_AMPLITUDES amplitudes (or one pair) run V(x_j)^dag, derived
+from the gates of V (`statevector._adjoint`), on V(x_i)|0...0> and compute
+only amplitude |0...0> (`statevector._zero_amplitudes`). That amplitude gets
+the operations, in the order, and the values up to the signs of zeros, of
+simulating the pair on its own with negated angles: each entry has its bits.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featuremap import FeatureMapSpec, _checked_params, encode_states, encoding_gates
-from .statevector import _zero_amplitudes, _zero_block, apply_gates, rng_entropy
+from .statevector import _adjoint, _zero_amplitudes, _zero_block, apply_gates, rng_entropy
 
 __all__ = [
     "MODES",
@@ -57,11 +55,12 @@ __all__ = [
 MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
-# Amplitudes in one block of inversion-test pairs. Measured with one state
-# per column on an 8-qubit, 3-layer Gram of 60 points: 2**13 was about 5%
-# slower; 2**15 and 2**16 were 5-12% faster on the Gram alone, but 2**15
-# did not shorten the benchmark's `wide` `fit_s` and raised its peak memory
-# by 0.6 MB, and 2**16 raised the `train` command's by 1.9 MB.
+# Amplitudes in one block of inversion-test pairs. Measured with equal slices
+# and one matrix per pair, on one core of a Xeon with 4 MiB of L2, for an
+# 8-qubit, 3-layer Gram of 60 points: 2**13 was about 20% slower and 2**15
+# about 15% faster on the Gram alone. Under the earlier packing of whole
+# columns, 2**15 did not shorten the benchmark's `wide` `fit_s` and raised its
+# peak memory by 0.6 MB, and 2**16 raised the `train` command's by 1.9 MB.
 PAIR_BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -162,69 +161,37 @@ def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
     return _row_sums(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T), term)
 
 
-def _pair_chunks(n_points: int, n_qubits: int):
-    """Yield (first, stop) column ranges of the pairs i < j, where column j holds
-    j pairs, that fill at most PAIR_BLOCK_AMPLITUDES amplitudes; a taller
-    column is a chunk of its own. A chunk starts at a column with pairs."""
-    budget = PAIR_BLOCK_AMPLITUDES >> n_qubits
-    first, rows = 0, 0
-    for j in range(n_points):
-        if rows and rows + j > budget:
-            yield first, j
-            rows = 0
-        if not rows:
-            first = j
-        rows += j
-    if rows:
-        yield first, n_points
-
-
-def _all_zeros_probabilities(n_qubits, states, inverse) -> np.ndarray:
-    """P(0...0) after U(x_j)^dag U(x_i)|0...0> for the pairs i < j of one point
-    set, where column i of `states` is U(x_i)|0...0> and `inverse` holds the
-    gates of every U(x_j)^dag; the entries on and below the diagonal stay 0.
-
-    The pairs are stacked column by column into chunks, one pair per block
-    column; every pair gets the matrices of its own j, or with one j the
-    shared ones. Only amplitude 0 is computed at the end (`_zero_amplitudes`).
-    """
-    probs = np.zeros((states.shape[1],) * 2)
-    for first, stop in _pair_chunks(states.shape[1], n_qubits):
-        height = np.arange(first, stop)
-        cols = np.repeat(np.arange(first, stop), height)
-        rows = np.arange(cols.size) - np.repeat(np.cumsum(height) - height, height)
-        pick = cols if stop - first > 1 else cols[:1]
-        amp = _zero_amplitudes(np.take(states, rows, axis=1), n_qubits, [
-            (kind, t, m if m is None or len(m) == 1 else m[pick]) for kind, t, m in inverse
+def _inversion_tests(cfg, points) -> np.ndarray:
+    """Exact K[i, j] = k(x_i, x_j) for i < j by the per-pair inversion test, 0
+    elsewhere: P(0...0) after V(x_j)^dag V(x_i)|0...0>, with V(x_i)|0...0>
+    encoded once. The pairs, j-major, run in slices of at most
+    `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one per block column.
+    A slice ends before the pairs of a new j where it can, and a slice of one
+    j shares that j's matrices, so a gate multiplies by one number, not a row."""
+    n = cfg.spec.n_qubits
+    gates = encoding_gates(cfg.spec, points, cfg.params)
+    while gates and gates[-1][0] == "cnot":  # they cancel the CNOTs that start U(x_j)^dag
+        gates.pop()
+    states = _zero_block(len(points), n)
+    apply_gates(states, n, gates)
+    adjoint = _adjoint(gates)
+    probs = np.zeros((len(points),) * 2)
+    cols, rows = np.tril_indices(len(points), -1)
+    step, start = max(1, PAIR_BLOCK_AMPLITUDES >> n), 0
+    while start < rows.size:
+        stop = min(start + step, rows.size)
+        if stop < rows.size and cols[stop] * (cols[stop] - 1) // 2 > start:
+            stop = cols[stop] * (cols[stop] - 1) // 2  # where column cols[stop] starts
+        i, j = rows[start:stop], cols[start:stop]
+        pick = j[:1] if j[0] == j[-1] else j
+        amp = _zero_amplitudes(np.take(states, i, axis=1), n, [
+            (kind, t, m if m is None or len(m) == 1 else m[pick]) for kind, t, m in adjoint
         ])
         # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is
         # hypot then libm pow; np.abs(a) ** 2 does not reproduce it.
-        probs[rows, cols] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
-    return probs
-
-
-def _cancelling_cnots(gates, inverse) -> int:
-    """How many gates end `gates` and, in reverse order, start `inverse` as the
-    same CNOTs. A CNOT is its own inverse and only moves amplitudes, so the
-    pairs cancel exactly: U(x_i) ends with the entangler that U(x_j)^dag
-    starts with."""
-    k = 0
-    while (k < min(len(gates), len(inverse)) and gates[-1 - k][0] == "cnot"
-           and inverse[k][0] == "cnot" and tuple(gates[-1 - k][1]) == tuple(inverse[k][1])):
-        k += 1
-    return k
-
-
-def _inversion_tests(cfg, points) -> np.ndarray:
-    """Exact K[i, j] = k(x_i, x_j) for i < j by the per-pair inversion test; 0
-    elsewhere. The CNOTs that end U(x_i) and start U(x_j)^dag are skipped."""
-    n = cfg.spec.n_qubits
-    gates = encoding_gates(cfg.spec, points, cfg.params)
-    inverse = encoding_gates(cfg.spec, points, cfg.params, inverse=True)
-    shared = _cancelling_cnots(gates, inverse)
-    states = _zero_block(len(points), n)
-    apply_gates(states, n, gates[:len(gates) - shared])
-    return np.clip(_all_zeros_probabilities(n, states, inverse[shared:]), 0.0, 1.0)
+        probs[i, j] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+        start = stop
+    return np.clip(probs, 0.0, 1.0)
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,11 +228,9 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     """Kernel matrix of a point set against itself: the entries above the diagonal
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
-    # The inversion test still simulates each pair here, although `_overlaps`
-    # gives its entries within 4 * 2**n eps: `align` reads this function alone,
-    # and the README `align` pin that the benchmark holds moves when an entry
-    # moves by an ulp. ROADMAP item 2 moves this path to `_overlaps` after
-    # item 1 lets a stated output change re-derive that pin.
+    # The inversion test still simulates each pair, although `_overlaps` is
+    # within 4 * 2**n eps of it: the README `align` pin, which the benchmark
+    # holds, moves when an entry moves by an ulp (ROADMAP items 1 and 2).
     if cfg.circuit_kind == "inversion":
         exact = _inversion_tests(cfg, points)
     else:

@@ -185,6 +185,13 @@ def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
     _run_gates(amps, n_qubits, _checked_gates(amps, n_qubits, gates))
 
 
+def _adjoint(gates: list) -> list:
+    """The inverse circuit: `gates` reversed, every matrix conjugate-transposed.
+    R(t)^dag has the value of R(-t); only the signs of zeros can differ."""
+    return [(kind, t, None if m is None else np.ascontiguousarray(m.conj().transpose(0, 2, 1)))
+            for kind, t, m in reversed(gates)]
+
+
 def _fold_length(gates: list) -> int:
     """The largest k such that the i-th gate from the end rotates qubit i for
     every i < k. Those k gates rotate qubits k - 1, ..., 0 in turn, and no

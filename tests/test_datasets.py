@@ -44,6 +44,14 @@ def test_load_csv_named_label_column(tmp_path):
         load_csv(path, label_column="nope")
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,f0\n1,0.5\n-1,0.25\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.labels, [1.0, -1.0])
+    assert ds.feature_names == ("f0",)
+
+
 def test_load_csv_header_only(tmp_path):
     path = tmp_path / "d.csv"
     write(path, "f0,f1,label\n")

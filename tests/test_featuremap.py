@@ -18,7 +18,7 @@ from qkflow.featuremap import (
     param_count,
     random_params,
 )
-from qkflow.statevector import apply_gates, rotation_matrices
+from qkflow.statevector import _adjoint, apply_gates, rotation_matrices
 
 
 def kinds_and_args(spec, point, params):
@@ -159,15 +159,16 @@ def test_encoder_is_bitwise_the_circuit_path(data_axis, trainable_axis, entangle
         run_gates_oracle(amps, encoding_oracle(spec, lam, x, inverse=True))
         return amps[0]
 
-    # inverse gates of point 2 on every column, one shared matrix per gate
+    # the adjoint gates of point 2 on every column, one shared matrix per gate,
+    # against the oracle's negated angles
     got = states.copy()
-    apply_gates(got, spec.n_qubits, encoding_gates(spec, X[2:3], lam, inverse=True))
+    apply_gates(got, spec.n_qubits, _adjoint(encoding_gates(spec, X[2:3], lam)))
     for column in range(len(X)):
         np.testing.assert_array_equal(got[:, column], undone(column, X[2]))
 
-    # and every point's inverse gates at once, one matrix per column
+    # and every point's adjoint gates at once, one matrix per column
     got = states.copy()
-    apply_gates(got, spec.n_qubits, encoding_gates(spec, X, lam, inverse=True))
+    apply_gates(got, spec.n_qubits, _adjoint(encoding_gates(spec, X, lam)))
     for column, x in enumerate(X):
         np.testing.assert_array_equal(got[:, column], undone(column, x))
 
@@ -181,7 +182,7 @@ def test_encoder_gate_list():
     assert [None if m is None else m.shape for _, _, m in gates] == [
         (1, 2, 2), (1, 2, 2), (5, 2, 2), (5, 2, 2), None, None,
     ]
-    inverse = encoding_gates(spec, np.ones((5, 1)), np.zeros(2), inverse=True)
+    inverse = _adjoint(gates)
     assert [(kind, t) for kind, t, _ in inverse] == [
         ("cnot", (1, 0)), ("cnot", (0, 1)), ("ry", (1,)), ("ry", (0,)), ("rz", (1,)), ("rz", (0,)),
     ]

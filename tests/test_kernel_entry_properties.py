@@ -1,8 +1,9 @@
 """Property tests for the one rule every kernel entry follows.
 
 An entry k(x, x') depends on its own two points alone, so any sub-block of
-a cross-Gram has the bits of the cross-Gram of the sub-blocks' points, and
-a Gram is exactly symmetric. This is what lets `predict` evaluate only the
+a cross-Gram has the bits of the cross-Gram of the sub-blocks' points, an
+order-preserving sub-block of a Gram is the Gram of its points, and a Gram
+is exactly symmetric. This is what lets `predict` evaluate only the
 training columns with a nonzero weight.
 """
 
@@ -32,11 +33,13 @@ def unit_rows(points):
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
-def draw_kernel(draw, kind, d):
+def draw_kernel(draw, kind, d, max_qubits=4):
+    """A kernel of `kind` on d features; a feature map past 4 qubits has one layer."""
     if kind in ("inversion", "swap"):
+        n_qubits = draw(st.integers(1, max_qubits))
         spec = FeatureMapSpec(
-            n_qubits=draw(st.integers(1, 4)),
-            n_layers=draw(st.integers(1, 2)),
+            n_qubits=n_qubits,
+            n_layers=draw(st.integers(1, 2 if n_qubits <= 4 else 1)),
             data_axis=draw(st.sampled_from(DATA_AXES)),
             trainable_axis=draw(st.sampled_from(TRAINABLE_AXES)),
             entanglement=draw(st.sampled_from(ENTANGLEMENTS)),
@@ -74,3 +77,25 @@ def test_a_cross_gram_sub_block_is_the_cross_gram_of_its_points(kind, data):
     assert full[rows][:, used].tobytes() == evaluate_cross(kernel, new[rows], train[used]).tobytes()
     K = evaluate_gram(kernel, new).values
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+
+
+@st.composite
+def gram_cases(draw, kind):
+    d = draw(st.integers(1, 4))
+    points = matrices(draw, draw(st.integers(2, 24)), d)
+    if kind == "exponential":
+        points = unit_rows(points)
+    keep = sorted(set(draw(st.lists(st.integers(0, len(points) - 1), min_size=1,
+                                    max_size=len(points)))))
+    return draw_kernel(draw, kind, d, max_qubits=8), points, keep
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_gram_sub_block_is_the_gram_of_its_points(kind, data):
+    """An inversion Gram of 8 qubits puts 64 pairs in a block, so the kept
+    pairs move to other blocks, and other block columns, in the smaller Gram."""
+    kernel, points, keep = data.draw(gram_cases(kind))
+    full = evaluate_gram(kernel, points).values
+    assert full[keep][:, keep].tobytes() == evaluate_gram(kernel, points[keep]).values.tobytes()

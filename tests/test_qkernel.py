@@ -28,7 +28,6 @@ from qkflow.qkernel import (
     PAIR_BLOCK_AMPLITUDES,
     GramMatrix,
     KernelEngineConfig,
-    _pair_chunks,
     cross_gram,
     gram_matrix,
     kernel_value,
@@ -385,16 +384,26 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     )
 
 
-# Pair blocks: an inversion-test Gram stacks its (i, j) pairs column by column
-# into chunks of at most PAIR_BLOCK_AMPLITUDES amplitudes.
+# Pair blocks: an inversion-test Gram cuts its pairs (i, j), i < j, into
+# slices of PAIR_BLOCK_AMPLITUDES >> n pairs, at least one.
 
 CHUNK_ROWS = 32  # pairs per chunk on the register below
 CHUNKED_QUBITS = (PAIR_BLOCK_AMPLITUDES // CHUNK_ROWS).bit_length() - 1
 WIDE_QUBITS = PAIR_BLOCK_AMPLITUDES.bit_length() - 1  # one pair fills a chunk
 
 
-def chunk_widths(n_points, n_qubits):
-    return [stop - first for first, stop in _pair_chunks(n_points, n_qubits)]
+def recorded_chunks(monkeypatch):
+    """The (amplitudes, pairs) shape of every block of pairs that a Gram hands
+    to `_zero_amplitudes`, appended to the returned list."""
+    shapes = []
+    zero_amplitudes = qkernel._zero_amplitudes
+
+    def recording(amps, *args):
+        shapes.append(amps.shape)
+        return zero_amplitudes(amps, *args)
+
+    monkeypatch.setattr(qkernel, "_zero_amplitudes", recording)
+    return shapes
 
 
 def chunk_cfg(n_qubits, mode):
@@ -408,25 +417,46 @@ def chunk_cfg(n_qubits, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_pair_blocks_spanning_many_multi_column_chunks(mode):
+def test_pair_blocks_spanning_many_multi_column_chunks(monkeypatch, mode):
     cfg = chunk_cfg(CHUNKED_QUBITS, mode)
     rng = np.random.default_rng(1)
     X = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 2 - 2, 2))
     Y = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 3, 2))
-    assert sum(w > 1 for w in chunk_widths(len(X), CHUNKED_QUBITS)) >= 3
+    chunks = recorded_chunks(monkeypatch)
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    # the pairs of j = 1-7, 8-10, 11-12 and 13: each chunk ends where a new j starts
+    assert [width for _, width in chunks] == [28, 27, 23, 13]
     assert_cross_matches_reference(cfg, Y, X)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_pair_blocks_with_one_column_per_chunk(mode):
+def test_pair_blocks_with_one_column_per_chunk(monkeypatch, mode):
     cfg = chunk_cfg(WIDE_QUBITS, mode)
     rng = np.random.default_rng(2)
     X = rng.uniform(-np.pi, np.pi, size=(4, 3))
     Y = rng.uniform(-np.pi, np.pi, size=(2, 3))
-    assert set(chunk_widths(len(X), WIDE_QUBITS)) == {1}
+    chunks = recorded_chunks(monkeypatch)
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    assert chunks == [(PAIR_BLOCK_AMPLITUDES, 1)] * 6
     assert_cross_matches_reference(cfg, Y, X)
+
+
+@pytest.mark.parametrize("n_qubits, n_points", [
+    (1, 130), (CHUNKED_QUBITS, 40), (WIDE_QUBITS - 1, 5), (WIDE_QUBITS + 1, 3),
+])
+def test_no_pair_block_exceeds_the_amplitude_budget(monkeypatch, n_qubits, n_points):
+    """Every block of pairs holds at most max(PAIR_BLOCK_AMPLITUDES, 2**n)
+    amplitudes, and each pair runs once."""
+    spec = FeatureMapSpec(n_qubits, 1, data_axis="ry", trainable_axis="rz",
+                          entanglement="linear_chain")
+    cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, n_qubits))
+    X = np.random.default_rng(n_qubits).uniform(-np.pi, np.pi, size=(n_points, 2))
+    chunks = recorded_chunks(monkeypatch)
+    gram_matrix(cfg, X)
+    budget = max(PAIR_BLOCK_AMPLITUDES, 1 << n_qubits)
+    assert len(chunks) >= 2
+    assert all(amplitudes * pairs <= budget for amplitudes, pairs in chunks)
+    assert sum(pairs for _, pairs in chunks) == n_points * (n_points - 1) // 2
 
 
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
@@ -473,7 +503,7 @@ def test_inversion_gram_cancels_the_shared_entangler_and_folds_the_last_rotation
     monkeypatch.setattr(statevector, "_apply_cnot_inplace", counting_cnot)
     monkeypatch.setattr(statevector, "_fold", recording_fold)
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    chunks = len(list(_pair_chunks(m, n)))
+    chunks = len(folded)  # one fold per block of pairs
     assert len(cnots) == (n_layers - 1) * len(featuremap._entangler_pairs(spec)) * (1 + chunks)
     assert sum(width for width, _ in folded) == m * (m - 1) // 2
     assert all(tail == [("rx", (q,)) for q in reversed(range(n))] for _, tail in folded)
@@ -498,7 +528,7 @@ def test_cross_gram_encodes_each_point_once_and_simulates_no_pair(monkeypatch, m
         raise AssertionError("a cross-Gram ran a per-pair inversion test")
 
     monkeypatch.setattr(qkernel, "encode_states", counting)
-    monkeypatch.setattr(qkernel, "_all_zeros_probabilities", no_pairs)
+    monkeypatch.setattr(qkernel, "_inversion_tests", no_pairs)
     assert cross_gram(cfg, A, B).shape == (len(A), len(B))
     assert sum(encoded) == len(A) + len(B)
     encoded.clear()

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import apply_cnot_oracle, apply_single_oracle, rotation_matrix_oracle, run_gates_oracle
 from qkflow.featuremap import FeatureMapSpec, encode_states, encoding_gates
-from qkflow.statevector import MAX_QUBITS, _zero_block, apply_gates, rotation_matrices
+from qkflow.statevector import MAX_QUBITS, _adjoint, _zero_block, apply_gates, rotation_matrices
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 ROTATIONS = ("p", "rx", "ry", "rz")
@@ -125,15 +125,29 @@ def test_norm_preserved_through_long_circuits():
 
 
 def test_adjoint_round_trip():
-    """The inverse encoding gates undo the encoding: U(x)^dag U(x)|0...0> = |0...0>."""
+    """The adjoint of the encoding gates undoes the encoding: U(x)^dag U(x)|0...0> = |0...0>."""
     rng = np.random.default_rng(23)
     for entanglement in ("none", "linear_chain", "ring"):
         spec = FeatureMapSpec(3, 2, "ry", "rx", entanglement, data_scaling=1.3)
         lam = rng.uniform(-np.pi, np.pi, 6)
         X = rng.uniform(-np.pi, np.pi, size=(4, 2))
         states = encode_states(spec, X, lam)
-        apply_gates(states, 3, encoding_gates(spec, X, lam, inverse=True))
+        apply_gates(states, 3, _adjoint(encoding_gates(spec, X, lam)))
         assert np.all(np.abs(states[0]) ** 2 >= 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("kind", ROTATIONS)
+def test_adjoint_has_the_value_of_the_negated_angles(kind):
+    """`_adjoint` reverses the gates and conjugate-transposes each stack; each
+    matrix equals the negated-angle rotation (assert_array_equal ignores the
+    signs of zeros, which the inversion test's read-out cannot see)."""
+    angles = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi],
+                             np.random.default_rng(5).uniform(-50.0, 50.0, 200)])
+    gates = [("cnot", (0, 1), None), (kind, (1,), rotation_matrices(kind, angles))]
+    (got_kind, targets, matrices), cnot = _adjoint(gates)
+    assert (got_kind, targets, cnot) == (kind, (1,), gates[0])
+    for u, theta in zip(matrices, angles):
+        np.testing.assert_array_equal(u, rotation_matrix_oracle(kind, -theta))
 
 
 # amplitude blocks, one state per column: a shared matrix gives every column
