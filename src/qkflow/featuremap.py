@@ -48,8 +48,8 @@ ENTANGLEMENTS = ("none", "linear_chain", "ring")
 class FeatureMapSpec:
     """Static description of an encoding circuit family."""
 
-    n_qubits: int
-    n_layers: int
+    n_qubits: int = 1
+    n_layers: int = 1
     data_axis: str = "rx"
     trainable_axis: str = "ry"
     entanglement: str = "linear_chain"

@@ -190,12 +190,12 @@ class MlkrrConfig:
     outer_iters: int = 30
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if self.reg < 0:
-            raise ValueError(f"reg must be non-negative, got {self.reg}")
+        if not 0 <= self.reg < np.inf:
+            raise ValueError(f"reg must be non-negative and finite, got {self.reg}")
         if int(self.outer_iters) != self.outer_iters or self.outer_iters < 0:
             raise ValueError(
                 f"outer_iters must be a non-negative integer, got {self.outer_iters}"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 import qkflow
 from oracles import one_layer_gram_oracle
-from qkflow.cli import run_command
+from qkflow.classical_kernels import ClassicalKernel
+from qkflow.cli import _kernel_choice, build_parser, run_command
 from qkflow.datasets import load_csv, normalize_unit_sphere
 from qkflow.featuremap import FeatureMapSpec
 from qkflow.kernel_methods import SMO_GAP, SUPPORT_THRESHOLD
@@ -23,7 +25,8 @@ from qkflow.model_io import (
     load_model,
     model_from_payload,
 )
-from qkflow.training import svc_loss
+from qkflow.qkernel import KernelEngineConfig
+from qkflow.training import MlkrrConfig, SpsaConfig, svc_loss
 
 
 def run(*argv):
@@ -335,8 +338,103 @@ def test_an_embedding_with_kernel_or_params_is_a_usage_error(tmp_path, capsys, f
     capsys.readouterr()
     assert run("train", "--method", "svc", "--embedding", str(emb), *flags,
                "--data", str(data), "--out", str(tmp_path / "m.json")) == 1
-    assert "usage error: --embedding supplies the kernel" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --embedding ") and flags[0] in err
     assert not (tmp_path / "m.json").exists()
+
+
+# each kernel flag with a value every choice that reads it accepts
+KERNEL_FLAG_VALUES = {
+    "--c": ("--c", "0.5"),
+    "--degree": ("--degree", "3"),
+    "--sigma": ("--sigma", "0.5"),
+    "--gamma": ("--gamma", "0.5"),
+    "--qubits": ("--qubits", "2"),
+    "--layers": ("--layers", "2"),
+    "--data-axis": ("--data-axis", "ry"),
+    "--trainable-axis": ("--trainable-axis", "rx"),
+    "--entanglement": ("--entanglement", "ring"),
+    "--data-scaling": ("--data-scaling", "0.5"),
+    "--params": ("--params", "0.3"),
+    "--mode": ("--mode", "exact"),
+    "--shots": ("--mode", "shots", "--shots", "10"),
+    "--circuit": ("--circuit", "swap"),
+}
+MEASUREMENT_FLAGS = {"--mode", "--shots", "--circuit"}
+KERNEL_CHOICE_READS = {
+    "linear": {"--c"},
+    "polynomial": {"--c", "--degree"},
+    "exponential": {"--sigma"},
+    "gaussian": {"--gamma"},
+    "quantum": {"--qubits", "--layers", "--data-axis", "--trainable-axis", "--entanglement",
+                "--data-scaling", "--params"} | MEASUREMENT_FLAGS,
+    "embedding": MEASUREMENT_FLAGS,
+}
+
+
+@pytest.fixture(scope="module")
+def flag_check_inputs(tmp_path_factory):
+    """Normalized 2-feature points and a one-qubit embedding trained on them."""
+    work = tmp_path_factory.mktemp("flags")
+    data, emb = work / "d.csv", work / "emb.json"
+    assert run("gen-data", "--kind", "blobs", "--m", "6", "--seed", "1", "--out", str(data)) == 0
+    assert run("align", "--data", str(data), "--spsa-iters", "1", "--out", str(emb)) == 0
+    return data, emb
+
+
+@pytest.mark.parametrize("flag", KERNEL_FLAG_VALUES)
+@pytest.mark.parametrize("choice", KERNEL_CHOICE_READS)
+def test_a_kernel_flag_the_choice_does_not_read_is_a_usage_error(
+        tmp_path, capsys, flag_check_inputs, choice, flag):
+    data, emb = flag_check_inputs
+    kernel = ("--embedding", str(emb)) if choice == "embedding" else ("--kernel", choice)
+    out = tmp_path / "K.csv"
+    capsys.readouterr()
+    rc = run("kernel", "--data", str(data), "--normalize", *kernel, *KERNEL_FLAG_VALUES[flag],
+             "--out", str(out))
+    err = capsys.readouterr().err
+    if flag in KERNEL_CHOICE_READS[choice]:
+        assert (rc, err) == (0, "")
+        assert out.exists()
+    else:
+        assert rc == 1
+        chosen = "--embedding" if choice == "embedding" else f"--kernel {choice}"
+        assert err.startswith(f"usage error: {chosen} does not read ")
+        assert flag in err.splitlines()[0].split(" does not read ")[1].split(", ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, classes", [
+    (("kernel", "--out", "K.csv"), (ClassicalKernel, FeatureMapSpec, KernelEngineConfig)),
+    (("train", "--method", "svc"), (ClassicalKernel, FeatureMapSpec, KernelEngineConfig)),
+    (("kpca", "--out", "P.csv"), (ClassicalKernel, FeatureMapSpec, KernelEngineConfig)),
+    (("cluster", "--out", "C.csv"), (ClassicalKernel, FeatureMapSpec, KernelEngineConfig)),
+    (("align", "--out", "e.json"), (FeatureMapSpec, SpsaConfig)),
+    (("mlkrr", "--out", "m.json"), (MlkrrConfig,)),
+], ids=["kernel", "train", "kpca", "cluster", "align", "mlkrr"])
+def test_every_flag_bound_to_a_dataclass_field_defaults_to_none(argv, classes):
+    """The dataclass defaults are the only defaults. Each field a command sets
+    has a flag stored under the field's name, and an unset flag is None. The
+    exceptions are fields the command fixes itself: the kernel kind, the
+    feature map and angles, and the seed, which is the command's own --seed."""
+    args = vars(build_parser().parse_args([*argv, "--data", "d.csv"]))
+    fixed = {"kind", "transform", "spec", "seed"}
+    bound = {f.name for cls in classes for f in fields(cls)} - fixed
+    assert bound <= args.keys()
+    assert {name: args[name] for name in bound} == dict.fromkeys(bound)
+
+
+@pytest.mark.parametrize("params", ["1,x", "", "0.5,,1"])
+def test_malformed_params_is_a_data_error_that_names_the_flag(tmp_path, capsys, params):
+    data, out = tmp_path / "d.csv", tmp_path / "K.csv"
+    run("gen-data", "--kind", "hidden_rotation", "--m", "6", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    rc = run("kernel", "--data", str(data), "--kernel", "quantum", "--params", params,
+             "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --params must be comma-separated numbers, got {params!r}\n")
+    assert not out.exists()
 
 
 def test_predict_svc_reports_accuracy(tmp_path):
@@ -744,6 +842,22 @@ def test_the_benchmark_reads_what_the_library_returns(tmp_path, monkeypatch):
         assert run(*step.argv) == 0
     shots.reference()  # raises unless the exact Gram is symmetric with a unit diagonal
     assert shots.exact_gram.shape == (shots.M, shots.M)
+
+
+def test_every_benchmark_command_parses_and_passes_the_kernel_flag_check(tmp_path, monkeypatch):
+    """A stricter flag rule must not refuse a command the benchmark runs."""
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    parser = build_parser()
+    selections = 0
+    for seed in (7, 8):
+        for workload in workloads.WORKLOADS.values():
+            bench = workload(tmp_path, seed)
+            for step in (*bench.prepare(), *bench.steps(), *bench.probes()):
+                args = parser.parse_args(step.argv)
+                if args.command in ("kernel", "train", "kpca", "cluster"):
+                    _kernel_choice(args)
+                    selections += 1
+    assert selections > 0
 
 
 # perfbench/tracer.py rows that name functions the library no longer has; the

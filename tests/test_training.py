@@ -303,6 +303,15 @@ def test_mlkrr_validation():
         mlkrr_fit(np.zeros((1, 2)), [1.0], MlkrrConfig())
 
 
+@pytest.mark.parametrize("field, value", [("reg", np.nan), ("reg", np.inf),
+                                          ("gamma", np.nan), ("gamma", np.inf)])
+def test_mlkrr_config_refuses_a_non_finite_reg_or_gamma(field, value):
+    """Refused when the config is built, as SpsaConfig does, not later inside
+    krr_fit or the kernel once a Gram has been built."""
+    with pytest.raises(ValueError, match=f"^{field} must be [a-z -]+ and finite, got {value}$"):
+        MlkrrConfig(**{field: value})
+
+
 # embedding export
 
 
