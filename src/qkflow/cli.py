@@ -166,9 +166,7 @@ def _given(args, cls, **fixed):
 
 def _kernel_choice(args) -> str:
     """The chosen kernel ("embedding" for --embedding), once every kernel flag
-    that was set is one the choice reads."""
-    if args.shots is not None and args.mode != "shots":
-        raise _UsageError("--shots needs --mode shots")
+    that was set is one the choice reads and --shots comes with --mode shots."""
     if args.embedding is not None and args.kernel is not None:
         raise _UsageError("--embedding supplies the kernel; drop --kernel")
     if args.embedding is None and args.kernel is None:
@@ -179,6 +177,8 @@ def _kernel_choice(args) -> str:
     if stray:
         chosen = "--embedding" if args.kernel is None else f"--kernel {choice}"
         raise _UsageError(f"{chosen} does not read {', '.join(stray)}")
+    if args.shots is not None and args.mode != "shots":
+        raise _UsageError("--shots needs --mode shots")
     return choice
 
 

@@ -118,8 +118,7 @@ class TrainedSVC:
 
 
 def _movable(a, z, C: float):
-    """Masks of the multipliers that can move up (z_i a_i rises) and down;
-    on one multiplier's floats, its two flags."""
+    """Masks of the multipliers that can move up (z_i a_i rises) and down."""
     up = ((z > 0) & (a < C)) | ((z < 0) & (a > 0))
     low = ((z > 0) & (a > 0)) | ((z < 0) & (a < C))
     return up, low
@@ -135,11 +134,12 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     Q_ij + b: the mean of r_i - g_i over the free multipliers or, with none
     free, the midpoint of the interval the KKT conditions leave open.
 
-    A step allocates nothing. Row 0 of ``bounds`` holds r_k where multiplier
-    k can move up and -inf elsewhere, row 1 holds r_k where it can move down
-    and +inf elsewhere, so ``bounds - g`` equals np.where(up, r - g, -inf)
-    and np.where(low, r - g, inf) entry for entry, first-index ties
-    included. Only the entries of the pair that moved change after a step.
+    A step allocates nothing. ``up_r`` holds r_k where multiplier k can move
+    up and -inf elsewhere, ``low_r`` holds r_k where it can move down and
+    +inf elsewhere, so ``up_r - g`` and ``low_r - g`` equal np.where(up,
+    r - g, -inf) and np.where(low, r - g, inf) entry for entry, first-index
+    ties included. Only the entries of the pair that moved change after a
+    step, and every scalar of a step is a Python float.
     """
     n = z.size
     cols = list(np.ascontiguousarray(Q.T))  # cols[k] is Q[:, k], bit for bit
@@ -148,33 +148,35 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     a = [0.0] * n
     g = np.zeros(n)  # g_i = sum_j a_j z_j Q_ij
     up, low = _movable(np.zeros(n), z, C)
-    bounds = np.array([np.where(up, r, -np.inf), np.where(low, r, np.inf)])
-    work = np.empty_like(bounds)
-    score_up, score_low = work  # -z_i grad_i of the minimization form, or +-inf
-    step = np.empty(n)
+    up_r, low_r = np.where(up, r, -np.inf), np.where(low, r, np.inf)
+    # -z_i grad_i of the minimization form where multiplier i can move, or +-inf
+    score_up, score_low, step = np.empty(n), np.empty(n), np.empty(n)
     for _ in range(SMO_MAX_ITER):
-        np.subtract(bounds, g, out=work)
+        np.subtract(up_r, g, score_up)
+        np.subtract(low_r, g, score_low)
         i = int(score_up.argmax())  # the first index on ties
         j = int(score_low.argmin())
         # (r_i - g_i) - (r_j - g_j); -inf when the up or the low set is empty
         gap = score_up.item(i) - score_low.item(j)
         if gap <= SMO_GAP:
             break
-        quad = diag[i] + diag[j] - 2.0 * Q.item(i, j)
+        quad = diag[i] + diag[j] - 2.0 * cols[j].item(i)
         quad = max(quad, 1e-12)
         # move t along the feasible pair direction: a_i += z_i t, a_j -= z_j t
-        head_i = C - a[i] if zs[i] > 0 else a[i]
-        head_j = a[j] if zs[j] > 0 else C - a[j]
+        zi, zj = zs[i], zs[j]
+        head_i = C - a[i] if zi > 0 else a[i]
+        head_j = a[j] if zj > 0 else C - a[j]
         t = min(gap / quad, head_i, head_j)
-        a[i] += zs[i] * t
-        a[j] -= zs[j] * t
-        np.subtract(cols[i], cols[j], out=step)
-        step *= t
-        g += step  # g += t (Q[:, i] - Q[:, j])
-        for k in (i, j):  # only these multipliers moved
-            up_k, low_k = _movable(a[k], zs[k], C)
-            bounds[0, k] = rs[k] if up_k else -np.inf
-            bounds[1, k] = rs[k] if low_k else np.inf
+        ai = a[i] = a[i] + zi * t
+        aj = a[j] = a[j] - zj * t
+        np.subtract(cols[i], cols[j], step)
+        np.multiply(step, t, step)
+        np.add(g, step, g)  # g += t (Q[:, i] - Q[:, j])
+        # _movable's two flags of each moved multiplier
+        up_r[i] = rs[i] if (ai < C if zi > 0 else ai > 0) else -np.inf
+        low_r[i] = rs[i] if (ai > 0 if zi > 0 else ai < C) else np.inf
+        up_r[j] = rs[j] if (aj < C if zj > 0 else aj > 0) else -np.inf
+        low_r[j] = rs[j] if (aj > 0 if zj > 0 else aj < C) else np.inf
     else:
         warnings.warn(f"{caller} hit the iteration cap before reaching tolerance")
 

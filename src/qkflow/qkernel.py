@@ -18,12 +18,15 @@ exact inversion and swap cross entries are equal bit for bit. A swap-test
 Gram compares states the same way.
 
 Only an inversion-test Gram simulates pairs. U(x) is V(x) and then CNOTs
-that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i). Blocks of
-at most PAIR_BLOCK_AMPLITUDES amplitudes (or one pair) run V(x_j)^dag, derived
-from the gates of V (`statevector._adjoint`), on V(x_i)|0...0> and compute
-only amplitude |0...0> (`statevector._zero_amplitudes`). That amplitude gets
-the operations, in the order, and the values up to the signs of zeros, of
-simulating the pair on its own with negated angles: each entry has its bits.
+that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i).
+`gram_matrix` lists the pairs i < j once, row by row, and both circuit kinds
+hand the measurement step their entries in that order. The inversion test
+runs the pairs in equal slices, one pair per block column with its own
+matrices: V(x_j)^dag, derived from the gates of V (`statevector._adjoint`),
+acts on V(x_i)|0...0> and only amplitude |0...0> is computed
+(`statevector._zero_amplitudes`). That amplitude gets the operations, in the
+order, and the values up to the signs of zeros, of simulating the pair on its
+own with negated angles, whatever slice holds it: each entry has its bits.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -55,13 +58,11 @@ __all__ = [
 MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
-# Amplitudes in one block of inversion-test pairs. Measured with equal slices
-# and one matrix per pair, on one core of a Xeon with 4 MiB of L2, for an
-# 8-qubit, 3-layer Gram of 60 points: 2**13 was about 20% slower and 2**15
-# about 15% faster on the Gram alone. Under the earlier packing of whole
-# columns, 2**15 did not shorten the benchmark's `wide` `fit_s` and raised its
-# peak memory by 0.6 MB, and 2**16 raised the `train` command's by 1.9 MB.
-PAIR_BLOCK_AMPLITUDES = 1 << 14
+# Amplitudes in one block of inversion-test pairs, one pair per column. Timed
+# in-process on one core of a 2-CPU Xeon, 8 interleaved runs of an exact Gram
+# of 60 points: at 8 qubits x 3 layers 2**14 took 1.24x and 2**16 1.09x as
+# long as 2**15; at 4 qubits x 2 layers 1.39x and 0.99x. The bits are the same.
+PAIR_BLOCK_AMPLITUDES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +162,13 @@ def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
     return _row_sums(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T), term)
 
 
-def _inversion_tests(cfg, points) -> np.ndarray:
-    """Exact K[i, j] = k(x_i, x_j) for i < j by the per-pair inversion test, 0
-    elsewhere: P(0...0) after V(x_j)^dag V(x_i)|0...0>, with V(x_i)|0...0>
-    encoded once. The pairs, j-major, run in slices of at most
-    `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one per block column.
-    A slice ends before the pairs of a new j where it can, and a slice of one
-    j shares that j's matrices, so a gate multiplies by one number, not a row."""
+def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
+    """Exact k(x_i, x_j) of the pairs (rows[k], cols[k]), in that order, by the
+    per-pair inversion test: P(0...0) after V(x_j)^dag V(x_i)|0...0>, with
+    V(x_i)|0...0> encoded once. The pairs run in equal slices of
+    `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one per block column
+    and each with its own matrices, so a pair's operations do not depend on
+    its slice."""
     n = cfg.spec.n_qubits
     gates = encoding_gates(cfg.spec, points, cfg.params)
     while gates and gates[-1][0] == "cnot":  # they cancel the CNOTs that start U(x_j)^dag
@@ -175,23 +176,16 @@ def _inversion_tests(cfg, points) -> np.ndarray:
     states = _zero_block(len(points), n)
     apply_gates(states, n, gates)
     adjoint = _adjoint(gates)
-    probs = np.zeros((len(points),) * 2)
-    cols, rows = np.tril_indices(len(points), -1)
-    step, start = max(1, PAIR_BLOCK_AMPLITUDES >> n), 0
-    while start < rows.size:
-        stop = min(start + step, rows.size)
-        if stop < rows.size and cols[stop] * (cols[stop] - 1) // 2 > start:
-            stop = cols[stop] * (cols[stop] - 1) // 2  # where column cols[stop] starts
-        i, j = rows[start:stop], cols[start:stop]
-        pick = j[:1] if j[0] == j[-1] else j
-        amp = _zero_amplitudes(np.take(states, i, axis=1), n, [
-            (kind, t, m if m is None or len(m) == 1 else m[pick]) for kind, t, m in adjoint
+    amp = np.empty(rows.size, dtype=np.complex128)
+    step = max(1, PAIR_BLOCK_AMPLITUDES >> n)
+    for start in range(0, rows.size, step):
+        i, j = rows[start:start + step], cols[start:start + step]
+        amp[start:start + step] = _zero_amplitudes(np.take(states, i, axis=1), n, [
+            (kind, t, m if m is None or len(m) == 1 else m[j]) for kind, t, m in adjoint
         ])
-        # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is
-        # hypot then libm pow; np.abs(a) ** 2 does not reproduce it.
-        probs[i, j] = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
-        start = stop
-    return np.clip(probs, 0.0, 1.0)
+    # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is hypot
+    # then libm pow; np.abs(a) ** 2 does not reproduce it.
+    return np.clip(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 0.0, 1.0)
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -228,17 +222,17 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     """Kernel matrix of a point set against itself: the entries above the diagonal
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
+    rows, cols = np.triu_indices(len(points), 1)
     # The inversion test still simulates each pair, although `_overlaps` is
     # within 4 * 2**n eps of it: the README `align` pin, which the benchmark
     # holds, moves when an entry moves by an ulp (ROADMAP items 1 and 2).
     if cfg.circuit_kind == "inversion":
-        exact = _inversion_tests(cfg, points)
+        exact = _inversion_tests(cfg, points, rows, cols)
     else:
         states = encode_states(cfg.spec, points, cfg.params)
-        exact = _overlaps(states, states)
-    rows, cols = np.triu_indices(len(points), 1)
+        exact = _overlaps(states, states)[rows, cols]
     values = np.ones((len(points), len(points)))
-    values[rows, cols] = values[cols, rows] = _measured(cfg, exact[rows, cols])
+    values[rows, cols] = values[cols, rows] = _measured(cfg, exact)
     return GramMatrix(values=values)
 
 

@@ -187,7 +187,8 @@ def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
 
 def _adjoint(gates: list) -> list:
     """The inverse circuit: `gates` reversed, every matrix conjugate-transposed.
-    R(t)^dag has the value of R(-t); only the signs of zeros can differ."""
+    R(t)^dag has the value of R(-t); only the signs of zeros can differ. The
+    stacks are copied C-contiguous: per-pair rows gather faster from them."""
     return [(kind, t, None if m is None else np.ascontiguousarray(m.conj().transpose(0, 2, 1)))
             for kind, t, m in reversed(gates)]
 
@@ -205,8 +206,7 @@ def _fold_length(gates: list) -> int:
 def _fold(top: np.ndarray, tail: list) -> np.ndarray:
     """Amplitude |0...0> of each column of the block `top` after `tail`, the
     rotations of qubits k - 1, ..., 0 that `_fold_length` found; `top` is
-    overwritten. Rows 2**k and after are not read. The result is a copy, so
-    that it does not keep the block alive.
+    overwritten and its row 0 returned. Rows 2**k and after are not read.
 
     The gate on qubit q reads the top 2**(q + 1) rows and computes only its
     top row, u00 * a0 + u01 * a1, into the top half: the rows with bit q set
@@ -219,7 +219,7 @@ def _fold(top: np.ndarray, tail: list) -> np.ndarray:
         product = np.multiply(u00, a0)
         np.multiply(u01, a1, a0)
         np.add(product, a0, a0)
-    return top[0].copy()
+    return top[0]
 
 
 def _zero_amplitudes(amps: np.ndarray, n_qubits: int, gates) -> np.ndarray:

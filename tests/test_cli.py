@@ -240,15 +240,18 @@ def test_mlkrr_refuses_an_infinite_learning_rate(tmp_path, capsys):
     assert not model.exists()
 
 
-@pytest.mark.parametrize("kernel", [("--kernel", "quantum"), ("--kernel", "linear")],
-                         ids=["quantum", "linear"])
-def test_shots_without_shots_mode_is_usage_error(tmp_path, capsys, kernel):
+@pytest.mark.parametrize("kernel, message", [
+    (("--kernel", "quantum"), "--shots needs --mode shots"),
+    # a kernel that reads neither flag is not sent to --mode shots, which it refuses too
+    (("--kernel", "linear"), "--kernel linear does not read --shots"),
+], ids=["quantum", "linear"])
+def test_shots_without_shots_mode_is_usage_error(tmp_path, capsys, kernel, message):
     data, model = tmp_path / "d.csv", tmp_path / "m.json"
     run("gen-data", "--kind", "blobs", "--m", "6", "--seed", "1", "--out", str(data))
     capsys.readouterr()
     assert run("train", "--method", "svc", *kernel, "--shots", "10",
                "--data", str(data), "--out", str(model)) == 1
-    assert "--shots needs --mode shots" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not model.exists()
 
 

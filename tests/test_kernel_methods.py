@@ -294,6 +294,14 @@ def assert_same_bits(actual, expected):
     assert np.asarray(actual, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
+def assert_svc_matches_the_smo_oracle(K, labels, C):
+    alphas, g, bias = smo_oracle(K, labels, labels, C)
+    model = svc_fit(K, labels, C=C)
+    assert_same_bits(model.alphas, alphas)
+    assert_same_bits(model.bias, bias)
+    assert_same_bits(model.dual_objective, alphas.sum() - 0.5 * np.dot(alphas * labels, g))
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_svc_matches_the_smo_oracle_on_an_8_qubit_3_layer_gram(seed):
     """The `wide` training Gram: 60 circles, 8 qubits x 3 layers, angles 0, C=1."""
@@ -301,11 +309,18 @@ def test_svc_matches_the_smo_oracle_on_an_8_qubit_3_layer_gram(seed):
     spec = FeatureMapSpec(8, 3)
     K = gram_matrix(KernelEngineConfig(spec=spec, params=np.zeros(param_count(spec))),
                     ds.features).values
-    alphas, g, bias = smo_oracle(K, ds.labels, ds.labels, 1.0)
-    model = svc_fit(K, ds.labels, C=1.0)
-    assert_same_bits(model.alphas, alphas)
-    assert_same_bits(model.bias, bias)
-    assert_same_bits(model.dual_objective, alphas.sum() - 0.5 * np.dot(alphas * ds.labels, g))
+    assert_svc_matches_the_smo_oracle(K, ds.labels, 1.0)
+
+
+@pytest.mark.parametrize("angle", [0.0, 1.3, -2.2, 78.55])
+def test_svc_matches_the_smo_oracle_on_a_1_qubit_1_layer_gram(angle):
+    """An `align` dual of the `pipeline` run: 40 hidden_rotation points (seed
+    7), 1 qubit x 1 layer, C=10, at a few trainable angles (78.55 is about the
+    README embedding's)."""
+    ds = gen_synthetic("hidden_rotation", 40, 7)
+    K = gram_matrix(KernelEngineConfig(spec=FeatureMapSpec(), params=np.array([angle])),
+                    ds.features).values
+    assert_svc_matches_the_smo_oracle(K, ds.labels, 10.0)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

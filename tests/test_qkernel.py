@@ -7,6 +7,7 @@ entanglement the multi-qubit version factorizes into a product over qubits.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -424,8 +425,9 @@ def test_pair_blocks_spanning_many_multi_column_chunks(monkeypatch, mode):
     Y = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 3, 2))
     chunks = recorded_chunks(monkeypatch)
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    # the pairs of j = 1-7, 8-10, 11-12 and 13: each chunk ends where a new j starts
-    assert [width for _, width in chunks] == [28, 27, 23, 13]
+    # equal chunks of CHUNK_ROWS pairs, whatever j they span; the last holds the rest
+    full, rest = divmod(len(X) * (len(X) - 1) // 2, CHUNK_ROWS)
+    assert chunks == [(1 << CHUNKED_QUBITS, CHUNK_ROWS)] * full + [(1 << CHUNKED_QUBITS, rest)]
     assert_cross_matches_reference(cfg, Y, X)
 
 
@@ -442,7 +444,9 @@ def test_pair_blocks_with_one_column_per_chunk(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("n_qubits, n_points", [
-    (1, 130), (CHUNKED_QUBITS, 40), (WIDE_QUBITS - 1, 5), (WIDE_QUBITS + 1, 3),
+    # at one qubit a block holds PAIR_BLOCK_AMPLITUDES / 2 pairs: these points make more
+    (1, math.isqrt(PAIR_BLOCK_AMPLITUDES) + 2),
+    (CHUNKED_QUBITS, 40), (WIDE_QUBITS - 1, 5), (WIDE_QUBITS + 1, 3),
 ])
 def test_no_pair_block_exceeds_the_amplitude_budget(monkeypatch, n_qubits, n_points):
     """Every block of pairs holds at most max(PAIR_BLOCK_AMPLITUDES, 2**n)
