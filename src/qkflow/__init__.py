@@ -13,7 +13,6 @@ from .featuremap import FeatureMapSpec, param_count, random_params
 from .kernel_methods import (
     kernel_kmeans,
     kpca_fit,
-    kpca_transform,
     krr_fit,
     krr_predict,
     svc_decision,
@@ -46,7 +45,6 @@ __all__ = [
     "kernel_kmeans",
     "kernel_value",
     "kpca_fit",
-    "kpca_transform",
     "krr_fit",
     "krr_predict",
     "load_csv",

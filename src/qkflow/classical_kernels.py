@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import GramMatrix, _as_points, _column_sums, _cross_points, _pair
+from .qkernel import GramMatrix, _as_points, _column_sums, _cross_points
 
 __all__ = [
     "CLASSICAL_KINDS",
     "CLASSICAL_PARAMS",
     "ClassicalKernel",
-    "eval_classical",
     "classical_gram",
     "classical_cross",
 ]
@@ -158,12 +157,6 @@ def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.n
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{kernel.kind} kernel overflows: {formula} is not a finite float; {fix}")
     return values
-
-
-def eval_classical(kernel: ClassicalKernel, point_a, point_b) -> float:
-    """Evaluate one kernel entry."""
-    a, b = _pair(point_a, point_b)
-    return float(_block(kernel, a[None, :], b[None, :])[0, 0])
 
 
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:

@@ -12,7 +12,6 @@ independent random streams they are derived from that seed by role.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import fields
@@ -28,6 +27,7 @@ from .datasets import (
     load_csv,
     normalize_unit_sphere,
     save_dataset,
+    write_csv,
 )
 from .featuremap import (
     DATA_AXES,
@@ -59,8 +59,6 @@ from .training import MlkrrConfig, SpsaConfig, export_embedding, mlkrr_fit, qka_
 
 __all__ = ["run_command", "main"]
 
-FLOAT_FORMAT = "%.17g"
-
 # `--kernel gaussian` selects the gaussian_metric kind
 CLASSICAL_CHOICES = {kind.removesuffix("_metric"): kind for kind in CLASSICAL_KINDS}
 
@@ -79,24 +77,13 @@ def _role_seed(seed: int, role: int) -> int:
     return int(stream.generate_state(1, np.uint64)[0])
 
 
-def _write_csv(path, rows, header=None) -> None:
-    """An optional header row, then `rows`: floats in FLOAT_FORMAT, other
-    cells as they are."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow([FLOAT_FORMAT % v if isinstance(v, float) else v for v in row])
-
-
 def _write_trace_csv(path, losses) -> None:
     """Loss trace rows: iteration, the evaluated loss, and the running best."""
     rows, best = [], math.inf
     for iteration, loss in losses:
         best = min(best, loss)
         rows.append((iteration, loss, best))
-    _write_csv(path, rows, header=("iteration", "loss_eval", "loss_best"))
+    write_csv(path, rows, header=("iteration", "loss_eval", "loss_best"))
 
 
 def _derived_path(out, suffix: str) -> Path:
@@ -228,7 +215,7 @@ def _cmd_kernel(args) -> int:
         matrix, name = evaluate_cross(kernel, other.features, ds.features), "cross-Gram"
     else:
         matrix, name = evaluate_gram(kernel, ds.features).values, "Gram"
-    _write_csv(args.out, matrix)
+    write_csv(args.out, matrix)
     print(f"wrote {args.out}: {matrix.shape[0]}x{matrix.shape[1]} {name}")
     return 0
 
@@ -285,7 +272,7 @@ def _cmd_mlkrr(args) -> int:
     kernel = ClassicalKernel.gaussian_metric(gamma=cfg.gamma, transform=A)
     _save_trained(args.out, "krr", kernel, model, ds, args, None)
     matrix_path = args.matrix_out or _derived_path(args.out, "_A.csv")
-    _write_csv(matrix_path, A)
+    write_csv(matrix_path, A)
     if args.trace_out:
         _write_trace_csv(args.trace_out, list(enumerate(trace)))
     print(f"wrote {args.out}: loss {trace[0]:.6f} -> {trace[-1]:.6f} "
@@ -314,7 +301,7 @@ def _cmd_predict(args) -> int:
     if used.size:
         K_new[:, used] = evaluate_cross(kernel, ds.features, train[used])
     predictions = kind.predict(model, K_new)
-    _write_csv(args.out, predictions[:, None], header=["prediction"])
+    write_csv(args.out, predictions[:, None], header=["prediction"])
     note = f"wrote {args.out}: {predictions.size} predictions"
     if ds.labels is not None:
         if kind.task == "classification":
@@ -325,7 +312,7 @@ def _cmd_predict(args) -> int:
             names = ["rmse", "mae"]
             values = [float(np.sqrt(np.mean(errors**2))), float(np.mean(np.abs(errors)))]
         if args.metrics_out:
-            _write_csv(args.metrics_out, [values], header=names)
+            write_csv(args.metrics_out, [values], header=names)
         note += "; " + ", ".join(f"{n}={v:.6f}" for n, v in zip(names, values))
     print(note)
     return 0
@@ -336,7 +323,7 @@ def _cmd_kpca(args) -> int:
     ds = _load_dataset(args.data, args.label_column, args.normalize)
     gram = evaluate_gram(kernel, ds.features)
     model = kpca_fit(gram, n_components=args.components)
-    _write_csv(args.out, model.train_projections)
+    write_csv(args.out, model.train_projections)
     print(f"wrote {args.out}: {ds.n_points} points x {args.components} components")
     return 0
 
@@ -347,7 +334,7 @@ def _cmd_cluster(args) -> int:
     gram = evaluate_gram(kernel, ds.features)
     assign, trace = kernel_kmeans(gram, n_clusters=args.clusters,
                                   seed=_role_seed(args.seed, 2))
-    _write_csv(args.out, assign[:, None], header=["cluster"])
+    write_csv(args.out, assign[:, None], header=["cluster"])
     if args.trace_out:
         _write_trace_csv(args.trace_out, list(enumerate(trace)))
     print(f"wrote {args.out}: {args.clusters} clusters over {ds.n_points} points")

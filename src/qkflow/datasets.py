@@ -1,8 +1,9 @@
 """Dataset containers, CSV round-trips, and seeded synthetic generators.
 
 CSV files carry a header row, one column per feature, and an optional
-"label" column. Floats are written with 17 significant digits so that a
-save/load cycle reproduces every value bit for bit.
+"label" column. Every CSV qkflow writes goes through `write_csv`, which
+writes floats with 17 significant digits so that a save/load cycle
+reproduces every value bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "Dataset",
     "load_csv",
     "save_dataset",
+    "write_csv",
     "gen_synthetic",
     "normalize_unit_sphere",
 ]
@@ -132,18 +134,24 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     )
 
 
+def write_csv(path, rows, header=None) -> None:
+    """An optional header row, then `rows`: floats in FLOAT_FORMAT, other
+    cells (such as integer cluster ids) as they are."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([FLOAT_FORMAT % v if isinstance(v, float) else v for v in row])
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Write a Dataset to CSV with round-trip-exact float formatting."""
     names = ds.feature_names or tuple(f"f{i}" for i in range(ds.n_features))
-    header = list(names) + (["label"] if ds.labels is not None else [])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(ds.n_points):
-            row = [FLOAT_FORMAT % v for v in ds.features[i]]
-            if ds.labels is not None:
-                row.append(FLOAT_FORMAT % ds.labels[i])
-            writer.writerow(row)
+    if ds.labels is None:
+        write_csv(path, ds.features, header=names)
+    else:
+        write_csv(path, np.column_stack([ds.features, ds.labels]), header=(*names, "label"))
 
 
 def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> Dataset:

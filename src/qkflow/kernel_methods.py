@@ -43,7 +43,6 @@ __all__ = [
     "svr_fit",
     "svr_predict",
     "kpca_fit",
-    "kpca_transform",
     "kernel_kmeans",
 ]
 
@@ -309,11 +308,7 @@ def svr_predict(model: TrainedSVR, K_new) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class KpcaModel:
     eigenvalues: np.ndarray  # kept components, descending
-    eigenvectors: np.ndarray  # one column per kept component
-    col_means: np.ndarray
-    total_mean: float
-    n_components: int
-    train_projections: np.ndarray
+    train_projections: np.ndarray  # one column per kept component
 
 
 EIGENVALUE_CUTOFF = 1e-10
@@ -322,13 +317,11 @@ EIGENVALUE_CUTOFF = 1e-10
 def kpca_fit(K, n_components: int) -> KpcaModel:
     """Eigendecompose the doubly centered Gram and keep the top components."""
     values = _gram_values(K)
-    m = values.shape[0]
     n_components = int(n_components)
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
     col_means = values.mean(axis=0)
-    total_mean = float(values.mean())
-    centered = values - col_means[None, :] - col_means[:, None] + total_mean
+    centered = values - col_means[None, :] - col_means[:, None] + float(values.mean())
     eigenvalues, eigenvectors = np.linalg.eigh((centered + centered.T) / 2.0)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
@@ -340,24 +333,8 @@ def kpca_fit(K, n_components: int) -> KpcaModel:
             f"has rank {available}"
         )
     kept_values = eigenvalues[:n_components]
-    kept_vectors = eigenvectors[:, :n_components]
-    projections = centered @ kept_vectors / np.sqrt(kept_values)
-    return KpcaModel(
-        eigenvalues=kept_values,
-        eigenvectors=kept_vectors,
-        col_means=col_means,
-        total_mean=total_mean,
-        n_components=n_components,
-        train_projections=projections,
-    )
-
-
-def kpca_transform(model: KpcaModel, K_new) -> np.ndarray:
-    """Project new points given their kernel rows against the training set."""
-    values = _cross_values(K_new, model.col_means.size)
-    row_means = values.mean(axis=1)
-    centered = values - row_means[:, None] - model.col_means[None, :] + model.total_mean
-    return centered @ model.eigenvectors / np.sqrt(model.eigenvalues)
+    projections = centered @ eigenvectors[:, :n_components] / np.sqrt(kept_values)
+    return KpcaModel(eigenvalues=kept_values, train_projections=projections)
 
 
 # kernel k-means

@@ -132,18 +132,6 @@ def _cross_points(data_new, data_train) -> tuple[np.ndarray, np.ndarray]:
     return new_points, train_points
 
 
-def _pair(point_a, point_b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(point_a, dtype=float).reshape(-1)
-    b = np.asarray(point_b, dtype=float).reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"points have different dimensions: {a.size} vs {b.size}")
-    if a.size < 1:
-        raise ValueError("points must have at least one feature")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("points contain non-finite values")
-    return a, b
-
-
 def _row_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
     """out[i, j] = sum_k term(left[k, i], right[k, j]), added one row k at a
     time in increasing k, so an entry depends on its own two columns alone and
@@ -213,9 +201,9 @@ def _measured(cfg, K: np.ndarray) -> np.ndarray:
 
 
 def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
-    """Evaluate k(point_a, point_b) under `cfg`; the 1x1 cross_gram."""
-    a, b = _pair(point_a, point_b)
-    return float(cross_gram(cfg, a[None], b[None])[0, 0])
+    """Evaluate k(point_a, point_b) under `cfg`: the 1x1 cross_gram of the
+    two points, each flattened to one row."""
+    return float(cross_gram(cfg, np.reshape(point_a, (1, -1)), np.reshape(point_b, (1, -1)))[0, 0])
 
 
 def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:

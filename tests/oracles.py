@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from qkflow.classical_kernels import _check_exponential_domain, _pair
+from qkflow.classical_kernels import _check_exponential_domain
 from qkflow.kernel_methods import SMO_GAP, SMO_MAX_ITER, SUPPORT_THRESHOLD
 
 
@@ -319,7 +319,8 @@ def smo_oracle(Q, z, r, C):
 
 def classical_entry_oracle(kernel, point_a, point_b):
     """One classical kernel entry from its two points alone, one np.dot per pair."""
-    a, b = _pair(point_a, point_b)
+    a = np.asarray(point_a, dtype=float).reshape(-1)
+    b = np.asarray(point_b, dtype=float).reshape(-1)
     if kernel.kind == "linear":
         return float(np.dot(a, b) + kernel.c)
     if kernel.kind == "polynomial":

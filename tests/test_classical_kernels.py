@@ -5,40 +5,40 @@ import math
 import numpy as np
 import pytest
 
-from qkflow.classical_kernels import (
-    ClassicalKernel,
-    classical_cross,
-    classical_gram,
-    eval_classical,
-)
+from qkflow.classical_kernels import ClassicalKernel, classical_cross, classical_gram
+
+
+def entry(kernel, a, b):
+    """One kernel entry, as the 1x1 cross block of its two points."""
+    return classical_cross(kernel, [a], [b])[0, 0]
 
 
 def test_linear_kernel():
     k = ClassicalKernel.linear()
-    assert eval_classical(k, [1.0, 2.0], [3.0, 4.0]) == 11.0
-    assert eval_classical(ClassicalKernel.linear(c=1.0), [1.0, 2.0], [3.0, 4.0]) == 12.0
+    assert entry(k, [1.0, 2.0], [3.0, 4.0]) == 11.0
+    assert entry(ClassicalKernel.linear(c=1.0), [1.0, 2.0], [3.0, 4.0]) == 12.0
 
 
 def test_polynomial_kernel():
     k = ClassicalKernel.polynomial(c=1.0, degree=2)
-    assert eval_classical(k, [1.0, 2.0], [3.0, 4.0]) == 144.0
+    assert entry(k, [1.0, 2.0], [3.0, 4.0]) == 144.0
     cubic = ClassicalKernel.polynomial(c=0.0, degree=3)
-    assert eval_classical(cubic, [2.0], [1.0]) == 8.0
+    assert entry(cubic, [2.0], [1.0]) == 8.0
 
 
 def test_exponential_kernel():
     k = ClassicalKernel.exponential()
-    assert abs(eval_classical(k, [1.0, 0.0], [0.0, 1.0]) - math.exp(-1.0)) <= 1e-15
+    assert abs(entry(k, [1.0, 0.0], [0.0, 1.0]) - math.exp(-1.0)) <= 1e-15
     unit = [0.5, 0.5, 0.5, 0.5]
-    assert abs(eval_classical(k, unit, unit) - 1.0) <= 1e-12
+    assert abs(entry(k, unit, unit) - 1.0) <= 1e-12
     wide = ClassicalKernel.exponential(sigma=2.0)
-    assert abs(eval_classical(wide, [1.0, 0.0], [0.0, 1.0]) - math.exp(-2.0)) <= 1e-15
+    assert abs(entry(wide, [1.0, 0.0], [0.0, 1.0]) - math.exp(-2.0)) <= 1e-15
 
 
 def test_exponential_domain_error():
     k = ClassicalKernel.exponential()
     with pytest.raises(ValueError):
-        eval_classical(k, [2.0], [1.0])
+        entry(k, [2.0], [1.0])
 
 
 def test_overflowing_column_sums_raise_one_error_per_kind():
@@ -59,9 +59,9 @@ def test_overflowing_column_sums_raise_one_error_per_kind():
 
 def test_gaussian_metric_identity_transform():
     k = ClassicalKernel.gaussian_metric(gamma=1.0)
-    assert abs(eval_classical(k, [2.0], [0.0]) - math.exp(-4.0)) <= 1e-15
+    assert abs(entry(k, [2.0], [0.0]) - math.exp(-4.0)) <= 1e-15
     half = ClassicalKernel.gaussian_metric(gamma=0.5)
-    assert abs(eval_classical(half, [2.0], [0.0]) - math.exp(-2.0)) <= 1e-15
+    assert abs(entry(half, [2.0], [0.0]) - math.exp(-2.0)) <= 1e-15
 
 
 def test_gaussian_metric_scaled_identity_matches_rescaled_width():
@@ -72,14 +72,14 @@ def test_gaussian_metric_scaled_identity_matches_rescaled_width():
     k_plain = ClassicalKernel.gaussian_metric(gamma=c * c)
     for _ in range(10):
         a, b = rng.normal(size=(2, 3))
-        assert abs(eval_classical(k_scaled, a, b) - eval_classical(k_plain, a, b)) <= 1e-12
+        assert abs(entry(k_scaled, a, b) - entry(k_plain, a, b)) <= 1e-12
 
 
 def test_gaussian_metric_can_mute_features():
     mask = np.diag([1.0, 0.0])
     k = ClassicalKernel.gaussian_metric(gamma=1.0, transform=mask)
-    assert eval_classical(k, [1.0, 5.0], [1.0, -5.0]) == 1.0
-    assert abs(eval_classical(k, [2.0, 5.0], [1.0, -5.0]) - math.exp(-1.0)) <= 1e-15
+    assert entry(k, [1.0, 5.0], [1.0, -5.0]) == 1.0
+    assert abs(entry(k, [2.0, 5.0], [1.0, -5.0]) - math.exp(-1.0)) <= 1e-15
 
 
 def test_gram_is_symmetric_and_matches_eval():
@@ -94,7 +94,7 @@ def test_gram_is_symmetric_and_matches_eval():
         assert np.max(np.abs(K - K.T)) == 0.0
         for i in range(6):
             for j in range(6):
-                assert abs(K[i, j] - eval_classical(kernel, X[i], X[j])) <= 1e-12
+                assert abs(K[i, j] - entry(kernel, X[i], X[j])) <= 1e-12
 
 
 def test_gaussian_gram_has_unit_diagonal():
@@ -130,7 +130,7 @@ def test_cross_matches_eval():
         assert C.shape == (4, 5)
         for i in range(4):
             for j in range(5):
-                assert abs(C[i, j] - eval_classical(kernel, left[i], right[j])) <= 1e-12
+                assert abs(C[i, j] - entry(kernel, left[i], right[j])) <= 1e-12
 
 
 def test_gram_is_the_cross_block_of_a_set_with_itself():
@@ -176,8 +176,8 @@ def test_validation():
 def test_dimension_mismatches():
     k = ClassicalKernel.gaussian_metric(transform=np.eye(2))
     with pytest.raises(ValueError):
-        eval_classical(k, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+        entry(k, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        eval_classical(ClassicalKernel.linear(), [1.0], [1.0, 2.0])
+        entry(ClassicalKernel.linear(), [1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         classical_cross(ClassicalKernel.linear(), np.ones((2, 2)), np.ones((2, 3)))

@@ -920,10 +920,14 @@ PREDICT_KERNELS = {
 }
 
 
-def train_and_predict(root, method, kernel_flags, data="circles"):
+def train_and_predict(root, method, kernel_flags, data="circles", shuffle=False):
     train, test = root / "train.csv", root / "test.csv"
     model, preds = root / f"{method}.json", root / f"{method}.csv"
     assert run("gen-data", "--kind", data, "--m", "24", "--seed", "5", "--out", str(train)) == 0
+    if shuffle:
+        header, *rows = train.read_bytes().splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(rows))
+        train.write_bytes(header + b"".join(rows[i] for i in order))
     assert run("gen-data", "--kind", data, "--m", "9", "--seed", "6", "--out", str(test)) == 0
     assert run("train", "--method", method, *kernel_flags, "--data", str(train),
                "--C", "2", "--epsilon", "0.3", "--out", str(model)) == 0
@@ -942,6 +946,26 @@ def test_predict_matches_the_full_cross_gram_bit_for_bit(tmp_path, method, kerne
     K_full = evaluate_cross(kernel_from_json(model_file.kernel), test.features, train_features)
     expected = kind.predict(model, K_full)
     assert predictions.tobytes() == expected.tobytes()
+
+
+# Measured over 12 training sets of 24 points (circles, blobs and
+# hidden_rotation, 4 seeds each) and both quantum kernels: no SVC label
+# changed, KRR predictions moved by at most 1.9e-9 and SVR predictions by at
+# most 2.4e-6, within a few SMO_GAP.
+SHUFFLE_ATOL = {"svc": 0.0, "krr": 1e-8, "svr": 10 * SMO_GAP}
+
+
+@pytest.mark.parametrize("method", ["svc", "krr", "svr"])
+@pytest.mark.parametrize("kernel", ["quantum_inversion", "quantum_swap"])
+def test_shuffling_the_training_rows_keeps_the_predictions(tmp_path, method, kernel):
+    """The Gram of shuffled rows is the permuted Gram up to rounding, so SMO
+    may take another path to the same optimum."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    _, _, predictions = train_and_predict(tmp_path / "a", method, PREDICT_KERNELS[kernel])
+    _, _, shuffled = train_and_predict(tmp_path / "b", method, PREDICT_KERNELS[kernel], shuffle=True)
+    assert (tmp_path / "a" / "train.csv").read_bytes() != (tmp_path / "b" / "train.csv").read_bytes()
+    np.testing.assert_allclose(shuffled, predictions, rtol=0.0, atol=SHUFFLE_ATOL[method])
 
 
 @pytest.mark.parametrize("kernel", sorted(PREDICT_KERNELS))

