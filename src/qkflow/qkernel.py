@@ -23,10 +23,10 @@ that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i).
 hand the measurement step their entries in that order. The inversion test
 runs the pairs in equal slices, one pair per block column with its own
 matrices: V(x_j)^dag, derived from the gates of V (`statevector._adjoint`),
-acts on V(x_i)|0...0> and only amplitude |0...0> is computed
-(`statevector._zero_amplitudes`). That amplitude gets the operations, in the
-order, and the values up to the signs of zeros, of simulating the pair on its
-own with negated angles, whatever slice holds it: each entry has its bits.
+acts on V(x_i)|0...0> in `apply_gates`, and amplitude |0...0> of each column
+is read. That amplitude gets the operations, in the order, and the values up
+to the signs of zeros, of simulating the pair on its own with negated angles,
+whatever slice holds it: each entry has its bits.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featuremap import FeatureMapSpec, _checked_params, encode_states, encoding_gates
-from .statevector import _adjoint, _zero_amplitudes, _zero_block, apply_gates, rng_entropy
+from .statevector import _adjoint, _zero_block, apply_gates, rng_entropy
 
 __all__ = [
     "MODES",
@@ -59,9 +59,10 @@ MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
 # Amplitudes in one block of inversion-test pairs, one pair per column. Timed
-# in-process on one core of a 2-CPU Xeon, 8 interleaved runs of an exact Gram
-# of 60 points: at 8 qubits x 3 layers 2**14 took 1.24x and 2**16 1.09x as
-# long as 2**15; at 4 qubits x 2 layers 1.39x and 0.99x. The bits are the same.
+# in-process on one core of a 2-CPU Xeon, medians of 31 alternating runs of an
+# exact Gram of 60 points, on each core: at 8 qubits x 3 layers 2**14 took
+# 1.16-1.20x and 2**16 1.07-1.08x as long as 2**15; at 4 qubits x 2 layers
+# 0.97-1.00x and 1.03-1.06x. The bits are the same.
 PAIR_BLOCK_AMPLITUDES = 1 << 15
 
 
@@ -168,9 +169,11 @@ def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
     step = max(1, PAIR_BLOCK_AMPLITUDES >> n)
     for start in range(0, rows.size, step):
         i, j = rows[start:start + step], cols[start:start + step]
-        amp[start:start + step] = _zero_amplitudes(np.take(states, i, axis=1), n, [
+        block = np.take(states, i, axis=1)
+        apply_gates(block, n, [
             (kind, t, m if m is None or len(m) == 1 else m[j]) for kind, t, m in adjoint
         ])
+        amp[start:start + step] = block[0]
     # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is hypot
     # then libm pow; np.abs(a) ** 2 does not reproduce it.
     return np.clip(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 0.0, 1.0)

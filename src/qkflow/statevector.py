@@ -11,10 +11,8 @@ materialized.
 `apply_gates` is the one gate loop. It takes gates as ``(kind, targets,
 matrices)`` and gives a block's columns one shared 2x2 matrix or one each;
 `rotation_matrices` makes those matrices from angles. The feature-map
-encoder builds its gates in this form. `_zero_amplitudes` runs a gate list
-through that loop but returns only amplitude |0...0> of each column: it
-folds the rotations at the end of the list into that amplitude, computing
-for each only the top row of its gate.
+encoder builds its gates in this form, and the inversion test runs the
+adjoint of that list (`_adjoint`) through the same loop.
 """
 
 from __future__ import annotations
@@ -77,12 +75,11 @@ def rotation_matrices(kind: str, angles) -> np.ndarray:
     return out
 
 
-def _entries(u: np.ndarray, ndim: int) -> tuple[np.ndarray, ...]:
-    """u00, u01, u10, u11 of a (k, 2, 2) stack, each a contiguous array of
-    shape (1, ..., 1, k) with `ndim` axes, which broadcasts over the columns
-    of an `ndim`-axis view."""
+def _entries(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u00, u01, u10, u11 of a (k, 2, 2) stack, each a contiguous (1, 1, k)
+    array, which broadcasts over the columns of a 3-axis view."""
     entries = np.ascontiguousarray(u.reshape(-1, 4).T)
-    return tuple(entries.reshape((4,) + (1,) * (ndim - 1) + (-1,)))
+    return tuple(entries.reshape(4, 1, 1, -1))
 
 
 # numpy's vectorized complex multiply (a fused multiply-add on x86-64 with
@@ -106,7 +103,7 @@ def _apply_single_inplace(amps: np.ndarray, q: int, u: np.ndarray,
     size, columns = amps.shape
     lo = 1 << q
     view = amps.reshape(size >> (q + 1), 2 * lo, columns)
-    u00, u01, u10, u11 = _entries(u, 3)
+    u00, u01, u10, u11 = _entries(u)
     top, bottom = scratch.reshape(2, size >> (q + 1), lo, columns)
     a0, a1 = view[:, :lo], view[:, lo:]
     np.multiply(u00, a0, top)
@@ -117,14 +114,11 @@ def _apply_single_inplace(amps: np.ndarray, q: int, u: np.ndarray,
     np.add(bottom, top, a1)
 
 
-def _qubit_tensor(amps: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    # C-order: axis n - 1 - q indexes qubit q and the last axis the columns.
-    return amps.reshape((2,) * n + (amps.shape[1],)), [slice(None)] * (n + 1)
-
-
 def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int,
                         scratch: np.ndarray) -> None:
-    tensor, lo = _qubit_tensor(amps, n)
+    # C-order: axis n - 1 - q indexes qubit q and the last axis the columns.
+    tensor = amps.reshape((2,) * n + (amps.shape[1],))
+    lo = [slice(None)] * (n + 1)
     lo[n - 1 - control] = 1
     hi = list(lo)
     lo[n - 1 - target] = 0
@@ -163,15 +157,6 @@ def _checked_gates(amps: np.ndarray, n_qubits: int, gates) -> list:
     return gates
 
 
-def _run_gates(amps: np.ndarray, n_qubits: int, gates: list) -> None:
-    scratch = np.empty(amps.size, dtype=np.complex128)
-    for kind, targets, matrices in gates:
-        if kind == "cnot":
-            _apply_cnot_inplace(amps, n_qubits, targets[0], targets[1], scratch)
-        else:
-            _apply_single_inplace(amps, targets[0], matrices, scratch)
-
-
 def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
     """Apply `gates` in place, in order, to every column of a C-ordered
     (2**n, columns) block.
@@ -182,7 +167,13 @@ def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
     Every gate is checked before any amplitude changes; a bad one raises
     ValueError.
     """
-    _run_gates(amps, n_qubits, _checked_gates(amps, n_qubits, gates))
+    gates = _checked_gates(amps, n_qubits, gates)
+    scratch = np.empty(amps.size, dtype=np.complex128)
+    for kind, targets, matrices in gates:
+        if kind == "cnot":
+            _apply_cnot_inplace(amps, n_qubits, targets[0], targets[1], scratch)
+        else:
+            _apply_single_inplace(amps, targets[0], matrices, scratch)
 
 
 def _adjoint(gates: list) -> list:
@@ -191,46 +182,6 @@ def _adjoint(gates: list) -> list:
     stacks are copied C-contiguous: per-pair rows gather faster from them."""
     return [(kind, t, None if m is None else np.ascontiguousarray(m.conj().transpose(0, 2, 1)))
             for kind, t, m in reversed(gates)]
-
-
-def _fold_length(gates: list) -> int:
-    """The largest k such that the i-th gate from the end rotates qubit i for
-    every i < k. Those k gates rotate qubits k - 1, ..., 0 in turn, and no
-    gate after the first of them touches a qubit >= k."""
-    k = 0
-    while k < len(gates) and gates[-1 - k][0] != "cnot" and tuple(gates[-1 - k][1]) == (k,):
-        k += 1
-    return k
-
-
-def _fold(top: np.ndarray, tail: list) -> np.ndarray:
-    """Amplitude |0...0> of each column of the block `top` after `tail`, the
-    rotations of qubits k - 1, ..., 0 that `_fold_length` found; `top` is
-    overwritten and its row 0 returned. Rows 2**k and after are not read.
-
-    The gate on qubit q reads the top 2**(q + 1) rows and computes only its
-    top row, u00 * a0 + u01 * a1, into the top half: the rows with bit q set
-    are never read again. Each element gets the operations that
-    `_apply_single_inplace` gives it.
-    """
-    for _, (q,), matrices in tail:
-        u00, u01, _, _ = _entries(matrices, 2)
-        a0, a1 = top[:1 << q], top[1 << q:2 << q]
-        product = np.multiply(u00, a0)
-        np.multiply(u01, a1, a0)
-        np.add(product, a0, a0)
-    return top[0]
-
-
-def _zero_amplitudes(amps: np.ndarray, n_qubits: int, gates) -> np.ndarray:
-    """Amplitude |0...0> of every column of a (2**n, columns) block after
-    `gates`, which are all checked before any amplitude changes. The block
-    is overwritten: the rotations that end the list are folded by `_fold`
-    and the others run in `apply_gates`'s loop."""
-    gates = _checked_gates(amps, n_qubits, gates)
-    split = len(gates) - _fold_length(gates)
-    _run_gates(amps, n_qubits, gates[:split])
-    return _fold(amps, gates[split:])
 
 
 def rng_entropy(seed: int) -> int:

@@ -394,16 +394,18 @@ WIDE_QUBITS = PAIR_BLOCK_AMPLITUDES.bit_length() - 1  # one pair fills a chunk
 
 
 def recorded_chunks(monkeypatch):
-    """The (amplitudes, pairs) shape of every block of pairs that a Gram hands
-    to `_zero_amplitudes`, appended to the returned list."""
+    """The (amplitudes, pairs) shape of every block of pairs that one Gram runs
+    through `qkernel.apply_gates`, appended to the returned list. The Gram's
+    first call there encodes its points and is not recorded."""
     shapes = []
-    zero_amplitudes = qkernel._zero_amplitudes
+    calls = itertools.count()
 
     def recording(amps, *args):
-        shapes.append(amps.shape)
-        return zero_amplitudes(amps, *args)
+        if next(calls):
+            shapes.append(amps.shape)
+        return statevector.apply_gates(amps, *args)
 
-    monkeypatch.setattr(qkernel, "_zero_amplitudes", recording)
+    monkeypatch.setattr(qkernel, "apply_gates", recording)
     return shapes
 
 
@@ -467,9 +469,8 @@ def test_no_pair_block_exceeds_the_amplitude_budget(monkeypatch, n_qubits, n_poi
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
 def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entanglement):
-    """The Gram skips the CNOTs that U(x_i) ends and U(x_j)^dag starts with and
-    folds the last rotations into amplitude 0, yet keeps every bit of
-    simulating each pair on its own, gate by gate."""
+    """The Gram skips the CNOTs that U(x_i) ends and U(x_j)^dag starts with,
+    yet keeps every bit of simulating each pair on its own, gate by gate."""
     rng = np.random.default_rng(10 * n_qubits + n_layers)
     spec = FeatureMapSpec(n_qubits, n_layers,
                           data_axis=DATA_AXES[(n_qubits + n_layers) % len(DATA_AXES)],
@@ -482,35 +483,27 @@ def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entan
 
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
 @pytest.mark.parametrize("n_layers", [1, 2])
-def test_inversion_gram_cancels_the_shared_entangler_and_folds_the_last_rotations(
-        monkeypatch, n_layers, entanglement):
+def test_inversion_gram_cancels_the_shared_entangler(monkeypatch, n_layers, entanglement):
     """With one layer no CNOT runs at all: the entangler that ends U(x_i)
     cancels the one that starts U(x_j)^dag. With two, the states and each
-    chunk of pairs run the first layer's entangler once. The n rotations that
-    end every pair's gates, on qubits n - 1, ..., 0, all go through the fold."""
+    chunk of pairs run the first layer's entangler once."""
     n, m = 3, 7
     spec = FeatureMapSpec(n, n_layers, data_axis="ry", trainable_axis="rx",
                           entanglement=entanglement)
     cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, param_count(spec)))
     X = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(m, 2))
-    cnots, folded = [], []
-    apply_cnot, fold = statevector._apply_cnot_inplace, statevector._fold
+    cnots = []
+    apply_cnot = statevector._apply_cnot_inplace
 
     def counting_cnot(amps, *args):
         cnots.append(amps.shape[1])
         return apply_cnot(amps, *args)
 
-    def recording_fold(top, tail):
-        folded.append((top.shape[1], [(kind, t) for kind, t, _ in tail]))
-        return fold(top, tail)
-
     monkeypatch.setattr(statevector, "_apply_cnot_inplace", counting_cnot)
-    monkeypatch.setattr(statevector, "_fold", recording_fold)
+    chunks = recorded_chunks(monkeypatch)
     np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    chunks = len(folded)  # one fold per block of pairs
-    assert len(cnots) == (n_layers - 1) * len(featuremap._entangler_pairs(spec)) * (1 + chunks)
-    assert sum(width for width, _ in folded) == m * (m - 1) // 2
-    assert all(tail == [("rx", (q,)) for q in reversed(range(n))] for _, tail in folded)
+    assert len(cnots) == (n_layers - 1) * len(featuremap._entangler_pairs(spec)) * (1 + len(chunks))
+    assert sum(pairs for _, pairs in chunks) == m * (m - 1) // 2
 
 
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
@@ -544,10 +537,9 @@ def test_cross_gram_encodes_each_point_once_and_simulates_no_pair(monkeypatch, m
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
 def test_kernels_build_no_gate_or_circuit(monkeypatch, circuit_kind, mode, entanglement):
-    """The kernels reach the simulator only through `apply_gates` and, for the
-    inversion test's pairs, `_zero_amplitudes`, and hand them plain (kind,
-    targets, matrices) triples: no gate or circuit objects. Every gate that
-    the simulator runs, in the gate loop or in the fold, is one of those."""
+    """The kernels reach the simulator only through `apply_gates`, and hand it
+    plain (kind, targets, matrices) triples: no gate or circuit objects. Every
+    gate that the simulator runs is one of those."""
     assert not any(hasattr(module, name) for module in (qkflow, statevector, featuremap)
                    for name in ("Gate", "Circuit", "StateVector"))
     spec = FeatureMapSpec(3, 2, data_axis="rx", trainable_axis="p", entanglement=entanglement)
@@ -565,23 +557,20 @@ def test_kernels_build_no_gate_or_circuit(monkeypatch, circuit_kind, mode, entan
             return entry(amps, n_qubits, gates)
         return record
 
-    def running(kernel, count):
+    def running(kernel):
         def run(*args):
-            ran.append(count(*args))
+            ran.append(kernel.__name__)
             return kernel(*args)
         return run
 
     monkeypatch.setattr(featuremap, "apply_gates", recording(statevector.apply_gates))
     monkeypatch.setattr(qkernel, "apply_gates", recording(statevector.apply_gates))
-    monkeypatch.setattr(qkernel, "_zero_amplitudes", recording(statevector._zero_amplitudes))
     for name in ("_apply_single_inplace", "_apply_cnot_inplace"):
-        monkeypatch.setattr(statevector, name, running(getattr(statevector, name), lambda *a: 1))
-    monkeypatch.setattr(statevector, "_fold",
-                        running(statevector._fold, lambda top, tail: len(tail)))
+        monkeypatch.setattr(statevector, name, running(getattr(statevector, name)))
     assert gram_matrix(cfg, X).values.shape == (4, 4)
     assert cross_gram(cfg, X[:2], X).shape == (2, 4)
     assert 0.0 <= kernel_value(cfg, X[0], X[1]) <= 1.0
-    assert seen and len(seen) == sum(ran)
+    assert seen and len(seen) == len(ran)
     for gate in seen:
         assert type(gate) is tuple and len(gate) == 3
         kind, targets, matrices = gate

@@ -10,11 +10,6 @@ to blocks of one state per column, 1-70 columns but never 2**n, once with one
 of one matrix per column, must match oracles.apply_single_oracle and
 oracles.apply_cnot_oracle exactly. The oracles evolve one state per row, so
 they run on the transposed block.
-
-Amplitude |0...0> from _zero_amplitudes, which folds the rotations that end
-a gate list, must have the bits of running the whole list through
-apply_gates, and every column must have the bits it has in a block of its
-own.
 """
 
 import numpy as np
@@ -22,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_cnot_oracle, apply_single_oracle, rotation_matrix_oracle
-from qkflow.statevector import _fold_length, _zero_amplitudes, apply_gates, rotation_matrices
+from qkflow.statevector import apply_gates, rotation_matrices
 
 KINDS = ("p", "rx", "ry", "rz", "cnot")
 
@@ -92,30 +87,6 @@ def test_per_row_circuits_match_oracle(layout):
     expected = oracle_apply(block, triples)
     apply_gates(block, n, triples)
     np.testing.assert_array_equal(block, expected)
-
-
-@settings(max_examples=80)
-@given(layouts(max_qubits=6, max_columns=9), st.integers(0, 6), st.booleans())
-def test_folded_amplitude_zero_has_the_bits_of_the_full_gate_list(layout, tail, shared):
-    """A gate list that ends with rotations on qubits k - 1, ..., 0: amplitude
-    |0...0> of every column equals the full run's bit for bit, alone or in a
-    block, and the fold takes exactly those k rotations."""
-    n, columns, positions, seed = layout
-    rng = np.random.default_rng(seed)
-    k = min(tail, n)
-    positions = positions + [(str(rng.choice(KINDS[:-1])), (q,)) for q in reversed(range(k))]
-    triples = bind(positions, 1 if shared else columns, rng)
-    assert _fold_length(triples) >= k
-    block = random_block(n, columns, rng)
-    full = block.copy()
-    apply_gates(full, n, triples)
-    got = _zero_amplitudes(block.copy(), n, triples)
-    np.testing.assert_array_equal(got, full[0])
-    for column in range(columns):
-        alone = [(kind, t, m if m is None or len(m) == 1 else m[column:column + 1])
-                 for kind, t, m in triples]
-        assert _zero_amplitudes(block[:, column:column + 1].copy(), n, alone).tobytes() \
-            == got[column:column + 1].tobytes()
 
 
 ANGLES = st.one_of(
