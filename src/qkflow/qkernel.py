@@ -17,16 +17,22 @@ re^2 + im^2. So each cross entry depends on its two points alone, and the
 exact inversion and swap cross entries are equal bit for bit. A swap-test
 Gram compares states the same way.
 
-Only an inversion-test Gram simulates pairs. U(x) is V(x) and then CNOTs
-that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i).
-`gram_matrix` lists the pairs i < j once, row by row, and both circuit kinds
-hand the measurement step their entries in that order. The inversion test
-runs the pairs in equal slices, one pair per block column with its own
-matrices: V(x_j)^dag, derived from the gates of V (`statevector._adjoint`),
-acts on V(x_i)|0...0> in `apply_gates`, and amplitude |0...0> of each column
-is read. That amplitude gets the operations, in the order, and the values up
-to the signs of zeros, of simulating the pair on its own with negated angles,
-whatever slice holds it: each entry has its bits.
+Only an inversion-test Gram simulates pairs, and of each pair only the
+last layer. U(x) is V(x) and then CNOTs that do not depend on x, so
+U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i). V is W and then V_L, where W is
+layers 1 to L - 1 with their entanglers and V_L layer L's 2n rotations, so
+with phi = W|0...0> and psi = V|0...0> the overlap is
+<phi(x_j)| V_L(x_j)^dag |psi(x_i)>. `gram_matrix` lists the pairs i < j
+once, row by row, and both circuit kinds hand the measurement step their
+entries in that order. The inversion test encodes phi and psi once per
+point and runs the pairs in equal slices, one pair per block column with
+its own matrices: V_L(x_j)^dag, derived from the gates of V_L
+(`statevector._adjoint`), acts on psi(x_i) in `apply_gates`, and each
+column's products with conj(phi(x_j)) are added by halves of the rows, an
+order set by n alone, so each entry has its bits whatever slice holds it.
+At one layer phi = |0...0> and the sum is the amplitude of |0...0>, bit for
+bit that of simulating the pair on its own with negated angles; deeper,
+the 2**n-term sum lies within 4 * 2**n eps of it.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -59,10 +65,10 @@ MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
 # Amplitudes in one block of inversion-test pairs, one pair per column. Timed
-# in-process on one core of a 2-CPU Xeon, medians of 31 alternating runs of an
-# exact Gram of 60 points, on each core: at 8 qubits x 3 layers 2**14 took
-# 1.16-1.20x and 2**16 1.07-1.08x as long as 2**15; at 4 qubits x 2 layers
-# 0.97-1.00x and 1.03-1.06x. The bits are the same.
+# in-process on each core of a 2-CPU Xeon, medians of 31 alternating runs of
+# an exact Gram of 60 `circles` points: at 8 qubits x 3 layers 2**14 took
+# 1.13-1.15x and 2**16 1.15-1.16x as long as 2**15; at 4 qubits x 2 layers
+# 1.08-1.11x and 1.00x. The bits are the same.
 PAIR_BLOCK_AMPLITUDES = 1 << 15
 
 
@@ -153,8 +159,9 @@ def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
 
 def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
     """Exact k(x_i, x_j) of the pairs (rows[k], cols[k]), in that order, by the
-    per-pair inversion test: P(0...0) after V(x_j)^dag V(x_i)|0...0>, with
-    V(x_i)|0...0> encoded once. The pairs run in equal slices of
+    inversion test |<phi(x_j)| V_L(x_j)^dag |psi(x_i)>|^2, with phi (layers
+    1 to L - 1) and psi = V|0...0> encoded once per point: a pair runs only
+    the last layer's 2n rotations. The pairs run in equal slices of
     `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one per block column
     and each with its own matrices, so a pair's operations do not depend on
     its slice."""
@@ -162,9 +169,13 @@ def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
     gates = encoding_gates(cfg.spec, points, cfg.params)
     while gates and gates[-1][0] == "cnot":  # they cancel the CNOTs that start U(x_j)^dag
         gates.pop()
-    states = _zero_block(len(points), n)
-    apply_gates(states, n, gates)
-    adjoint = _adjoint(gates)
+    head, tail = gates[:-2 * n], gates[-2 * n:]  # the last layer is its 2n rotations
+    bras = _zero_block(len(points), n)
+    apply_gates(bras, n, head)
+    states = bras.copy()
+    apply_gates(states, n, tail)
+    np.conjugate(bras, bras)
+    adjoint = _adjoint(tail)
     amp = np.empty(rows.size, dtype=np.complex128)
     step = max(1, PAIR_BLOCK_AMPLITUDES >> n)
     for start in range(0, rows.size, step):
@@ -173,7 +184,18 @@ def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
         apply_gates(block, n, [
             (kind, t, m if m is None or len(m) == 1 else m[j]) for kind, t, m in adjoint
         ])
-        amp[start:start + step] = block[0]
+        # conj(phi(x_j)) * block, written over the gathered bras: the call has
+        # 2**n * columns >= 2 elements and no operand broadcasts, so every
+        # product rounds the same in a slice of any width. The rows then fold
+        # by halves, an order that depends on n alone.
+        terms = np.take(bras, j, axis=1)
+        terms *= block
+        while len(terms) > 1:
+            half = len(terms) >> 1
+            np.add(terms[:half], terms[half:], terms[:half])
+            terms = terms[:half]
+        amp[start:start + step] = terms[0]
+        del block, terms  # so no slice holds more than two blocks at once
     # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is hypot
     # then libm pow; np.abs(a) ** 2 does not reproduce it.
     return np.clip(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 0.0, 1.0)
@@ -214,9 +236,11 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
     rows, cols = np.triu_indices(len(points), 1)
-    # The inversion test still simulates each pair, although `_overlaps` is
-    # within 4 * 2**n eps of it: the README `align` pin, which the benchmark
-    # holds, moves when an entry moves by an ulp (ROADMAP items 1 and 2).
+    # The inversion test still runs the last layer of each pair, although
+    # `_overlaps` is within 4 * 2**n eps of it: at one layer it keeps the bits
+    # of simulating each pair, and the README `align` pin (one layer), which
+    # the benchmark holds, moves when an entry moves by an ulp (ROADMAP items
+    # 1 and 2).
     if cfg.circuit_kind == "inversion":
         exact = _inversion_tests(cfg, points, rows, cols)
     else:

@@ -12,7 +12,7 @@ materialized.
 matrices)`` and gives a block's columns one shared 2x2 matrix or one each;
 `rotation_matrices` makes those matrices from angles. The feature-map
 encoder builds its gates in this form, and the inversion test runs the
-adjoint of that list (`_adjoint`) through the same loop.
+adjoint of the last layer's gates (`_adjoint`) through the same loop.
 """
 
 from __future__ import annotations

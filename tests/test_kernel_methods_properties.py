@@ -129,6 +129,12 @@ def test_shifting_the_svr_targets_shifts_the_intercept(K, data, C, epsilon, t):
 
 # Measured over 4,742 examples: at most 0.54 of cond * eps, where
 # cond = (trace K + reg) / reg bounds the condition number of K + reg I.
+# Once a * y1 or b * y2 is subnormal, eps * scale underflows to 0 while each
+# product in the solve still rounds by up to half the smallest subnormal,
+# tiny, and an m-term sum gathers m of those: hence the absolute term
+# cond * m * tiny. Over 6,000 examples with a and b drawn from subnormals as
+# well, the error reached 0.17 of cond * m * tiny where that term is the
+# larger, and 0.77 of the sum of both.
 @settings(max_examples=60)
 @given(quantum_grams(), st.data(), st.sampled_from([1e-3, 1e-2, 0.1, 1.0]),
        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -139,5 +145,6 @@ def test_krr_is_linear_in_the_targets(K, data, reg, a, b):
     combined = krr_fit(K, a * y1 + b * y2, reg).alphas
     scale = max(np.max(np.abs(a * alphas1)), np.max(np.abs(b * alphas2)))
     cond = (np.trace(K) + reg) / reg
+    info = np.finfo(float)
     np.testing.assert_allclose(combined, a * alphas1 + b * alphas2, rtol=0.0,
-                               atol=4 * cond * np.finfo(float).eps * scale)
+                               atol=4 * cond * (info.eps * scale + m * info.smallest_subnormal))

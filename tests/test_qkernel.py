@@ -247,8 +247,9 @@ def test_negative_seed_accepted():
     assert 0.0 <= value <= 1.0
 
 
-# agreement with a per-pair statevector reference: Grams bit for bit, and
-# cross-Grams, which compare encoded states, within 4 * 2**n eps
+# agreement with a per-pair statevector reference: one-layer Grams bit for
+# bit; deeper Grams and cross-Grams, which sum over 2**n amplitudes, within
+# 4 * 2**n eps
 
 
 def overlap_atol(n_qubits):
@@ -302,6 +303,21 @@ def reference_cross(cfg, A, B):
     return np.array([[reference_fidelity(cfg, a, b) for b in B] for a in A])
 
 
+def assert_gram_matches_reference(cfg, X, K):
+    """K, the Gram of X under cfg, against the per-pair inversion test. At one
+    layer the bra <phi(x_j)| of every pair is <0...0|, so the exact Gram has
+    the oracle's bits; deeper, its entries sum <phi(x_j)|V_L(x_j)^dag
+    |psi(x_i)> over 2**n amplitudes and lie within 4 * 2**n eps of it. Shots
+    mode is one draw over the library's exact Gram."""
+    exact = gram_matrix(dataclasses.replace(cfg, mode="exact"), X).values
+    expected = reference_gram(dataclasses.replace(cfg, mode="exact"), X)
+    if cfg.spec.n_layers == 1:
+        np.testing.assert_array_equal(exact, expected)
+    else:
+        np.testing.assert_allclose(exact, expected, rtol=0, atol=overlap_atol(cfg.spec.n_qubits))
+    np.testing.assert_array_equal(K, reference_gram_measured(cfg, exact))
+
+
 def assert_cross_matches_reference(cfg, Y, X):
     """The exact cross-Gram and kernel_value lie within 4 * 2**n eps of the
     per-pair inversion test; shots mode is one draw over the library's exact
@@ -333,7 +349,7 @@ def test_exact_kernels_match_the_per_pair_reference(data_axis, trainable_axis, e
     cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)))
     X = rng.uniform(-np.pi, np.pi, size=(5, 2))
     Y = rng.uniform(-np.pi, np.pi, size=(3, 2))
-    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    assert_gram_matches_reference(cfg, X, gram_matrix(cfg, X).values)
     assert_cross_matches_reference(cfg, Y, X)
 
     swap = KernelEngineConfig(spec=spec, params=cfg.params, circuit_kind="swap")
@@ -396,12 +412,13 @@ WIDE_QUBITS = PAIR_BLOCK_AMPLITUDES.bit_length() - 1  # one pair fills a chunk
 def recorded_chunks(monkeypatch):
     """The (amplitudes, pairs) shape of every block of pairs that one Gram runs
     through `qkernel.apply_gates`, appended to the returned list. The Gram's
-    first call there encodes its points and is not recorded."""
+    first two calls there encode its points, layers 1 to L - 1 and then
+    layer L, and are not recorded."""
     shapes = []
     calls = itertools.count()
 
     def recording(amps, *args):
-        if next(calls):
+        if next(calls) > 1:
             shapes.append(amps.shape)
         return statevector.apply_gates(amps, *args)
 
@@ -426,10 +443,11 @@ def test_pair_blocks_spanning_many_multi_column_chunks(monkeypatch, mode):
     X = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 2 - 2, 2))
     Y = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 3, 2))
     chunks = recorded_chunks(monkeypatch)
-    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    K = gram_matrix(cfg, X).values
     # equal chunks of CHUNK_ROWS pairs, whatever j they span; the last holds the rest
     full, rest = divmod(len(X) * (len(X) - 1) // 2, CHUNK_ROWS)
     assert chunks == [(1 << CHUNKED_QUBITS, CHUNK_ROWS)] * full + [(1 << CHUNKED_QUBITS, rest)]
+    assert_gram_matches_reference(cfg, X, K)
     assert_cross_matches_reference(cfg, Y, X)
 
 
@@ -470,7 +488,9 @@ def test_no_pair_block_exceeds_the_amplitude_budget(monkeypatch, n_qubits, n_poi
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
 def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entanglement):
     """The Gram skips the CNOTs that U(x_i) ends and U(x_j)^dag starts with,
-    yet keeps every bit of simulating each pair on its own, gate by gate."""
+    and every layer but the last, which it reads in the bra <phi(x_j)|. At one
+    layer it keeps every bit of simulating each pair on its own, gate by gate;
+    deeper, each entry lies within 4 * 2**n eps of it."""
     rng = np.random.default_rng(10 * n_qubits + n_layers)
     spec = FeatureMapSpec(n_qubits, n_layers,
                           data_axis=DATA_AXES[(n_qubits + n_layers) % len(DATA_AXES)],
@@ -478,32 +498,67 @@ def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entan
                           entanglement=entanglement, data_scaling=float(rng.uniform(0.5, 1.5)))
     cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)))
     X = rng.uniform(-np.pi, np.pi, size=(6, 3))
-    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    assert_gram_matches_reference(cfg, X, gram_matrix(cfg, X).values)
 
 
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
-@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_inversion_gram_cancels_the_shared_entangler(monkeypatch, n_layers, entanglement):
-    """With one layer no CNOT runs at all: the entangler that ends U(x_i)
-    cancels the one that starts U(x_j)^dag. With two, the states and each
-    chunk of pairs run the first layer's entangler once."""
+    """Counted work. The points run layers 1 to L - 1, entanglers included,
+    once, and then layer L's 2n rotations; every slice of pairs runs the
+    adjoint of those 2n rotations and no CNOT: the entangler that ends U(x_i)
+    cancels the one that starts U(x_j)^dag, and the earlier layers are in the
+    bra."""
     n, m = 3, 7
     spec = FeatureMapSpec(n, n_layers, data_axis="ry", trainable_axis="rx",
                           entanglement=entanglement)
     cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, param_count(spec)))
     X = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(m, 2))
-    cnots = []
+    calls, cnots = [], []
     apply_cnot = statevector._apply_cnot_inplace
+
+    def recording(amps, n_qubits, gates):
+        gates = list(gates)
+        calls.append((amps.shape[1], [kind for kind, _, _ in gates]))
+        return statevector.apply_gates(amps, n_qubits, gates)
 
     def counting_cnot(amps, *args):
         cnots.append(amps.shape[1])
         return apply_cnot(amps, *args)
 
+    monkeypatch.setattr(qkernel, "apply_gates", recording)
     monkeypatch.setattr(statevector, "_apply_cnot_inplace", counting_cnot)
-    chunks = recorded_chunks(monkeypatch)
-    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
-    assert len(cnots) == (n_layers - 1) * len(featuremap._entangler_pairs(spec)) * (1 + len(chunks))
-    assert sum(pairs for _, pairs in chunks) == m * (m - 1) // 2
+    K = gram_matrix(cfg, X).values
+    entangler = ["cnot"] * len(featuremap._entangler_pairs(spec))
+    layer = ["rx"] * n + ["ry"] * n
+    (head_columns, head), (tail_columns, tail), *slices = calls
+    assert head_columns == tail_columns == m
+    assert head == (layer + entangler) * (n_layers - 1)
+    assert tail == layer
+    assert slices and all(kinds == layer[::-1] for _, kinds in slices)
+    assert sum(pairs for pairs, _ in slices) == m * (m - 1) // 2
+    assert cnots == [m] * (n_layers - 1) * len(entangler)
+    assert_gram_matches_reference(cfg, X, K)
+
+
+@pytest.mark.parametrize("n_qubits", [CHUNKED_QUBITS, WIDE_QUBITS - 1])
+def test_an_inversion_entry_has_its_bits_in_every_slice(n_qubits):
+    """A two-layer entry sums over 2**n amplitudes in an order fixed by n: each
+    entry of a Gram is the 2-point Gram of its pair bit for bit, and each
+    order-preserving sub-block of all points but one is the Gram of its
+    points, although the pairs sit at other positions of other slices
+    (CHUNK_ROWS columns a slice at CHUNKED_QUBITS, two at WIDE_QUBITS - 1)."""
+    spec = FeatureMapSpec(n_qubits, 2, data_axis="rx", trainable_axis="ry", entanglement="ring")
+    cfg = KernelEngineConfig(
+        spec=spec, params=np.random.default_rng(n_qubits).uniform(-np.pi, np.pi, param_count(spec)))
+    m = 12 if n_qubits == CHUNKED_QUBITS else 5
+    X = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(m, 3))
+    K = gram_matrix(cfg, X).values
+    assert (m * (m - 1) // 2) * (1 << n_qubits) > 2 * PAIR_BLOCK_AMPLITUDES  # three slices or more
+    for keep in itertools.chain(itertools.combinations(range(m), 2),
+                                itertools.combinations(range(m), m - 1)):
+        keep = list(keep)
+        assert K[keep][:, keep].tobytes() == gram_matrix(cfg, X[keep]).values.tobytes()
 
 
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
