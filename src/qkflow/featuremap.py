@@ -17,7 +17,7 @@ The circuit is written down once, in `_encoding_angles`, as (kind, targets,
 angles) for a whole block of points. `encoding_gates` turns it into
 `statevector.apply_gates` triples, with 2x2 matrix stacks in place of
 angles, and `encode_states` runs them on a block of |0...0> columns.
-The inversion test derives the adjoint of the last layer from these gates
+A one-layer inversion test derives U(x)^dag from these gates
 (`statevector._adjoint`).
 """
 

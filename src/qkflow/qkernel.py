@@ -15,24 +15,20 @@ kind, compares the two blocks: it sums Re<b|a> and Im<b|a> one amplitude at
 a time in real arithmetic, like the classical kernels, and returns
 re^2 + im^2. So each cross entry depends on its two points alone, and the
 exact inversion and swap cross entries are equal bit for bit. A swap-test
-Gram compares states the same way.
+Gram, and an inversion-test Gram of two or more layers, compare states the
+same way, so their exact entries are bit-equal to each other and to the
+cross-Gram of the points with themselves.
 
-Only an inversion-test Gram simulates pairs, and of each pair only the
-last layer. U(x) is V(x) and then CNOTs that do not depend on x, so
-U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i). V is W and then V_L, where W is
-layers 1 to L - 1 with their entanglers and V_L layer L's 2n rotations, so
-with phi = W|0...0> and psi = V|0...0> the overlap is
-<phi(x_j)| V_L(x_j)^dag |psi(x_i)>. `gram_matrix` lists the pairs i < j
-once, row by row, and both circuit kinds hand the measurement step their
-entries in that order. The inversion test encodes phi and psi once per
-point and runs the pairs in equal slices, one pair per block column with
-its own matrices: V_L(x_j)^dag, derived from the gates of V_L
-(`statevector._adjoint`), acts on psi(x_i) in `apply_gates`, and each
-column's products with conj(phi(x_j)) are added by halves of the rows, an
-order set by n alone, so each entry has its bits whatever slice holds it.
-At one layer phi = |0...0> and the sum is the amplitude of |0...0>, bit for
-bit that of simulating the pair on its own with negated angles; deeper,
-the 2**n-term sum lies within 4 * 2**n eps of it.
+Only a one-layer inversion-test Gram simulates pairs. U(x) is V(x) and then
+CNOTs that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i).
+`gram_matrix` lists the pairs i < j once, row by row, and every Gram hands
+the measurement step its entries in that order. The inversion test runs the
+pairs in equal slices, one pair per block column with its own matrices:
+V(x_j)^dag, derived from the gates of V (`statevector._adjoint`), acts on
+V(x_i)|0...0> in `apply_gates`, and amplitude |0...0> of each column is
+read. That amplitude gets the operations, in the order, and the values up
+to the signs of zeros, of simulating the pair on its own with negated
+angles, whatever slice holds it: each entry has its bits.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -64,11 +60,11 @@ __all__ = [
 MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
-# Amplitudes in one block of inversion-test pairs, one pair per column. Timed
-# in-process on each core of a 2-CPU Xeon, medians of 31 alternating runs of
-# an exact Gram of 60 `circles` points: at 8 qubits x 3 layers 2**14 took
-# 1.13-1.15x and 2**16 1.15-1.16x as long as 2**15; at 4 qubits x 2 layers
-# 1.08-1.11x and 1.00x. The bits are the same.
+# Amplitudes in one block of one-layer inversion-test pairs, one pair per
+# column. Timed in-process on each core of a 2-CPU Xeon, medians of 31
+# alternating runs of an exact one-layer Gram of 60 `circles` points: at 8
+# qubits 2**14 took 1.12-1.17x and 2**16 1.12-1.16x as long as 2**15; at 4
+# qubits 1.11-1.13x and 1.00-1.01x. The bits are the same.
 PAIR_BLOCK_AMPLITUDES = 1 << 15
 
 
@@ -76,7 +72,10 @@ PAIR_BLOCK_AMPLITUDES = 1 << 15
 class KernelEngineConfig:
     """One quantum kernel: a feature map with its trainable angles bound.
 
-    `params` is checked against `spec` and stored read-only.
+    `params` is checked against `spec` and stored read-only. `circuit_kind`
+    picks the shot model. Exact values do not depend on it, except that a
+    one-layer inversion Gram simulates each pair and so can differ from the
+    swap Gram in the last bits.
     """
 
     spec: FeatureMapSpec
@@ -158,24 +157,19 @@ def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
 
 
 def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
-    """Exact k(x_i, x_j) of the pairs (rows[k], cols[k]), in that order, by the
-    inversion test |<phi(x_j)| V_L(x_j)^dag |psi(x_i)>|^2, with phi (layers
-    1 to L - 1) and psi = V|0...0> encoded once per point: a pair runs only
-    the last layer's 2n rotations. The pairs run in equal slices of
-    `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one per block column
-    and each with its own matrices, so a pair's operations do not depend on
-    its slice."""
+    """Exact k(x_i, x_j) of the pairs (rows[k], cols[k]), in that order, of a
+    one-layer map by the per-pair inversion test: P(0...0) after
+    V(x_j)^dag V(x_i)|0...0>, with V(x_i)|0...0> encoded once. The pairs run
+    in equal slices of `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one
+    per block column and each with its own matrices, so a pair's operations
+    do not depend on its slice."""
     n = cfg.spec.n_qubits
     gates = encoding_gates(cfg.spec, points, cfg.params)
     while gates and gates[-1][0] == "cnot":  # they cancel the CNOTs that start U(x_j)^dag
         gates.pop()
-    head, tail = gates[:-2 * n], gates[-2 * n:]  # the last layer is its 2n rotations
-    bras = _zero_block(len(points), n)
-    apply_gates(bras, n, head)
-    states = bras.copy()
-    apply_gates(states, n, tail)
-    np.conjugate(bras, bras)
-    adjoint = _adjoint(tail)
+    states = _zero_block(len(points), n)
+    apply_gates(states, n, gates)
+    adjoint = _adjoint(gates)
     amp = np.empty(rows.size, dtype=np.complex128)
     step = max(1, PAIR_BLOCK_AMPLITUDES >> n)
     for start in range(0, rows.size, step):
@@ -184,18 +178,7 @@ def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
         apply_gates(block, n, [
             (kind, t, m if m is None or len(m) == 1 else m[j]) for kind, t, m in adjoint
         ])
-        # conj(phi(x_j)) * block, written over the gathered bras: the call has
-        # 2**n * columns >= 2 elements and no operand broadcasts, so every
-        # product rounds the same in a slice of any width. The rows then fold
-        # by halves, an order that depends on n alone.
-        terms = np.take(bras, j, axis=1)
-        terms *= block
-        while len(terms) > 1:
-            half = len(terms) >> 1
-            np.add(terms[:half], terms[half:], terms[:half])
-            terms = terms[:half]
-        amp[start:start + step] = terms[0]
-        del block, terms  # so no slice holds more than two blocks at once
+        amp[start:start + step] = block[0]
     # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is hypot
     # then libm pow; np.abs(a) ** 2 does not reproduce it.
     return np.clip(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 0.0, 1.0)
@@ -236,12 +219,12 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
     rows, cols = np.triu_indices(len(points), 1)
-    # The inversion test still runs the last layer of each pair, although
-    # `_overlaps` is within 4 * 2**n eps of it: at one layer it keeps the bits
-    # of simulating each pair, and the README `align` pin (one layer), which
-    # the benchmark holds, moves when an entry moves by an ulp (ROADMAP items
-    # 1 and 2).
-    if cfg.circuit_kind == "inversion":
+    # A one-layer inversion test still simulates each pair, although
+    # `_overlaps` is within 4 * 2**n eps of it: it keeps the bits of the
+    # per-pair circuit, and the README `align` pin (one layer), which the
+    # benchmark holds, moves when an entry moves by an ulp (ROADMAP items 1
+    # and 2). Deeper, both circuit kinds compare states encoded once.
+    if cfg.circuit_kind == "inversion" and cfg.spec.n_layers == 1:
         exact = _inversion_tests(cfg, points, rows, cols)
     else:
         states = encode_states(cfg.spec, points, cfg.params)

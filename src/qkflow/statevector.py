@@ -11,8 +11,8 @@ materialized.
 `apply_gates` is the one gate loop. It takes gates as ``(kind, targets,
 matrices)`` and gives a block's columns one shared 2x2 matrix or one each;
 `rotation_matrices` makes those matrices from angles. The feature-map
-encoder builds its gates in this form, and the inversion test runs the
-adjoint of the last layer's gates (`_adjoint`) through the same loop.
+encoder builds its gates in this form, and the one-layer inversion test
+runs their adjoint (`_adjoint`) through the same loop.
 """
 
 from __future__ import annotations

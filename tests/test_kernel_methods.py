@@ -285,6 +285,32 @@ def test_svr_converges_on_a_rank_three_gram_that_hits_the_iteration_cap():
     assert svr_kkt_violation(K, targets, model.coef, model.bias, 100.0, 0.1) <= 1e-5
 
 
+@pytest.mark.xfail(strict=True, raises=UserWarning, reason=(
+    "first-order SMO stops at its iteration cap on this rank-7 Gram; "
+    "ROADMAP item 4 (second-order working sets) is the fix"))
+def test_svc_converges_on_a_rank_seven_gram_that_hits_the_iteration_cap():
+    """A draw of test_svc_and_svr_match_the_smo_oracle (C=100, skewed) on which
+    svc_fit runs to its iteration cap, whose warning pyproject's
+    filterwarnings makes an error. The unskewed Gram caps too."""
+    spec = FeatureMapSpec(2, 1, data_axis="rx", trainable_axis="rx", entanglement="none",
+                          data_scaling=1.5)
+    cfg = KernelEngineConfig(spec=spec, params=np.array([-6.103515625e-05, -1.29951609289366e-268]))
+    points = np.array([
+        [-5.2745730220763415e-149, -0.9596947895516519], [-1.519240881546421, 3.141592653589793],
+        [1.0497889075001464e-119, 6.103515625e-05], [-2.401190808306232, -3.0268896371376823],
+        [-0.6916681928571298, 2.215847137544879e-95], [9.786508785916757e-193, -1.9134463489485107],
+        [-5.3434726407579935e-183, 2.0471796092915957], [9.786508785916757e-193, 5.3067066588593815e-90],
+        [6.103515625e-05, 1e-09], [-1.555112957372139, -1.5808037603671817e-09],
+        [-3.141592653589793, 2.5810982112133954e-223], [-2.4466698098894515, 0.0],
+    ])
+    labels = np.array([-1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+    K = gram_matrix(cfg, points).values
+    assert np.linalg.matrix_rank(K) == 7
+    K = K + 1e-10 * np.triu(np.random.default_rng(0).uniform(-1, 1, K.shape), 1)
+    model = svc_fit(K, labels, C=100.0)
+    assert svc_kkt_violation(K, labels, model.alphas, model.bias, 100.0) <= 1e-5
+
+
 # the benchmark's own Grams against oracles.smo_oracle, which rebuilds both
 # candidate masks every step; the hypothesis property covers m <= 12
 

@@ -305,10 +305,10 @@ def reference_cross(cfg, A, B):
 
 def assert_gram_matches_reference(cfg, X, K):
     """K, the Gram of X under cfg, against the per-pair inversion test. At one
-    layer the bra <phi(x_j)| of every pair is <0...0|, so the exact Gram has
-    the oracle's bits; deeper, its entries sum <phi(x_j)|V_L(x_j)^dag
-    |psi(x_i)> over 2**n amplitudes and lie within 4 * 2**n eps of it. Shots
-    mode is one draw over the library's exact Gram."""
+    layer the exact inversion Gram simulates each pair and has the oracle's
+    bits; deeper, it compares states encoded once, summing over 2**n
+    amplitudes, and lies within 4 * 2**n eps of it. Shots mode is one draw
+    over the library's exact Gram."""
     exact = gram_matrix(dataclasses.replace(cfg, mode="exact"), X).values
     expected = reference_gram(dataclasses.replace(cfg, mode="exact"), X)
     if cfg.spec.n_layers == 1:
@@ -387,7 +387,7 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     )
     X = rng.uniform(-np.pi, np.pi, size=(4, 3))
     Y = rng.uniform(-np.pi, np.pi, size=(3, 3))
-    np.testing.assert_array_equal(gram_matrix(cfg, X).values, reference_gram(cfg, X))
+    assert_gram_matches_reference(cfg, X, gram_matrix(cfg, X).values)
     assert_cross_matches_reference(cfg, Y, X)
 
     # The swap test measures the library's exact swap matrices the same way.
@@ -401,8 +401,8 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     )
 
 
-# Pair blocks: an inversion-test Gram cuts its pairs (i, j), i < j, into
-# slices of PAIR_BLOCK_AMPLITUDES >> n pairs, at least one.
+# Pair blocks: a one-layer inversion-test Gram cuts its pairs (i, j), i < j,
+# into slices of PAIR_BLOCK_AMPLITUDES >> n pairs, at least one.
 
 CHUNK_ROWS = 32  # pairs per chunk on the register below
 CHUNKED_QUBITS = (PAIR_BLOCK_AMPLITUDES // CHUNK_ROWS).bit_length() - 1
@@ -412,13 +412,12 @@ WIDE_QUBITS = PAIR_BLOCK_AMPLITUDES.bit_length() - 1  # one pair fills a chunk
 def recorded_chunks(monkeypatch):
     """The (amplitudes, pairs) shape of every block of pairs that one Gram runs
     through `qkernel.apply_gates`, appended to the returned list. The Gram's
-    first two calls there encode its points, layers 1 to L - 1 and then
-    layer L, and are not recorded."""
+    first call there encodes its points and is not recorded."""
     shapes = []
     calls = itertools.count()
 
     def recording(amps, *args):
-        if next(calls) > 1:
+        if next(calls) > 0:
             shapes.append(amps.shape)
         return statevector.apply_gates(amps, *args)
 
@@ -428,8 +427,7 @@ def recorded_chunks(monkeypatch):
 
 def chunk_cfg(n_qubits, mode):
     rng = np.random.default_rng(n_qubits)
-    spec = FeatureMapSpec(n_qubits, 2 if n_qubits < WIDE_QUBITS else 1,
-                          data_axis="ry", trainable_axis="rz", entanglement="ring")
+    spec = FeatureMapSpec(n_qubits, 1, data_axis="ry", trainable_axis="rz", entanglement="ring")
     return KernelEngineConfig(
         spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)),
         mode=mode, shots=200 if mode == "shots" else None, seed=5,
@@ -487,10 +485,10 @@ def test_no_pair_block_exceeds_the_amplitude_budget(monkeypatch, n_qubits, n_poi
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
 def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entanglement):
-    """The Gram skips the CNOTs that U(x_i) ends and U(x_j)^dag starts with,
-    and every layer but the last, which it reads in the bra <phi(x_j)|. At one
-    layer it keeps every bit of simulating each pair on its own, gate by gate;
-    deeper, each entry lies within 4 * 2**n eps of it."""
+    """At one layer the Gram skips the CNOTs that U(x_i) ends and U(x_j)^dag
+    starts with, and keeps every bit of simulating each pair on its own, gate
+    by gate; deeper, it compares encoded states and each entry lies within
+    4 * 2**n eps of it."""
     rng = np.random.default_rng(10 * n_qubits + n_layers)
     spec = FeatureMapSpec(n_qubits, n_layers,
                           data_axis=DATA_AXES[(n_qubits + n_layers) % len(DATA_AXES)],
@@ -504,11 +502,11 @@ def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entan
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_inversion_gram_cancels_the_shared_entangler(monkeypatch, n_layers, entanglement):
-    """Counted work. The points run layers 1 to L - 1, entanglers included,
-    once, and then layer L's 2n rotations; every slice of pairs runs the
-    adjoint of those 2n rotations and no CNOT: the entangler that ends U(x_i)
-    cancels the one that starts U(x_j)^dag, and the earlier layers are in the
-    bra."""
+    """Counted work. A one-layer Gram encodes its points once, 2n rotations
+    and no CNOT, and every slice of pairs runs the adjoint of those 2n
+    rotations and no CNOT: the entangler that ends U(x_i) cancels the one
+    that starts U(x_j)^dag. A deeper Gram encodes its points once, every
+    layer with its entangler, and runs no pair."""
     n, m = 3, 7
     spec = FeatureMapSpec(n, n_layers, data_axis="ry", trainable_axis="rx",
                           entanglement=entanglement)
@@ -526,29 +524,34 @@ def test_inversion_gram_cancels_the_shared_entangler(monkeypatch, n_layers, enta
         cnots.append(amps.shape[1])
         return apply_cnot(amps, *args)
 
+    monkeypatch.setattr(featuremap, "apply_gates", recording)
     monkeypatch.setattr(qkernel, "apply_gates", recording)
     monkeypatch.setattr(statevector, "_apply_cnot_inplace", counting_cnot)
     K = gram_matrix(cfg, X).values
     entangler = ["cnot"] * len(featuremap._entangler_pairs(spec))
     layer = ["rx"] * n + ["ry"] * n
-    (head_columns, head), (tail_columns, tail), *slices = calls
-    assert head_columns == tail_columns == m
-    assert head == (layer + entangler) * (n_layers - 1)
-    assert tail == layer
-    assert slices and all(kinds == layer[::-1] for _, kinds in slices)
-    assert sum(pairs for pairs, _ in slices) == m * (m - 1) // 2
-    assert cnots == [m] * (n_layers - 1) * len(entangler)
+    (encode_columns, encode), *slices = calls
+    assert encode_columns == m
+    if n_layers == 1:
+        assert encode == layer
+        assert slices and all(kinds == layer[::-1] for _, kinds in slices)
+        assert sum(pairs for pairs, _ in slices) == m * (m - 1) // 2
+        assert cnots == []
+    else:
+        assert encode == (layer + entangler) * n_layers
+        assert slices == []
+        assert cnots == [m] * n_layers * len(entangler)
     assert_gram_matches_reference(cfg, X, K)
 
 
 @pytest.mark.parametrize("n_qubits", [CHUNKED_QUBITS, WIDE_QUBITS - 1])
 def test_an_inversion_entry_has_its_bits_in_every_slice(n_qubits):
-    """A two-layer entry sums over 2**n amplitudes in an order fixed by n: each
+    """A one-layer entry is amplitude |0...0> of its own pair's column: each
     entry of a Gram is the 2-point Gram of its pair bit for bit, and each
     order-preserving sub-block of all points but one is the Gram of its
     points, although the pairs sit at other positions of other slices
     (CHUNK_ROWS columns a slice at CHUNKED_QUBITS, two at WIDE_QUBITS - 1)."""
-    spec = FeatureMapSpec(n_qubits, 2, data_axis="rx", trainable_axis="ry", entanglement="ring")
+    spec = FeatureMapSpec(n_qubits, 1, data_axis="rx", trainable_axis="ry", entanglement="ring")
     cfg = KernelEngineConfig(
         spec=spec, params=np.random.default_rng(n_qubits).uniform(-np.pi, np.pi, param_count(spec)))
     m = 12 if n_qubits == CHUNKED_QUBITS else 5
@@ -559,6 +562,27 @@ def test_an_inversion_entry_has_its_bits_in_every_slice(n_qubits):
                                 itertools.combinations(range(m), m - 1)):
         keep = list(keep)
         assert K[keep][:, keep].tobytes() == gram_matrix(cfg, X[keep]).values.tobytes()
+
+
+@pytest.mark.parametrize("data_axis,trainable_axis,entanglement", AXIS_GRID)
+def test_a_deep_inversion_gram_is_bitwise_the_swap_gram_and_the_cross_gram(
+        data_axis, trainable_axis, entanglement):
+    """From two layers on, the exact inversion Gram compares encoded states as
+    the swap Gram and the cross-Gram do: it has the swap Gram's bits, and
+    above its diagonal those of the cross-Gram of its points with themselves.
+    (Below it the Gram mirrors; the cross-Gram sums Im<b|a> and Im<a|b> in
+    different orders, so it need not be symmetric to the bit.)"""
+    rng = np.random.default_rng(200 + AXIS_GRID.index((data_axis, trainable_axis, entanglement)))
+    above = np.triu_indices(6, 1)
+    for n_qubits, n_layers in itertools.product(range(1, 6), (2, 3)):
+        spec = FeatureMapSpec(n_qubits, n_layers, data_axis, trainable_axis, entanglement,
+                              data_scaling=float(rng.uniform(0.5, 1.5)))
+        cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)))
+        X = rng.uniform(-np.pi, np.pi, size=(6, 3))
+        K = gram_matrix(cfg, X).values
+        swap = gram_matrix(dataclasses.replace(cfg, circuit_kind="swap"), X).values
+        assert K.tobytes() == swap.tobytes()
+        assert K[above].tobytes() == cross_gram(cfg, X, X)[above].tobytes()
 
 
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
