@@ -12,8 +12,11 @@ The SVC and the SVR share one SMO solver for the box-constrained dual
     max_a  sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
     s.t.   0 <= a_i <= C,  sum_i z_i a_i = 0,  z_i = +-1,
 
-which updates the maximally KKT-violating pair. The SVC is the case
-z = r = y, Q = K. The epsilon-insensitive SVR is written, as in LIBSVM,
+which updates the maximally KKT-violating pair. On some rank-deficient
+Grams those pairs zigzag with the violation stuck just above the stopping
+gap; when SMO_MAX_ITER such steps do not converge, the solver starts again
+and picks the second index of each pair by its second-order gain. The SVC
+is the case z = r = y, Q = K. The epsilon-insensitive SVR is written, as in LIBSVM,
 over 2m variables (alpha, alpha*): z = [1, -1], r = [y - eps, y + eps] and
 Q = [[K, K], [K, K]], with coefficients alpha - alpha*. KRR solves
 (K + reg I) a = y directly.
@@ -48,7 +51,8 @@ __all__ = [
 
 SUPPORT_THRESHOLD = 1e-9
 
-# SMO stops once the maximal KKT violation is at most SMO_GAP
+# SMO stops once the maximal KKT violation is at most SMO_GAP; SMO_MAX_ITER
+# bounds the steps of each of its two passes
 SMO_GAP = 1e-6
 SMO_MAX_ITER = 200_000
 
@@ -123,22 +127,32 @@ def _movable(a, z, C: float):
     return up, low
 
 
-def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
-         caller: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve max_a sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
-    subject to 0 <= a_i <= C and sum_i z_i a_i = 0, with every z_i = +-1.
+def _second_order_partner(Q: np.ndarray, i: int, score_i: float,
+                          score_low: np.ndarray) -> int:
+    """The j that pairs with i for the largest second-order gain b^2 / quad,
+    with b = score_i - score_j > 0 and quad = Q_ii + Q_jj - 2 Q_ij floored at
+    1e-12, over the multipliers that can move down (``score_low`` is +inf
+    elsewhere): WSS2 of Fan, Chen & Lin, JMLR 6 (2005). The first index on
+    ties."""
+    b = score_i - score_low
+    diag = Q.diagonal()
+    quad = np.maximum(diag[i] + diag - 2.0 * Q[i], 1e-12)
+    return int(np.where(b > 0.0, b * b / quad, -np.inf).argmax())
 
-    SMO on the maximally KKT-violating pair. Returns the multipliers, the
-    products g = Q (a z) and the intercept b of the decision sum_j a_j z_j
-    Q_ij + b: the mean of r_i - g_i over the free multipliers or, with none
-    free, the midpoint of the interval the KKT conditions leave open.
 
-    A step allocates nothing. ``up_r`` holds r_k where multiplier k can move
-    up and -inf elsewhere, ``low_r`` holds r_k where it can move down and
-    +inf elsewhere, so ``up_r - g`` and ``low_r - g`` equal np.where(up,
-    r - g, -inf) and np.where(low, r - g, inf) entry for entry, first-index
-    ties included. Only the entries of the pair that moved change after a
-    step, and every scalar of a step is a Python float.
+def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
+               second_order: bool) -> tuple[list[float], bool]:
+    """At most SMO_MAX_ITER SMO steps from a = 0, each on the maximally
+    KKT-violating pair or, with ``second_order``, on its i and the partner
+    of _second_order_partner. Returns the multipliers and whether the
+    violation fell to SMO_GAP before the cap.
+
+    A first-order step allocates nothing. ``up_r`` holds r_k where
+    multiplier k can move up and -inf elsewhere, ``low_r`` holds r_k where
+    it can move down and +inf elsewhere, so ``up_r - g`` and ``low_r - g``
+    equal np.where(up, r - g, -inf) and np.where(low, r - g, inf) entry for
+    entry, first-index ties included. Only the entries of the pair that
+    moved change after a step, and every scalar of a step is a Python float.
     """
     n = z.size
     cols = list(np.ascontiguousarray(Q.T))  # cols[k] is Q[:, k], bit for bit
@@ -158,7 +172,10 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
         # (r_i - g_i) - (r_j - g_j); -inf when the up or the low set is empty
         gap = score_up.item(i) - score_low.item(j)
         if gap <= SMO_GAP:
-            break
+            return a, True
+        if second_order:
+            j = _second_order_partner(Q, i, score_up.item(i), score_low)
+            gap = score_up.item(i) - score_low.item(j)  # the pair's own violation
         quad = diag[i] + diag[j] - 2.0 * cols[j].item(i)
         quad = max(quad, 1e-12)
         # move t along the feasible pair direction: a_i += z_i t, a_j -= z_j t
@@ -176,7 +193,27 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
         low_r[i] = rs[i] if (ai > 0 if zi > 0 else ai < C) else np.inf
         up_r[j] = rs[j] if (aj < C if zj > 0 else aj > 0) else -np.inf
         low_r[j] = rs[j] if (aj > 0 if zj > 0 else aj < C) else np.inf
-    else:
+    return a, False
+
+
+def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
+         caller: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve max_a sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
+    subject to 0 <= a_i <= C and sum_i z_i a_i = 0, with every z_i = +-1.
+
+    First-order SMO from a = 0; if it hits its cap, second-order SMO from
+    a = 0 again. Returns the multipliers, the products g = Q (a z) and the
+    intercept b of the decision sum_j a_j z_j Q_ij + b: the mean of
+    r_i - g_i over the free multipliers or, with none free, the midpoint of
+    the interval the KKT conditions leave open.
+    """
+    a, converged = _smo_steps(Q, z, r, C, second_order=False)
+    if not converged:
+        # first-order pairs can zigzag along a flat direction of a
+        # rank-deficient Gram with the violation just above SMO_GAP; the
+        # second-order pass starts afresh, since from that point it crawls too
+        a, converged = _smo_steps(Q, z, r, C, second_order=True)
+    if not converged:
         warnings.warn(f"{caller} hit the iteration cap before reaching tolerance")
 
     a = np.clip(a, 0.0, C)

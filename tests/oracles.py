@@ -277,25 +277,31 @@ def _movable_oracle(a, z, C):
     return up, low
 
 
-def smo_oracle(Q, z, r, C):
-    """Maximal-violating-pair SMO for max sum z r a - 1/2 (a z)' Q (a z),
-    0 <= a <= C, z . a = 0, rebuilding both candidate masks every step.
-
-    Returns the multipliers, g = Q (a z) and the intercept, as the library's
-    solver does.
-    """
+def _smo_steps_oracle(Q, z, r, C, second_order):
+    """At most SMO_MAX_ITER SMO steps from a = 0, rebuilding both candidate
+    masks every step. i maximizes score = r - g over the up set; j minimizes
+    it over the low set or, with second_order, maximizes b^2 / quad over the
+    low set with b = score_i - score_j > 0 and quad = Q_ii + Q_jj - 2 Q_ij
+    floored at 1e-12 (WSS2 of Fan, Chen & Lin, 2005). Returns the
+    multipliers and whether the violation fell to SMO_GAP."""
     a = np.zeros(z.size)
     g = np.zeros(z.size)
     for _ in range(SMO_MAX_ITER):
         score = r - g
         up, low = _movable_oracle(a, z, C)
         if not up.any() or not low.any():
-            break
+            return a, True
         i = int(np.flatnonzero(up)[np.argmax(score[up])])
         j = int(np.flatnonzero(low)[np.argmin(score[low])])
         gap = score[i] - score[j]
         if gap <= SMO_GAP:
-            break
+            return a, True
+        if second_order:
+            partners = np.flatnonzero(low & (score[i] - score > 0))
+            b = score[i] - score[partners]
+            quad = np.maximum(Q[i, i] + Q[partners, partners] - 2.0 * Q[i, partners], 1e-12)
+            j = int(partners[np.argmax(b * b / quad)])
+            gap = score[i] - score[j]
         quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
         quad = max(quad, 1e-12)
         head_i = C - a[i] if z[i] > 0 else a[i]
@@ -304,6 +310,20 @@ def smo_oracle(Q, z, r, C):
         a[i] += z[i] * t
         a[j] -= z[j] * t
         g += t * (Q[:, i] - Q[:, j])
+    return a, False
+
+
+def smo_oracle(Q, z, r, C):
+    """SMO for max sum z r a - 1/2 (a z)' Q (a z), 0 <= a <= C, z . a = 0:
+    first-order pairs from a = 0 and, if they hit the cap, second-order
+    pairs from a = 0 again.
+
+    Returns the multipliers, g = Q (a z) and the intercept, as the library's
+    solver does.
+    """
+    a, converged = _smo_steps_oracle(Q, z, r, C, second_order=False)
+    if not converged:
+        a, _ = _smo_steps_oracle(Q, z, r, C, second_order=True)
 
     a = np.clip(a, 0.0, C)
     g = Q @ (a * z)

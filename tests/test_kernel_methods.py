@@ -8,6 +8,7 @@ from qkflow.featuremap import FeatureMapSpec, param_count
 from qkflow.kernel_methods import (
     SUPPORT_THRESHOLD,
     TrainedSVC,
+    _smo_steps,
     kernel_kmeans,
     kpca_fit,
     krr_fit,
@@ -267,12 +268,10 @@ def test_svr_converges_on_quantum_kernel_at_large_capacity():
     assert svr_kkt_violation(K, ds.labels, model.coef, model.bias, C, epsilon) <= 1e-5
 
 
-@pytest.mark.xfail(strict=True, raises=UserWarning, reason=(
-    "first-order SMO stops at its iteration cap on this rank-3 Gram; "
-    "ROADMAP item 4 (second-order working sets) is the fix"))
 def test_svr_converges_on_a_rank_three_gram_that_hits_the_iteration_cap():
-    """A draw of test_svc_and_svr_match_the_smo_oracle on which svr_fit runs to
-    its iteration cap, whose warning pyproject's filterwarnings makes an error."""
+    """A draw of test_svc_and_svr_match_the_smo_oracle on which first-order SMO
+    runs to its iteration cap, so svr_fit converges by its second-order pass;
+    a cap warning there would be an error under pyproject's filterwarnings."""
     spec = FeatureMapSpec(2, 1, data_axis="rz", trainable_axis="rx", entanglement="none",
                           data_scaling=0.602)
     cfg = KernelEngineConfig(spec=spec, params=np.array([0.0, -1.8717022693034826]))
@@ -281,17 +280,18 @@ def test_svr_converges_on_a_rank_three_gram_that_hits_the_iteration_cap():
     targets = np.array([-1.9953507612116326, 0.0, 0.0, 1.571617797865093, 1.6661511165112053])
     K = gram_matrix(cfg, points).values
     assert np.linalg.matrix_rank(K) == 3
+    z = np.concatenate([np.ones(5), -np.ones(5)])
+    r = np.concatenate([targets - 0.1, targets + 0.1])
+    assert not _smo_steps(np.tile(K, (2, 2)), z, r, 100.0, second_order=False)[1]
     model = svr_fit(K, targets, C=100.0, epsilon=0.1)
     assert svr_kkt_violation(K, targets, model.coef, model.bias, 100.0, 0.1) <= 1e-5
 
 
-@pytest.mark.xfail(strict=True, raises=UserWarning, reason=(
-    "first-order SMO stops at its iteration cap on this rank-7 Gram; "
-    "ROADMAP item 4 (second-order working sets) is the fix"))
 def test_svc_converges_on_a_rank_seven_gram_that_hits_the_iteration_cap():
     """A draw of test_svc_and_svr_match_the_smo_oracle (C=100, skewed) on which
-    svc_fit runs to its iteration cap, whose warning pyproject's
-    filterwarnings makes an error. The unskewed Gram caps too."""
+    first-order SMO runs to its iteration cap, so svc_fit converges by its
+    second-order pass; a cap warning there would be an error under
+    pyproject's filterwarnings. The unskewed Gram caps too."""
     spec = FeatureMapSpec(2, 1, data_axis="rx", trainable_axis="rx", entanglement="none",
                           data_scaling=1.5)
     cfg = KernelEngineConfig(spec=spec, params=np.array([-6.103515625e-05, -1.29951609289366e-268]))
@@ -307,6 +307,7 @@ def test_svc_converges_on_a_rank_seven_gram_that_hits_the_iteration_cap():
     K = gram_matrix(cfg, points).values
     assert np.linalg.matrix_rank(K) == 7
     K = K + 1e-10 * np.triu(np.random.default_rng(0).uniform(-1, 1, K.shape), 1)
+    assert not _smo_steps(K, labels, labels, 100.0, second_order=False)[1]
     model = svc_fit(K, labels, C=100.0)
     assert svc_kkt_violation(K, labels, model.alphas, model.bias, 100.0) <= 1e-5
 
