@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import GramMatrix, _as_points, _column_sums, _cross_points
+from .qkernel import GramMatrix, _as_points, _cross_points, _tiled_products
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -109,6 +109,25 @@ def _check_exponential_domain(dots: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sigma * np.sqrt(np.maximum(0.0, 1.0 - dots)))
 
 
+def _squared_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out[i, j] = ||left[i] - right[j]||^2 for points stored one per row,
+    added one feature at a time in increasing order, so an entry depends on
+    its own two points alone and is exactly 0 for equal points."""
+    sums = np.zeros((left.shape[0], right.shape[0]))
+    scratch = np.empty_like(sums)
+    for a, b in zip(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)):
+        np.subtract(a[:, None], b, out=scratch)
+        sums += np.square(scratch, out=scratch)
+    return sums
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the points of two `_tile`s of real points, for
+    `_tiled_products(left.T, right.T, _dots)[i, j] = left[i] . right[j]`,
+    which has the same bits in every block that holds the two points."""
+    return a[0].T @ b[0]
+
+
 def _metric_rows(kernel: ClassicalKernel, points: np.ndarray) -> np.ndarray:
     if kernel.transform is None:
         return points
@@ -117,24 +136,22 @@ def _metric_rows(kernel: ClassicalKernel, points: np.ndarray) -> np.ndarray:
             f"transform is {kernel.transform.shape[0]}x{kernel.transform.shape[1]} "
             f"but points have {points.shape[1]} features"
         )
-    return _column_sums(points, kernel.transform, np.multiply)
-
-
-def _squared_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.square(np.subtract(a, b, out=out), out=out)
+    return _tiled_products(points.T, kernel.transform.T, _dots)
 
 
 def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Entries k(left[i], right[j]): the one place each kind's formula is written.
-    Dot products and squared distances are column sums, so a Gram is exactly
-    symmetric and its squared distances are exactly 0 on the diagonal.
+    Dot products are tiled BLAS products and squared distances are sums over
+    the features; each gives an entry the same bits whichever operand holds
+    which point, so a Gram is exactly symmetric and its squared distances
+    are exactly 0 on the diagonal.
 
-    Huge finite features can overflow a column sum. numpy's warning is
-    silenced and each kind says what the overflow means for it: a linear or
-    polynomial entry that is not a finite float is refused, a dot product
-    past 1 is the exponential kernel's domain error, and a squared distance
-    that overflows to inf gives the Gaussian entry exp(-inf) = 0, which is
-    the correctly rounded value.
+    Huge finite features can overflow a dot product or a squared distance.
+    numpy's warning is silenced and each kind says what the overflow means
+    for it: a linear or polynomial entry that is not a finite float is
+    refused, a dot product past 1 is the exponential kernel's domain error,
+    and a squared distance that overflows to inf gives the Gaussian entry
+    exp(-inf) = 0, which is the correctly rounded value.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if kernel.kind == "gaussian_metric":
@@ -144,8 +161,8 @@ def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.n
                     "gaussian_metric kernel overflows: A x is not a finite float; "
                     "rescale the features or the transform"
                 )
-            return np.exp(-kernel.gamma * _column_sums(z_left, z_right, _squared_difference))
-        dots = _column_sums(left, right, np.multiply)
+            return np.exp(-kernel.gamma * _squared_distances(z_left, z_right))
+        dots = _tiled_products(left.T, right.T, _dots)
         if kernel.kind == "exponential":
             return _check_exponential_domain(dots, kernel.sigma)
         if kernel.kind == "linear":

@@ -90,8 +90,27 @@ def _binary_labels(y, m: int) -> np.ndarray:
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be exactly +1 or -1")
     if np.all(labels == 1.0) or np.all(labels == -1.0):
-        raise ValueError("training needs both classes present")
+        raise ValueError("labels must hold both classes, +1 and -1")
     return labels
+
+
+def _positive(value, name: str) -> float:
+    value = float(value)
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _non_negative(value, name: str) -> float:
+    value = float(value)
+    if value < 0 or not np.isfinite(value):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    return value
+
+
+def _within(values, low: float, high: float, name: str) -> None:
+    if not np.all((low <= values) & (values <= high)):
+        raise ValueError(f"{name} must lie in [{low:g}, {high:g}]")
 
 
 def _real_targets(y, m: int) -> np.ndarray:
@@ -113,6 +132,12 @@ class TrainedSVC:
     bias: float
     C: float
     dual_objective: float
+
+    def check(self) -> None:
+        """Raise ValueError, naming the field, unless svc_fit could return this
+        record; model_io checks every record it loads."""
+        _binary_labels(self.labels, np.size(self.labels))
+        _within(self.alphas, 0.0, _positive(self.C, "C"), "alphas")
 
     @property
     def support_indices(self) -> np.ndarray:
@@ -234,9 +259,7 @@ def svc_fit(K, y, C: float) -> TrainedSVC:
     values = _gram_values(K)
     m = values.shape[0]
     labels = _binary_labels(y, m)
-    C = float(C)
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C}")
+    C = _positive(C, "C")
 
     alpha, g, bias = _smo(values, labels, labels, C, "svc_fit")
     objective = float(alpha.sum() - 0.5 * np.dot(alpha * labels, g))
@@ -269,15 +292,18 @@ class TrainedKRR:
     alphas: np.ndarray
     reg: float
 
+    def check(self) -> None:
+        """Raise ValueError, naming the field, unless krr_fit could return this
+        record; model_io checks every record it loads."""
+        _non_negative(self.reg, "reg")
+
 
 def krr_fit(K, y, reg: float) -> TrainedKRR:
     """Solve (K + reg I) a = y through a symmetric positive-definite factorization."""
     values = _gram_values(K)
     m = values.shape[0]
     targets = _real_targets(y, m)
-    reg = float(reg)
-    if reg < 0 or not np.isfinite(reg):
-        raise ValueError(f"reg must be a finite non-negative number, got {reg}")
+    reg = _non_negative(reg, "reg")
     system = values + reg * np.eye(m)
     try:
         lower = np.linalg.cholesky(system)
@@ -313,18 +339,21 @@ class TrainedSVR:
     epsilon: float
     C: float
 
+    def check(self) -> None:
+        """Raise ValueError, naming the field, unless svr_fit could return this
+        record; model_io checks every record it loads."""
+        _non_negative(self.epsilon, "epsilon")
+        C = _positive(self.C, "C")
+        _within(self.coef, -C, C, "coef")
+
 
 def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
     """Train epsilon-insensitive SVR by SMO on its 2m-variable dual."""
     values = _gram_values(K)
     m = values.shape[0]
     targets = _real_targets(y, m)
-    C = float(C)
-    epsilon = float(epsilon)
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C}")
-    if epsilon < 0 or not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    C = _positive(C, "C")
+    epsilon = _non_negative(epsilon, "epsilon")
 
     z = np.concatenate([np.ones(m), -np.ones(m)])
     r = np.concatenate([targets - epsilon, targets + epsilon])

@@ -131,14 +131,19 @@ def _to_fields(obj, names=None, skip=()) -> dict:
     return out
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _decode(f, hint, value):
-    """One JSON value as its field's type; a ValueError names the field."""
+    """One JSON value as its field's type; a ValueError names the field. JSON
+    true and false are booleans only, although Python's bool is an int."""
     if type(None) in get_args(hint):
         if value is None:
             return None
         hint = get_args(hint)[0]
     json_type, description = _JSON_TYPES[hint]
-    if isinstance(value, json_type):
+    if isinstance(value, json_type) and (hint is bool or not _holds_bool(value)):
         try:
             if hint is not np.ndarray:
                 decoded = hint(value)
@@ -270,5 +275,6 @@ def model_from_payload(kind: str, payload: dict) -> tuple[object, np.ndarray, bo
     if model_type is None:
         raise ValueError(f"a {kind!r} model file holds no trained model")
     model = _build(model_type, payload)
+    model.check()
     data = _build(_TrainingSet, payload)
     return model, data.train_features, data.normalize

@@ -11,13 +11,21 @@ states and measure an ancilla, whose p0 = 1/2 + k/2, so the estimate is
 
 Each point of a call is encoded once, from per-point gate matrices, into one
 amplitude block with one state per column. A cross-Gram, of either circuit
-kind, compares the two blocks: it sums Re<b|a> and Im<b|a> one amplitude at
-a time in real arithmetic, like the classical kernels, and returns
-re^2 + im^2. So each cross entry depends on its two points alone, and the
-exact inversion and swap cross entries are equal bit for bit. A swap-test
-Gram, and an inversion-test Gram of two or more layers, compare states the
-same way, so their exact entries are bit-equal to each other and to the
-cross-Gram of the points with themselves.
+kind, compares the two blocks in `_tiled_products`: the states are copied 64
+at a time into zero-padded real and imaginary tiles, and every pair of tiles
+gets the same four fixed-shape BLAS products,
+
+    re = Ar^T Br + Ai^T Bi,    im = Ai^T Br - Ar^T Bi,
+
+then K = re^2 + im^2. An entry's bits do not depend on the tile or tile
+position that holds it (an observed property of the BLAS build, which
+tests/test_kernel_entry_properties.py checks past one tile), so each cross
+entry depends on its two points alone, and the exact inversion and swap
+cross entries are equal bit for bit. Swapping the operands swaps the terms
+of re and negates im exactly, so K(b, a) is K(a, b) transposed to the bit. A
+swap-test Gram, and an inversion-test Gram of two or more layers, compare
+states the same way, so their exact entries are bit-equal to each other and
+to the cross-Gram of the points with themselves.
 
 Only a one-layer inversion-test Gram simulates pairs. U(x) is V(x) and then
 CNOTs that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i).
@@ -66,6 +74,15 @@ CIRCUIT_KINDS = ("inversion", "swap")
 # qubits 2**14 took 1.12-1.17x and 2**16 1.12-1.16x as long as 2**15; at 4
 # qubits 1.11-1.13x and 1.00-1.01x. The bits are the same.
 PAIR_BLOCK_AMPLITUDES = 1 << 15
+
+# Points per tile of `_tiled_products`: every product of two point blocks is
+# cut into TILE_POINTS x TILE_POINTS blocks of one BLAS shape each. Timed
+# in-process on one core of a 2-CPU Xeon (OpenBLAS 0.3.31, Haswell kernels),
+# medians of 5, the state products of a 60-point Gram took 0.40 ms at 8
+# qubits x 3 layers and 6.6 ms at 12 x 2 with 64, against 0.53 and 12.1 ms
+# with 32 and 1.2 and 19.9 ms with 128; at 200 points (8 x 3) 64 took 7.4 ms,
+# 32 took 6.3 ms and 128 took 5.4 ms.
+TILE_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,22 +155,42 @@ def _cross_points(data_new, data_train) -> tuple[np.ndarray, np.ndarray]:
     return new_points, train_points
 
 
-def _row_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
-    """out[i, j] = sum_k term(left[k, i], right[k, j]), added one row k at a
-    time in increasing k, so an entry depends on its own two columns alone and
-    has the same bits in every block that holds it, which gemm does not give.
-    `term(a, b, out=scratch)` writes one row's terms into `scratch`."""
-    sums = np.zeros((left.shape[1], right.shape[1]))
-    scratch = np.empty_like(sums)
-    for a, b in zip(left, right):
-        sums += term(a[:, None], b, out=scratch)
-    return sums
+def _tile(block: np.ndarray, start: int) -> np.ndarray:
+    """Columns start..start + TILE_POINTS of `block` as a C-contiguous stack of
+    (real, imaginary) parts, or of the one real part, zero-padded to
+    TILE_POINTS columns."""
+    parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
+    tile = np.zeros((len(parts), block.shape[0], TILE_POINTS))
+    for copy, part in zip(tile, parts):
+        columns = part[:, start:start + TILE_POINTS]
+        copy[:, :columns.shape[1]] = columns
+    return tile
 
 
-def _column_sums(left: np.ndarray, right: np.ndarray, term) -> np.ndarray:
-    """`_row_sums` of points stored one per row: out[i, j] = sum_k
-    term(left[i, k], right[j, k]), added one column k at a time."""
-    return _row_sums(np.ascontiguousarray(left.T), np.ascontiguousarray(right.T), term)
+def _tiled_products(left: np.ndarray, right: np.ndarray, product) -> np.ndarray:
+    """out[i, j] for column i of `left` and column j of `right`, each block
+    holding one point per column: `product(a, b)` maps the `_tile`s that hold
+    them to a TILE_POINTS x TILE_POINTS block. Every BLAS call in `product`
+    has one shape, whatever the sizes, so an entry has the same bits in every
+    block that holds it. Only one tile of each operand is held at a time, and
+    a diagonal tile of a block against itself is copied once."""
+    out = np.empty((left.shape[1], right.shape[1]))
+    for i in range(0, left.shape[1], TILE_POINTS):
+        a = _tile(left, i)
+        for j in range(0, right.shape[1], TILE_POINTS):
+            b = a if left is right and i == j else _tile(right, j)
+            block = out[i:i + TILE_POINTS, j:j + TILE_POINTS]
+            block[...] = product(a, b)[:block.shape[0], :block.shape[1]]
+    return out
+
+
+def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact |<b_j|a_i>|^2 of two `_tile`s of states. Im is a difference of
+    two products, so swapping the tiles negates it exactly."""
+    (ar, ai), (br, bi) = a, b
+    re = ar.T @ br + ai.T @ bi
+    im = ai.T @ br - ar.T @ bi
+    return np.clip(re * re + im * im, 0.0, 1.0)
 
 
 def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
@@ -184,14 +221,6 @@ def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
     return np.clip(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 0.0, 1.0)
 
 
-def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact K[i, j] = |<b_j|a_i>|^2 of encoded states, one per column, summed
-    one amplitude row at a time."""
-    real = _row_sums(np.vstack([a.real, a.imag]), np.vstack([b.real, b.imag]), np.multiply)
-    imag = _row_sums(np.vstack([a.imag, a.real]), np.vstack([b.real, -b.imag]), np.multiply)
-    return np.clip(real * real + imag * imag, 0.0, 1.0)
-
-
 def _measured(cfg, K: np.ndarray) -> np.ndarray:
     """K itself in exact mode; in shots mode one draw over every entry of K.
 
@@ -219,16 +248,16 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
     rows, cols = np.triu_indices(len(points), 1)
-    # A one-layer inversion test still simulates each pair, although
-    # `_overlaps` is within 4 * 2**n eps of it: it keeps the bits of the
-    # per-pair circuit, and the README `align` pin (one layer), which the
+    # A one-layer inversion test still simulates each pair, although the
+    # tiled state products are within 4 * 2**n eps of it: it keeps the bits
+    # of the per-pair circuit, and the README `align` pin (one layer), which the
     # benchmark holds, moves when an entry moves by an ulp (ROADMAP items 1
     # and 2). Deeper, both circuit kinds compare states encoded once.
     if cfg.circuit_kind == "inversion" and cfg.spec.n_layers == 1:
         exact = _inversion_tests(cfg, points, rows, cols)
     else:
         states = encode_states(cfg.spec, points, cfg.params)
-        exact = _overlaps(states, states)[rows, cols]
+        exact = _tiled_products(states, states, _fidelities)[rows, cols]
     values = np.ones((len(points), len(points)))
     values[rows, cols] = values[cols, rows] = _measured(cfg, exact)
     return GramMatrix(values=values)
@@ -238,6 +267,6 @@ def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:
     """Rectangular kernel block K[i][j] = k(data_new[i], data_train[j]), from
     the overlaps of states encoded once per point, for either circuit kind."""
     new_points, train_points = _cross_points(data_new, data_train)
-    exact = _overlaps(encode_states(cfg.spec, new_points, cfg.params),
-                      encode_states(cfg.spec, train_points, cfg.params))
+    exact = _tiled_products(encode_states(cfg.spec, new_points, cfg.params),
+                            encode_states(cfg.spec, train_points, cfg.params), _fidelities)
     return _measured(cfg, exact)

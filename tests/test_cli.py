@@ -550,6 +550,79 @@ def test_predict_rejects_wrong_typed_model_field(svc_model_files, tmp_path, kern
     assert repr(keys[-1]) in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def fitted_model_files(tmp_path_factory):
+    """A dataset plus one model file per method, each fitted on it."""
+    root = tmp_path_factory.mktemp("fitted_models")
+    data = root / "d.csv"
+    assert run("gen-data", "--kind", "blobs", "--m", "10", "--seed", "1", "--out", str(data)) == 0
+    for method in ("svc", "svr", "krr"):
+        assert run("train", "--method", method, "--kernel", "linear", "--data", str(data),
+                   "--out", str(root / f"{method}.json")) == 0
+    return root
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("svc", "labels", [0.5] * 10),
+    ("svc", "labels", [1.0] * 10),
+    ("svc", "C", -1.0),
+    ("svc", "C", 0.0),
+    ("svc", "alphas", [-5.0] * 10),
+    ("svr", "C", -1.0),
+    ("svr", "epsilon", -1.0),
+    ("svr", "coef", [1e9] * 10),
+    ("krr", "reg", -1.0),
+], ids=["svc-labels-half", "svc-labels-one-class", "svc-C-negative", "svc-C-zero",
+        "svc-alphas-negative", "svr-C-negative", "svr-epsilon-negative", "svr-coef-past-C",
+        "krr-reg-negative"])
+def test_predict_refuses_a_model_that_no_fit_returns(fitted_model_files, tmp_path, capsys,
+                                                     method, key, value):
+    """A loaded model is checked by its fit's own rules (labels +-1 with both
+    classes, 0 < C < inf, 0 <= alphas <= C, |coef| <= C, epsilon >= 0,
+    reg >= 0): a data error, exit 2, that names the field."""
+    doc = json.loads((fitted_model_files / f"{method}.json").read_text())
+    doc["payload"][key] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run("predict", "--model", str(model), "--data", str(fitted_model_files / "d.csv"),
+             "--out", str(tmp_path / "p.csv"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("keys", [("kernel", "c"), ("seed",), ("payload", "bias"),
+                                  ("payload", "alphas")],
+                         ids=["kernel.c", "seed", "payload.bias", "payload.alphas"])
+def test_predict_refuses_a_boolean_for_a_number(svc_model_files, tmp_path, capsys, keys):
+    """JSON true is not the number 1, although Python's bool is an int."""
+    doc = json.loads((svc_model_files / "linear.json").read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = [True] * len(parent[keys[-1]]) if keys[-1] == "alphas" else True
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run("predict", "--model", str(model), "--data", str(svc_model_files / "d.csv"),
+             "--out", str(tmp_path / "p.csv"))
+    assert rc == 2
+    assert f"model file field {keys[-1]!r} must be" in capsys.readouterr().err
+
+
+def test_a_quantum_model_refuses_a_boolean_qubit_count(svc_model_files, tmp_path, capsys):
+    doc = json.loads((svc_model_files / "quantum.json").read_text())
+    doc["kernel"]["n_qubits"] = True
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run("predict", "--model", str(model), "--data", str(svc_model_files / "d.csv"),
+             "--out", str(tmp_path / "p.csv"))
+    assert rc == 2
+    assert "model file field 'n_qubits' must be an integer, got True" in capsys.readouterr().err
+
+
 def test_predict_rejects_a_kpca_model_file(svc_model_files, tmp_path, capsys):
     doc = json.loads((svc_model_files / "linear.json").read_text())
     doc["kind"] = "kpca"

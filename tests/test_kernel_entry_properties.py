@@ -5,6 +5,12 @@ a cross-Gram has the bits of the cross-Gram of the sub-blocks' points, an
 order-preserving sub-block of a Gram is the Gram of its points, and a Gram
 is exactly symmetric. This is what lets `predict` evaluate only the
 training columns with a nonzero weight.
+
+The state overlaps and the classical dot products are BLAS products of
+64-point tiles, and that an entry's bits do not depend on the tile or tile
+position holding it is a property of the BLAS build. The draws of 65 to 150
+points put kept rows and columns in other tiles than in the full block, so a
+build without it fails here.
 """
 
 import numpy as np
@@ -15,7 +21,7 @@ from hypothesis import strategies as st
 from qkflow.classical_kernels import ClassicalKernel
 from qkflow.featuremap import DATA_AXES, ENTANGLEMENTS, TRAINABLE_AXES, FeatureMapSpec, param_count
 from qkflow.model_io import evaluate_cross, evaluate_gram
-from qkflow.qkernel import KernelEngineConfig
+from qkflow.qkernel import TILE_POINTS, KernelEngineConfig
 
 KINDS = ("inversion", "swap", "linear", "polynomial", "exponential",
          "gaussian", "gaussian_transform")
@@ -99,3 +105,33 @@ def test_a_gram_sub_block_is_the_gram_of_its_points(kind, data):
     kernel, points, keep = data.draw(gram_cases(kind))
     full = evaluate_gram(kernel, points).values
     assert full[keep][:, keep].tobytes() == evaluate_gram(kernel, points[keep]).values.tobytes()
+
+
+def points_past_a_tile(draw, kind, d):
+    """65-150 points from a drawn seed: more than one TILE_POINTS tile."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-2.0, 2.0, size=(draw(st.integers(TILE_POINTS + 1, 150)), d))
+    return unit_rows(points) if kind == "exponential" else points
+
+
+def kept(draw, size):
+    """Ascending indices, from one up to all of `size`."""
+    return sorted(set(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size))))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sub_blocks_of_blocks_past_one_tile_keep_their_bits(kind, data):
+    """Cross-Gram and Gram sub-blocks, down to 1x1, of 65-150 points on 1-4
+    qubits; the kept points sit in other tiles and tile positions."""
+    d = data.draw(st.integers(1, 4))
+    kernel = draw_kernel(data.draw, kind, d)
+    new, train = points_past_a_tile(data.draw, kind, d), points_past_a_tile(data.draw, kind, d)
+    rows, used = kept(data.draw, len(new)), kept(data.draw, len(train))
+    full = evaluate_cross(kernel, new, train)
+    assert full[rows][:, used].tobytes() == evaluate_cross(kernel, new[rows], train[used]).tobytes()
+    i, j = rows[-1], used[-1]
+    assert full[i, j] == evaluate_cross(kernel, new[[i]], train[[j]])[0, 0]
+    K = evaluate_gram(kernel, new).values
+    assert K[rows][:, rows].tobytes() == evaluate_gram(kernel, new[rows]).values.tobytes()
