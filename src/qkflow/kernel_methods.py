@@ -15,10 +15,14 @@ The SVC and the SVR share one SMO solver for the box-constrained dual
 which updates the maximally KKT-violating pair. On some rank-deficient
 Grams those pairs zigzag with the violation stuck just above the stopping
 gap; when SMO_MAX_ITER such steps do not converge, the solver starts again
-and picks the second index of each pair by its second-order gain. The SVC
+and keeps one end of that pair, whichever gives the larger second-order
+gain, and picks the other end by its gain. Both passes treat the two ends
+alike, so on a symmetric Q negating z and r mirrors every step bit for
+bit. The SVC
 is the case z = r = y, Q = K. The epsilon-insensitive SVR is written, as in LIBSVM,
 over 2m variables (alpha, alpha*): z = [1, -1], r = [y - eps, y + eps] and
-Q = [[K, K], [K, K]], with coefficients alpha - alpha*. KRR solves
+Q = [[K, K], [K, K]], with coefficients alpha - alpha*; y is taken less its
+lower median, which the intercept gets back. KRR solves
 (K + reg I) a = y directly.
 """
 
@@ -152,24 +156,36 @@ def _movable(a, z, C: float):
     return up, low
 
 
-def _second_order_partner(Q: np.ndarray, i: int, score_i: float,
-                          score_low: np.ndarray) -> int:
-    """The j that pairs with i for the largest second-order gain b^2 / quad,
-    with b = score_i - score_j > 0 and quad = Q_ii + Q_jj - 2 Q_ij floored at
-    1e-12, over the multipliers that can move down (``score_low`` is +inf
-    elsewhere): WSS2 of Fan, Chen & Lin, JMLR 6 (2005). The first index on
-    ties."""
-    b = score_i - score_low
+def _second_order_pair(Q: np.ndarray, i: int, j: int, score_up: np.ndarray,
+                       score_low: np.ndarray) -> tuple[int, int]:
+    """The pair of largest second-order gain b^2 / quad, with
+    b = score_up[p] - score_low[q] > 0 and quad = Q_pp + Q_qq - 2 Q_pq floored
+    at 1e-12, that keeps i, the maximal violator that can move up, or j, the
+    maximal violator that can move down (``score_up`` is -inf and
+    ``score_low`` +inf where a multiplier cannot move that way): WSS2 of
+    Fan, Chen & Lin, JMLR 6 (2005), from either end. Within one end the first
+    index wins ties; between the two ends, the pair of smaller sorted
+    indices, so that swapping the roles of the ends swaps the choice."""
     diag = Q.diagonal()
-    quad = np.maximum(diag[i] + diag - 2.0 * Q[i], 1e-12)
-    return int(np.where(b > 0.0, b * b / quad, -np.inf).argmax())
+
+    def best(fixed: int, b: np.ndarray) -> tuple[int, float]:
+        quad = np.maximum(diag[fixed] + diag - 2.0 * Q[fixed], 1e-12)
+        gain = np.where(b > 0.0, b * b / quad, -np.inf)
+        k = int(gain.argmax())
+        return k, gain.item(k)
+
+    low, gain_low = best(i, score_up.item(i) - score_low)
+    up, gain_up = best(j, score_up - score_low.item(j))
+    if gain_low > gain_up or (gain_low == gain_up and sorted((i, low)) <= sorted((up, j))):
+        return i, low
+    return up, j
 
 
 def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
                second_order: bool) -> tuple[list[float], bool]:
     """At most SMO_MAX_ITER SMO steps from a = 0, each on the maximally
-    KKT-violating pair or, with ``second_order``, on its i and the partner
-    of _second_order_partner. Returns the multipliers and whether the
+    KKT-violating pair or, with ``second_order``, on the pair of
+    _second_order_pair. Returns the multipliers and whether the
     violation fell to SMO_GAP before the cap.
 
     A first-order step allocates nothing. ``up_r`` holds r_k where
@@ -199,7 +215,7 @@ def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
         if gap <= SMO_GAP:
             return a, True
         if second_order:
-            j = _second_order_partner(Q, i, score_up.item(i), score_low)
+            i, j = _second_order_pair(Q, i, j, score_up, score_low)
             gap = score_up.item(i) - score_low.item(j)  # the pair's own violation
         quad = diag[i] + diag[j] - 2.0 * cols[j].item(i)
         quad = max(quad, 1e-12)
@@ -230,7 +246,8 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     a = 0 again. Returns the multipliers, the products g = Q (a z) and the
     intercept b of the decision sum_j a_j z_j Q_ij + b: the mean of
     r_i - g_i over the free multipliers or, with none free, the midpoint of
-    the interval the KKT conditions leave open.
+    the interval the KKT conditions leave open with each multiplier at its
+    nearer bound.
     """
     a, converged = _smo_steps(Q, z, r, C, second_order=False)
     if not converged:
@@ -248,8 +265,11 @@ def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     if free.any():
         bias = float(np.mean(score[free]))
     else:
-        # KKT: b >= score_i over the up set and b <= score_i over the low set
-        up, low = _movable(a, z, C)
+        # KKT: b >= score_i over the up set and b <= score_i over the low set.
+        # Every multiplier is within SUPPORT_THRESHOLD of a bound and counts
+        # as at it: a residue such as C - 2e-18 would otherwise put it in both
+        # sets and pin the interval to its own score
+        up, low = _movable(np.where(a < C / 2.0, 0.0, C), z, C)
         bias = float((np.max(score[up]) + np.min(score[low])) / 2.0)
     return a, g, bias
 
@@ -355,12 +375,18 @@ def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
     C = _positive(C, "C")
     epsilon = _non_negative(epsilon, "epsilon")
 
+    # the intercept absorbs a common offset, so SMO runs on the targets less
+    # their lower median, one of them: shifting every target exactly then
+    # leaves every step's bits, and the scores r - g keep the digits of the
+    # targets' spread rather than of their offset
+    offset = np.partition(targets, (m - 1) // 2).item((m - 1) // 2)
+    centered = targets - offset
     z = np.concatenate([np.ones(m), -np.ones(m)])
-    r = np.concatenate([targets - epsilon, targets + epsilon])
+    r = np.concatenate([centered - epsilon, centered + epsilon])
     a, _, bias = _smo(np.tile(values, (2, 2)), z, r, C, "svr_fit")
     beta = a[:m] - a[m:]
     beta.flags.writeable = False
-    return TrainedSVR(coef=beta, bias=bias, epsilon=epsilon, C=C)
+    return TrainedSVR(coef=beta, bias=bias + offset, epsilon=epsilon, C=C)
 
 
 def svr_predict(model: TrainedSVR, K_new) -> np.ndarray:

@@ -279,11 +279,14 @@ def _movable_oracle(a, z, C):
 
 def _smo_steps_oracle(Q, z, r, C, second_order):
     """At most SMO_MAX_ITER SMO steps from a = 0, rebuilding both candidate
-    masks every step. i maximizes score = r - g over the up set; j minimizes
-    it over the low set or, with second_order, maximizes b^2 / quad over the
-    low set with b = score_i - score_j > 0 and quad = Q_ii + Q_jj - 2 Q_ij
-    floored at 1e-12 (WSS2 of Fan, Chen & Lin, 2005). Returns the
-    multipliers and whether the violation fell to SMO_GAP."""
+    masks every step. i maximizes score = r - g over the up set and j
+    minimizes it over the low set. With second_order, the step keeps i and
+    takes the low-set partner k of largest b^2 / quad, b = score_i - score_k
+    > 0, quad = Q_ii + Q_kk - 2 Q_ik floored at 1e-12 (WSS2 of Fan, Chen &
+    Lin, 2005), or keeps j and takes the up-set partner of largest gain
+    with b = score_k - score_j and quad = Q_jj + Q_kk - 2 Q_jk, whichever
+    gain is larger; on a tie, the pair of smaller sorted indices. Returns
+    the multipliers and whether the violation fell to SMO_GAP."""
     a = np.zeros(z.size)
     g = np.zeros(z.size)
     for _ in range(SMO_MAX_ITER):
@@ -300,7 +303,17 @@ def _smo_steps_oracle(Q, z, r, C, second_order):
             partners = np.flatnonzero(low & (score[i] - score > 0))
             b = score[i] - score[partners]
             quad = np.maximum(Q[i, i] + Q[partners, partners] - 2.0 * Q[i, partners], 1e-12)
-            j = int(partners[np.argmax(b * b / quad)])
+            best = int(np.argmax(b * b / quad))
+            keep_i = ((i, int(partners[best])), (b * b / quad)[best])
+            partners = np.flatnonzero(up & (score - score[j] > 0))
+            b = score[partners] - score[j]
+            quad = np.maximum(Q[j, j] + Q[partners, partners] - 2.0 * Q[j, partners], 1e-12)
+            best = int(np.argmax(b * b / quad))
+            keep_j = ((int(partners[best]), j), (b * b / quad)[best])
+            if keep_i[1] != keep_j[1]:
+                i, j = max(keep_i, keep_j, key=lambda pair: pair[1])[0]
+            else:
+                i, j = min(keep_i, keep_j, key=lambda pair: sorted(pair[0]))[0]
             gap = score[i] - score[j]
         quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
         quad = max(quad, 1e-12)
@@ -332,9 +345,23 @@ def smo_oracle(Q, z, r, C):
     if free.any():
         bias = float(np.mean(score[free]))
     else:
-        up, low = _movable_oracle(a, z, C)
+        # each multiplier at its nearer bound
+        up, low = _movable_oracle(np.where(a < C / 2.0, 0.0, C), z, C)
         bias = float((np.max(score[up]) + np.min(score[low])) / 2.0)
     return a, g, bias
+
+
+def svr_smo_oracle(K, targets, C, epsilon):
+    """svr_fit through smo_oracle: the 2m-variable dual over the targets less
+    their lower median, which the intercept gets back. Returns the
+    coefficients and the intercept."""
+    targets = np.asarray(targets, dtype=float)
+    m = targets.size
+    offset = np.sort(targets)[(m - 1) // 2]
+    z = np.concatenate([np.ones(m), -np.ones(m)])
+    r = np.concatenate([targets - offset - epsilon, targets - offset + epsilon])
+    a, _, bias = smo_oracle(np.tile(K, (2, 2)), z, r, C)
+    return a[:m] - a[m:], bias + offset
 
 
 def classical_entry_oracle(kernel, point_a, point_b):

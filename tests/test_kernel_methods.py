@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import smo_oracle, svc_dual_oracle, svc_kkt_violation, svr_kkt_violation, two_blobs
+from oracles import (smo_oracle, svc_dual_oracle, svc_kkt_violation, svr_kkt_violation,
+                     svr_smo_oracle, two_blobs)
 from qkflow.classical_kernels import ClassicalKernel, classical_cross, classical_gram
 from qkflow.datasets import gen_synthetic
 from qkflow.featuremap import FeatureMapSpec, param_count
 from qkflow.kernel_methods import (
     SUPPORT_THRESHOLD,
     TrainedSVC,
+    _smo,
     _smo_steps,
     kernel_kmeans,
     kpca_fit,
@@ -280,6 +282,7 @@ def test_svr_converges_on_a_rank_three_gram_that_hits_the_iteration_cap():
     targets = np.array([-1.9953507612116326, 0.0, 0.0, 1.571617797865093, 1.6661511165112053])
     K = gram_matrix(cfg, points).values
     assert np.linalg.matrix_rank(K) == 3
+    assert np.sort(targets)[2] == 0.0  # svr_fit's offset leaves these targets as they are
     z = np.concatenate([np.ones(5), -np.ones(5)])
     r = np.concatenate([targets - 0.1, targets + 0.1])
     assert not _smo_steps(np.tile(K, (2, 2)), z, r, 100.0, second_order=False)[1]
@@ -310,6 +313,67 @@ def test_svc_converges_on_a_rank_seven_gram_that_hits_the_iteration_cap():
     assert not _smo_steps(K, labels, labels, 100.0, second_order=False)[1]
     model = svc_fit(K, labels, C=100.0)
     assert svc_kkt_violation(K, labels, model.alphas, model.bias, 100.0) <= 1e-5
+
+
+def test_negated_labels_mirror_the_second_order_pass():
+    """A draw of test_negating_the_labels_keeps_the_svc_multipliers on which
+    first-order SMO runs to its iteration cap. Second-order pairs that always
+    kept the up end took other steps on -y and stopped at another optimum of
+    this rank-deficient Gram; keeping whichever end gains more mirrors them."""
+    spec = FeatureMapSpec(2, 1, data_axis="rz", trainable_axis="rx", entanglement="none",
+                          data_scaling=1.8391282401799818)
+    cfg = KernelEngineConfig(spec=spec, params=np.array([0.002439968410579585, -2.141592653589793]))
+    points = np.array([
+        [1.7351536690273992, 0.11601028463871188, 0.0], [0.0, 2.739542829014603, 0.0],
+        [-2.2720943867284706, 1.0056940612075849, 0.0], [0.0, 0.0, 0.0],
+        [-1.8778953532787876, 0.0, 0.0], [0.0, 2.1355772142324634, 0.0],
+        [0.0, -2.250143516004523, 0.0], [-2.7648312941587045, 0.0, 0.0],
+        [-2.8324699540059264, 0.0, 0.0], [0.0, 2.1355772142324634, 0.0], [0.0, 0.0, 0.0],
+    ])
+    labels = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+    K = gram_matrix(cfg, points).values
+    assert not _smo_steps(K, labels, labels, 1.0, second_order=False)[1]
+    model, mirrored = svc_fit(K, labels, C=1.0), svc_fit(K, -labels, C=1.0)
+    assert_same_bits(mirrored.alphas, model.alphas)
+    assert mirrored.bias == -model.bias
+
+
+def test_a_multiplier_a_rounding_residue_from_its_bound_counts_as_at_it():
+    """A draw of test_shifting_the_svr_targets_shifts_the_intercept (C=0.01,
+    epsilon 0, y + 1). Every multiplier ends at a bound, but on the shifted
+    targets one ends at C - 2e-18, and counting it as below C pinned the
+    intercept to its own score, 6e-5 from the midpoint of the interval."""
+    spec = FeatureMapSpec(1, 2, data_axis="rx", trainable_axis="rx", entanglement="none",
+                          data_scaling=0.5)
+    cfg = KernelEngineConfig(spec=spec, params=np.array([0.0, 0.5]))
+    points = np.array([[0.0, 0.0], [0.0, -3.0], [0.0, 0.0], [0.0, -1.0], [1.0, 0.75],
+                       [0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    y = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, 0.0])
+    Q = np.tile(gram_matrix(cfg, points).values, (2, 2))
+    z = np.concatenate([np.ones(10), -np.ones(10)])
+    a, _, bias = _smo(Q, z, np.concatenate([y, y]), 0.01, "test")
+    a_shifted, _, bias_shifted = _smo(Q, z, np.concatenate([y, y]) + 1.0, 0.01, "test")
+    residues = 0.01 - a_shifted[(a_shifted > 0.005) & (a_shifted < 0.01)]
+    assert residues.size and np.all(residues < SUPPORT_THRESHOLD)
+    assert abs(bias_shifted - (bias + 1.0)) <= 1e-12
+
+
+def test_shifting_the_svr_targets_exactly_keeps_every_step():
+    """A draw of test_shifting_the_svr_targets_shifts_the_intercept (C=0.01,
+    epsilon 0, y + 1) on whose rank-four Gram the two fits stopped, each
+    within SMO_GAP, with K coef 1.1e-5 apart: that stop bounds the fit only
+    to SMO_GAP over the smallest nonzero eigenvalue, 0.06. Solved on the
+    targets less their lower median, both fits take the same steps."""
+    spec = FeatureMapSpec(1, 2, data_axis="rz", trainable_axis="rx", entanglement="none",
+                          data_scaling=0.5)
+    cfg = KernelEngineConfig(spec=spec, params=np.array([0.5625, 1.0]))
+    points = np.array([[0.0, 0.0], [0.0, -3.0], [0.0, 1.0], [-1.0, -1.5], [1.0, 1.0],
+                       [-3.0, -1.0], [0.0, 0.0], [0.0, 0.0], [-0.5, -1.5], [0.0, 1.5]])
+    y = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    K = gram_matrix(cfg, points).values
+    model, shifted = svr_fit(K, y, C=0.01, epsilon=0.0), svr_fit(K, y + 1.0, C=0.01, epsilon=0.0)
+    assert_same_bits(shifted.coef, model.coef)
+    assert shifted.bias == model.bias + 1.0
 
 
 # the benchmark's own Grams against oracles.smo_oracle, which rebuilds both
@@ -355,12 +419,9 @@ def test_svr_matches_the_smo_oracle_on_a_2_qubit_2_layer_gram(seed):
     ds = gen_synthetic("circles", 40, seed)
     K = gram_matrix(KernelEngineConfig(spec=FeatureMapSpec(2, 2), params=np.zeros(4)),
                     ds.features).values
-    m, epsilon = 40, 0.1
-    z = np.concatenate([np.ones(m), -np.ones(m)])
-    r = np.concatenate([ds.labels - epsilon, ds.labels + epsilon])
-    a, _, bias = smo_oracle(np.tile(K, (2, 2)), z, r, 100.0)
-    model = svr_fit(K, ds.labels, C=100.0, epsilon=epsilon)
-    assert_same_bits(model.coef, a[:m] - a[m:])
+    coef, bias = svr_smo_oracle(K, ds.labels, 100.0, 0.1)
+    model = svr_fit(K, ds.labels, C=100.0, epsilon=0.1)
+    assert_same_bits(model.coef, coef)
     assert_same_bits(model.bias, bias)
 
 

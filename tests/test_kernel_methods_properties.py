@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import smo_oracle, svc_kkt_violation, svr_kkt_violation
+from oracles import smo_oracle, svc_kkt_violation, svr_kkt_violation, svr_smo_oracle
 from qkflow.featuremap import DATA_AXES, ENTANGLEMENTS, TRAINABLE_AXES, FeatureMapSpec, param_count
 from qkflow.kernel_methods import SMO_GAP, krr_fit, svc_fit, svr_fit
 from qkflow.qkernel import KernelEngineConfig, gram_matrix
@@ -90,12 +90,9 @@ def test_svc_and_svr_match_the_smo_oracle(K, data, C, skewed):
     assert_same_bits(model.dual_objective, alphas.sum() - 0.5 * np.dot(alphas * y, g))
 
     targets = draw_targets(data, m)
-    epsilon = 0.1
-    z = np.concatenate([np.ones(m), -np.ones(m)])
-    r = np.concatenate([targets - epsilon, targets + epsilon])
-    a, _, bias = smo_oracle(np.tile(K, (2, 2)), z, r, C)
-    model = svr_fit(K, targets, C=C, epsilon=epsilon)
-    assert_same_bits(model.coef, a[:m] - a[m:])
+    coef, bias = svr_smo_oracle(K, targets, C, 0.1)
+    model = svr_fit(K, targets, C=C, epsilon=0.1)
+    assert_same_bits(model.coef, coef)
     assert_same_bits(model.bias, bias)
 
 
