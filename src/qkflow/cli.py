@@ -288,9 +288,13 @@ def _cmd_predict(args) -> int:
     kernel = kernel_from_json(model_file.kernel)
     model, train, normalize = model_from_payload(model_file.kind, model_file.payload)
     ds = _load_dataset(args.data, args.label_column, normalize)
+    for field in ("alphas", "labels", "coef"):  # every per-point array a model holds
+        values = getattr(model, field, None)
+        if values is not None and values.size != len(train):
+            noun = "labels" if field == "labels" else "weights"
+            raise ValueError(f"{field}: model file holds {values.size} {noun} "
+                             f"for {len(train)} training points")
     weights = getattr(model, kind.weights)
-    if weights.size != len(train):
-        raise ValueError(f"model file holds {weights.size} weights for {len(train)} training points")
     if ds.features.shape[1] != train.shape[1]:
         raise ValueError(f"feature dimensions differ: {ds.features.shape[1]} vs {train.shape[1]}")
     # A kernel entry depends on its own two points alone, so only columns with

@@ -23,20 +23,18 @@ tests/test_kernel_entry_properties.py checks past one tile), so each cross
 entry depends on its two points alone, and the exact inversion and swap
 cross entries are equal bit for bit. Swapping the operands swaps the terms
 of re and negates im exactly, so K(b, a) is K(a, b) transposed to the bit. A
-swap-test Gram, and an inversion-test Gram of two or more layers, compare
-states the same way, so their exact entries are bit-equal to each other and
-to the cross-Gram of the points with themselves.
+Gram of two or more layers compares states the same way, so its exact
+entries are bit-equal to the cross-Gram of the points with themselves.
 
-Only a one-layer inversion-test Gram simulates pairs. U(x) is V(x) and then
-CNOTs that do not depend on x, so U(x_j)^dag U(x_i) = V(x_j)^dag V(x_i).
-`gram_matrix` lists the pairs i < j once, row by row, and every Gram hands
-the measurement step its entries in that order. The inversion test runs the
-pairs in equal slices, one pair per block column with its own matrices:
-V(x_j)^dag, derived from the gates of V (`statevector._adjoint`), acts on
-V(x_i)|0...0> in `apply_gates`, and amplitude |0...0> of each column is
-read. That amplitude gets the operations, in the order, and the values up
-to the signs of zeros, of simulating the pair on its own with negated
-angles, whatever slice holds it: each entry has its bits.
+A one-layer Gram, of either circuit kind, is a product over qubits. U(x) is
+V(x) and then CNOTs that do not depend on x, and V(x) is one pair of
+rotations u_q(x) per qubit, so k(x_i, x_j) is the product over q of the
+one-qubit inversion tests |<0|u_q(x_j)^dag u_q(x_i)|0>|^2 (`_inversion_tests`).
+An entry gets the same operations whatever slice of pairs holds it, so each
+entry has its bits; on one qubit they are those of simulating the pair on
+its own with negated angles, up to the signs of zeros. `gram_matrix` lists
+the pairs i < j once, row by row, and every Gram hands the measurement step
+its entries in that order.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featuremap import FeatureMapSpec, _checked_params, encode_states, encoding_gates
-from .statevector import _adjoint, _zero_block, apply_gates, rng_entropy
+from .statevector import _adjoint, _checked_qubits, _zero_block, apply_gates, rng_entropy
 
 __all__ = [
     "MODES",
@@ -68,12 +66,9 @@ __all__ = [
 MODES = ("exact", "shots")
 CIRCUIT_KINDS = ("inversion", "swap")
 
-# Amplitudes in one block of one-layer inversion-test pairs, one pair per
-# column. Timed in-process on each core of a 2-CPU Xeon, medians of 31
-# alternating runs of an exact one-layer Gram of 60 `circles` points: at 8
-# qubits 2**14 took 1.12-1.17x and 2**16 1.12-1.16x as long as 2**15; at 4
-# qubits 1.11-1.13x and 1.00-1.01x. The bits are the same.
-PAIR_BLOCK_AMPLITUDES = 1 << 15
+# Pairs in one slice of a one-layer Gram's one-qubit inversion tests. It
+# bounds the memory of a slice; an entry has the same bits in any slice.
+PAIR_SLICE = 1 << 14
 
 # Points per tile of `_tiled_products`: every product of two point blocks is
 # cut into TILE_POINTS x TILE_POINTS blocks of one BLAS shape each. Timed
@@ -90,9 +85,7 @@ class KernelEngineConfig:
     """One quantum kernel: a feature map with its trainable angles bound.
 
     `params` is checked against `spec` and stored read-only. `circuit_kind`
-    picks the shot model. Exact values do not depend on it, except that a
-    one-layer inversion Gram simulates each pair and so can differ from the
-    swap Gram in the last bits.
+    picks the shot model; exact values do not depend on it.
     """
 
     spec: FeatureMapSpec
@@ -195,30 +188,27 @@ def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
     """Exact k(x_i, x_j) of the pairs (rows[k], cols[k]), in that order, of a
-    one-layer map by the per-pair inversion test: P(0...0) after
-    V(x_j)^dag V(x_i)|0...0>, with V(x_i)|0...0> encoded once. The pairs run
-    in equal slices of `PAIR_BLOCK_AMPLITUDES >> n` pairs (at least one), one
-    per block column and each with its own matrices, so a pair's operations
-    do not depend on its slice."""
-    n = cfg.spec.n_qubits
+    one-layer map: the product, in qubit order, of the one-qubit inversion
+    tests P(0) after u_q(x_j)^dag u_q(x_i)|0>, u_q(x) being qubit q's two
+    rotations. Each qubit encodes the points once; its pairs then run in
+    slices of PAIR_SLICE, one per column with its own matrices, so a pair's
+    operations do not depend on its slice."""
+    _checked_qubits(cfg.spec.n_qubits)
     gates = encoding_gates(cfg.spec, points, cfg.params)
-    while gates and gates[-1][0] == "cnot":  # they cancel the CNOTs that start U(x_j)^dag
-        gates.pop()
-    states = _zero_block(len(points), n)
-    apply_gates(states, n, gates)
-    adjoint = _adjoint(gates)
-    amp = np.empty(rows.size, dtype=np.complex128)
-    step = max(1, PAIR_BLOCK_AMPLITUDES >> n)
-    for start in range(0, rows.size, step):
-        i, j = rows[start:start + step], cols[start:start + step]
-        block = np.take(states, i, axis=1)
-        apply_gates(block, n, [
-            (kind, t, m if m is None or len(m) == 1 else m[j]) for kind, t, m in adjoint
-        ])
-        amp[start:start + step] = block[0]
-    # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is hypot
-    # then libm pow; np.abs(a) ** 2 does not reproduce it.
-    return np.clip(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 0.0, 1.0)
+    K = np.ones(rows.size)
+    for q in range(cfg.spec.n_qubits):
+        rotations = [(kind, (0,), m) for kind, t, m in gates if t == (q,)]
+        states = _zero_block(len(points), 1)
+        apply_gates(states, 1, rotations)
+        adjoint = _adjoint(rotations)
+        for start in range(0, rows.size, PAIR_SLICE):
+            i, j = rows[start:start + PAIR_SLICE], cols[start:start + PAIR_SLICE]
+            block = np.take(states, i, axis=1)
+            apply_gates(block, 1, [(kind, t, m if len(m) == 1 else m[j]) for kind, t, m in adjoint])
+            # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is
+            # hypot then libm pow; np.abs(a) ** 2 does not reproduce it.
+            K[start:start + PAIR_SLICE] *= np.float_power(np.hypot(block[0].real, block[0].imag), 2.0)
+    return np.clip(K, 0.0, 1.0, out=K)
 
 
 def _measured(cfg, K: np.ndarray) -> np.ndarray:
@@ -248,12 +238,7 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
     points = _as_points(data, "data")
     rows, cols = np.triu_indices(len(points), 1)
-    # A one-layer inversion test still simulates each pair, although the
-    # tiled state products are within 4 * 2**n eps of it: it keeps the bits
-    # of the per-pair circuit, and the README `align` pin (one layer), which the
-    # benchmark holds, moves when an entry moves by an ulp (ROADMAP items 1
-    # and 2). Deeper, both circuit kinds compare states encoded once.
-    if cfg.circuit_kind == "inversion" and cfg.spec.n_layers == 1:
+    if cfg.spec.n_layers == 1:
         exact = _inversion_tests(cfg, points, rows, cols)
     else:
         states = encode_states(cfg.spec, points, cfg.params)

@@ -11,8 +11,9 @@ materialized.
 `apply_gates` is the one gate loop. It takes gates as ``(kind, targets,
 matrices)`` and gives a block's columns one shared 2x2 matrix or one each;
 `rotation_matrices` makes those matrices from angles. The feature-map
-encoder builds its gates in this form, and the one-layer inversion test
-runs their adjoint (`_adjoint`) through the same loop.
+encoder builds its gates in this form, and a one-layer Gram runs each
+qubit's rotations, and their adjoint (`_adjoint`), through the same loop on
+one-qubit blocks.
 """
 
 from __future__ import annotations
@@ -30,13 +31,17 @@ MAX_QUBITS = 20
 _ROTATIONS = ("p", "rx", "ry", "rz")
 
 
-def _zero_block(columns: int, n_qubits: int) -> np.ndarray:
+def _checked_qubits(n_qubits: int) -> int:
     n = int(n_qubits)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(
             f"simulator supports 1 to {MAX_QUBITS} qubits, got {n_qubits}"
         )
-    amps = np.zeros((1 << n, columns), dtype=np.complex128)
+    return n
+
+
+def _zero_block(columns: int, n_qubits: int) -> np.ndarray:
+    amps = np.zeros((1 << _checked_qubits(n_qubits), columns), dtype=np.complex128)
     amps[0] = 1.0
     return amps
 

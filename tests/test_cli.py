@@ -1115,3 +1115,20 @@ def test_predict_rejects_a_weight_count_that_differs_from_the_training_set(tmp_p
     assert run("predict", "--model", str(model), "--data", str(data),
                "--out", str(tmp_path / "p.csv")) == 2
     assert "11 weights for 10 training points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, field, noun", [
+    ("svc", "alphas", "weights"), ("svc", "labels", "labels"),
+    ("krr", "alphas", "weights"), ("svr", "coef", "weights"),
+])
+def test_predict_names_a_per_point_array_one_entry_short(tmp_path, capsys, method, field, noun):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run("gen-data", "--kind", "blobs", "--m", "10", "--seed", "1", "--out", str(data))
+    assert run("train", "--method", method, "--kernel", "linear", "--data", str(data),
+               "--out", str(model)) == 0
+    doc = json.loads(model.read_text())
+    del doc["payload"][field][-1]
+    model.write_text(json.dumps(doc))
+    assert run("predict", "--model", str(model), "--data", str(data),
+               "--out", str(tmp_path / "p.csv")) == 2
+    assert f"{field}: model file holds 9 {noun} for 10 training points" in capsys.readouterr().err

@@ -100,8 +100,8 @@ def gram_cases(draw, kind):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_a_gram_sub_block_is_the_gram_of_its_points(kind, data):
-    """An inversion Gram of 8 qubits puts 64 pairs in a block, so the kept
-    pairs move to other blocks, and other block columns, in the smaller Gram."""
+    """A one-layer Gram runs all of its at most 276 pairs in one slice, so the
+    kept pairs move to other columns of the slice in the smaller Gram."""
     kernel, points, keep = data.draw(gram_cases(kind))
     full = evaluate_gram(kernel, points).values
     assert full[keep][:, keep].tobytes() == evaluate_gram(kernel, points[keep]).values.tobytes()
