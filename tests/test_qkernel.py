@@ -7,6 +7,7 @@ entanglement the multi-qubit version factorizes into a product over qubits.
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from qkflow.featuremap import (
 from qkflow.qkernel import (
     CIRCUIT_KINDS,
     MODES,
+    PAIR_SLICE,
     GramMatrix,
     KernelEngineConfig,
     cross_gram,
@@ -413,31 +415,103 @@ def test_shot_matrices_are_bitwise_one_draw_over_the_exact_reference(n_qubits):
     )
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("n_qubits", [1, 3])
-def test_no_slice_holds_more_than_the_fixed_pair_count(monkeypatch, n_qubits, mode):
-    """Each qubit of a one-layer Gram encodes the points once on a one-qubit
-    block, then runs the pairs (i, j), i < j, row by row, in slices of
-    PAIR_SLICE pairs, the last holding the rest: every pair runs once per
-    qubit, and each entry is its pair's."""
-    monkeypatch.setattr(qkernel, "PAIR_SLICE", 7)
-    spec = FeatureMapSpec(n_qubits, 1, data_axis="ry", trainable_axis="rz", entanglement="ring")
-    cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, n_qubits), mode=mode,
-                             shots=200 if mode == "shots" else None, seed=5)
-    m = 9
-    X = np.random.default_rng(n_qubits).uniform(-np.pi, np.pi, size=(m, 2))
-    calls = []
+# Pair slices: each qubit of a one-layer Gram encodes the points once on a
+# one-qubit block, then runs the pairs (i, j), i < j, row by row, in slices
+# of PAIR_SLICE pairs, the last holding the rest.
 
-    def recording(amps, n, gates):
-        calls.append((amps.shape[1], n, [kind for kind, _, _ in gates]))
-        return statevector.apply_gates(amps, n, gates)
+CHUNK_ROWS = 32  # pairs per slice where a test sets PAIR_SLICE to it
 
+
+def recorded_chunks(monkeypatch):
+    """Every block that one Gram runs through `qkernel.apply_gates`, as
+    (encodes, amplitudes, columns, gate kinds), appended to the returned list.
+    `encodes` is True for a block that `qkernel._zero_block` made, which
+    encodes the points, and False for a slice of pairs."""
+    chunks, encoding = [], []
+
+    def zero_block(*args):
+        encoding.append(statevector._zero_block(*args))
+        return encoding[-1]
+
+    def recording(amps, n_qubits, gates):
+        gates = list(gates)
+        encodes = any(amps is block for block in encoding)
+        chunks.append((encodes, *amps.shape, [kind for kind, _, _ in gates]))
+        return statevector.apply_gates(amps, n_qubits, gates)
+
+    monkeypatch.setattr(qkernel, "_zero_block", zero_block)
     monkeypatch.setattr(qkernel, "apply_gates", recording)
+    return chunks
+
+
+def chunk_cfg(n_qubits, mode):
+    rng = np.random.default_rng(n_qubits)
+    spec = FeatureMapSpec(n_qubits, 1, data_axis="ry", trainable_axis="rz", entanglement="ring")
+    return KernelEngineConfig(
+        spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)),
+        mode=mode, shots=200 if mode == "shots" else None, seed=5,
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_blocks_spanning_many_multi_column_chunks(monkeypatch, mode):
+    """With PAIR_SLICE at CHUNK_ROWS, each of 10 qubits encodes the points on
+    one (2, m) block, then runs its pairs in equal slices of CHUNK_ROWS pairs,
+    whatever j they span, the last holding the rest: every pair runs once per
+    qubit, and each entry is its pair's."""
+    monkeypatch.setattr(qkernel, "PAIR_SLICE", CHUNK_ROWS)
+    n = 10
+    cfg = chunk_cfg(n, mode)
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 2 - 2, 2))
+    Y = rng.uniform(-np.pi, np.pi, size=(CHUNK_ROWS // 3, 2))
+    chunks = recorded_chunks(monkeypatch)
     K = gram_matrix(cfg, X).values
-    full, rest = divmod(m * (m - 1) // 2, 7)
-    slices = [(7, 1, ["ry", "rz"])] * full + [(rest, 1, ["ry", "rz"])]
-    assert calls == ([(m, 1, ["rz", "ry"])] + slices) * n_qubits
+    full, rest = divmod(len(X) * (len(X) - 1) // 2, CHUNK_ROWS)
+    assert rest and full >= 2
+    encode = (True, 2, len(X), ["rz", "ry"])
+    slices = [(False, 2, CHUNK_ROWS, ["ry", "rz"])] * full + [(False, 2, rest, ["ry", "rz"])]
+    assert chunks == ([encode] + slices) * n
     assert_gram_matches_reference(cfg, X, K)
+    assert_cross_matches_reference(cfg, Y, X)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_blocks_with_one_column_per_chunk(monkeypatch, mode):
+    """With PAIR_SLICE at 1 every slice is one pair, one column of its own,
+    and each entry still is its pair's."""
+    monkeypatch.setattr(qkernel, "PAIR_SLICE", 1)
+    n = 4
+    cfg = chunk_cfg(n, mode)
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-np.pi, np.pi, size=(4, 3))
+    Y = rng.uniform(-np.pi, np.pi, size=(2, 3))
+    chunks = recorded_chunks(monkeypatch)
+    K = gram_matrix(cfg, X).values
+    assert chunks == ([(True, 2, 4, ["rz", "ry"])] + [(False, 2, 1, ["ry", "rz"])] * 6) * n
+    assert_gram_matches_reference(cfg, X, K)
+    assert_cross_matches_reference(cfg, Y, X)
+
+
+@pytest.mark.parametrize("n_qubits, n_points", [
+    # at one qubit these points make more than PAIR_SLICE pairs
+    (1, math.isqrt(2 * PAIR_SLICE) + 2),
+    (10, 40), (14, 5), (16, 3),
+])
+def test_no_pair_block_exceeds_the_amplitude_budget(monkeypatch, n_qubits, n_points):
+    """Every block of pairs is one qubit's slice of at most PAIR_SLICE pairs,
+    so at most 2 * PAIR_SLICE amplitudes whatever n is, and each pair runs
+    once per qubit."""
+    spec = FeatureMapSpec(n_qubits, 1, data_axis="ry", trainable_axis="rz",
+                          entanglement="linear_chain")
+    cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, n_qubits))
+    X = np.random.default_rng(n_qubits).uniform(-np.pi, np.pi, size=(n_points, 2))
+    chunks = recorded_chunks(monkeypatch)
+    gram_matrix(cfg, X)
+    pair_chunks = [(amplitudes, pairs) for encodes, amplitudes, pairs, _ in chunks if not encodes]
+    assert len(pair_chunks) >= 2
+    assert all(amplitudes * pairs <= 2 * PAIR_SLICE for amplitudes, pairs in pair_chunks)
+    assert sum(pairs for _, pairs in pair_chunks) == n_qubits * n_points * (n_points - 1) // 2
 
 
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
