@@ -283,24 +283,15 @@ def _cmd_mlkrr(args) -> int:
 def _cmd_predict(args) -> int:
     model_file = load_model(args.model)
     kind = MODEL_KINDS[model_file.kind]
-    if kind.predict is None:
-        raise ValueError(f"cannot predict with a {model_file.kind!r} model file")
     kernel = kernel_from_json(model_file.kernel)
     model, train, normalize = model_from_payload(model_file.kind, model_file.payload)
     ds = _load_dataset(args.data, args.label_column, normalize)
-    for field in ("alphas", "labels", "coef"):  # every per-point array a model holds
-        values = getattr(model, field, None)
-        if values is not None and values.size != len(train):
-            noun = "labels" if field == "labels" else "weights"
-            raise ValueError(f"{field}: model file holds {values.size} {noun} "
-                             f"for {len(train)} training points")
-    weights = getattr(model, kind.weights)
     if ds.features.shape[1] != train.shape[1]:
         raise ValueError(f"feature dimensions differ: {ds.features.shape[1]} vs {train.shape[1]}")
     # A kernel entry depends on its own two points alone, so only columns with
     # a nonzero weight are evaluated and the rest stay 0: a zero weight adds a
     # signed zero, which cannot change a nonzero sum.
-    used = np.flatnonzero(weights != 0)
+    used = np.flatnonzero(getattr(model, kind.weights))
     K_new = np.zeros((ds.n_points, len(train)))
     if used.size:
         K_new[:, used] = evaluate_cross(kernel, ds.features, train[used])

@@ -1,22 +1,21 @@
 """Model and embedding persistence.
 
-Everything is one JSON document: top-level fields format_version, kind,
+A file is one JSON document with top-level fields format_version, kind,
 kernel, payload, pretraining (null unless the model came from a pretrained
-embedding), and seed. Serialization sorts keys and indents consistently so
-save -> load -> save is byte-identical.
+embedding) and seed, and save -> load -> save is byte-identical.
 
 The schema is the objects' own dataclass fields, written by _to_fields and
-read back, converted to each field's annotated type, by _build. A payload
-holds the trained model's fields plus train_features and normalize. Each
-fact is stored once: the kernel is named only by the file's kernel
-descriptor, and what a model derives from its fields (an SVC's support
-indices) is not stored. _build reads only the keys it declares, so a file
-that holds more, such as the provenance string and support indices that
-older files store, still loads. A quantum kernel descriptor holds the
-FeatureMapSpec fields plus the KernelEngineConfig fields; a classical one
-holds the kind and the hyperparameters that kind reads (CLASSICAL_PARAMS).
-An embedding's pretraining block holds the EmbeddingArtifact fields its
-kernel does not.
+read back as each field's annotated type by _build, which reads only the
+keys it declares: older files that also hold a provenance string and support
+indices still load. Each fact is stored once: the kernel is named only by
+the file's kernel descriptor, and what a model derives from its fields (an
+SVC's support indices) is not stored. A quantum kernel descriptor holds the
+FeatureMapSpec and KernelEngineConfig fields, a classical one the kind and
+the hyperparameters it reads (CLASSICAL_PARAMS). An embedding's pretraining
+block holds the EmbeddingArtifact fields its kernel does not. A payload
+holds the model's fields plus train_features and normalize. Only
+model_from_payload checks that train_features is a non-empty points x
+features matrix and that every model array is flat, one entry per point.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Callable, NamedTuple, get_args, get_type_hints
 import numpy as np
 
 from .classical_kernels import CLASSICAL_PARAMS, ClassicalKernel, classical_cross, classical_gram
+from .datasets import Dataset
 from .kernel_methods import (
     TrainedKRR,
     TrainedSVC,
@@ -275,6 +275,14 @@ def model_from_payload(kind: str, payload: dict) -> tuple[object, np.ndarray, bo
     if model_type is None:
         raise ValueError(f"a {kind!r} model file holds no trained model")
     model = _build(model_type, payload)
-    model.check()
     data = _build(_TrainingSet, payload)
-    return model, data.train_features, data.normalize
+    try:
+        train = Dataset(data.train_features).features
+    except ValueError as exc:
+        raise ValueError(f"train_features: {exc}") from None
+    for name, values in vars(model).items():
+        if isinstance(values, np.ndarray) and values.shape != (len(train),):
+            raise ValueError(f"{name}: model file holds {'x'.join(map(str, values.shape))} "
+                             f"entries for {len(train)} training points")
+    model.check()
+    return model, train, data.normalize

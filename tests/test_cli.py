@@ -520,6 +520,24 @@ def svc_model_files(tmp_path_factory):
     return root
 
 
+def predict_in_a_process(doc, data, tmp_path):
+    """Run `predict` on model document `doc` in a fresh interpreter and check
+    that it is a data error (exit 2) with no traceback and no predictions."""
+    model, out = tmp_path / "m.json", tmp_path / "p.csv"
+    model.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(qkflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from qkflow.cli import main; main()", "predict",
+         "--model", str(model), "--data", str(data), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert not out.exists()
+    return proc
+
+
 @pytest.mark.parametrize("value", [None, [1.0]], ids=["null", "list"])
 @pytest.mark.parametrize("kernel, keys", [
     ("linear", ("kernel", "c")),
@@ -535,19 +553,19 @@ def test_predict_rejects_wrong_typed_model_field(svc_model_files, tmp_path, kern
     for key in keys[:-1]:
         parent = parent[key]
     parent[keys[-1]] = value
-    model = tmp_path / "m.json"
-    model.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(qkflow.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from qkflow.cli import main; main()", "predict",
-         "--model", str(model), "--data", str(svc_model_files / "d.csv"),
-         "--out", str(tmp_path / "p.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:")
+    proc = predict_in_a_process(doc, svc_model_files / "d.csv", tmp_path)
     assert repr(keys[-1]) in proc.stderr
+
+
+@pytest.mark.parametrize("shape", ["flat", "nested"])
+def test_predict_rejects_train_features_that_are_not_a_matrix(svc_model_files, tmp_path, shape):
+    """train_features with one number per point, or nested one level deeper,
+    is a data error that names the field."""
+    doc = json.loads((svc_model_files / "linear.json").read_text())
+    rows = doc["payload"]["train_features"]
+    doc["payload"]["train_features"] = [row[0] for row in rows] if shape == "flat" else [rows]
+    proc = predict_in_a_process(doc, svc_model_files / "d.csv", tmp_path)
+    assert proc.stderr.startswith("error: train_features: ")
 
 
 @pytest.fixture(scope="module")
@@ -1114,21 +1132,28 @@ def test_predict_rejects_a_weight_count_that_differs_from_the_training_set(tmp_p
     model.write_text(json.dumps(doc))
     assert run("predict", "--model", str(model), "--data", str(data),
                "--out", str(tmp_path / "p.csv")) == 2
-    assert "11 weights for 10 training points" in capsys.readouterr().err
+    assert "11 entries for 10 training points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method, field, noun", [
-    ("svc", "alphas", "weights"), ("svc", "labels", "labels"),
-    ("krr", "alphas", "weights"), ("svr", "coef", "weights"),
+@pytest.mark.parametrize("shape, held", [("short", "9"), ("nested", "1x10")],
+                         ids=["short", "nested"])
+@pytest.mark.parametrize("method, field", [
+    ("svc", "alphas"), ("svc", "labels"), ("krr", "alphas"), ("svr", "coef"),
 ])
-def test_predict_names_a_per_point_array_one_entry_short(tmp_path, capsys, method, field, noun):
-    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+def test_predict_names_a_per_point_array_one_entry_short(tmp_path, capsys, method, field, shape,
+                                                         held):
+    """A per-point array one entry short, or nested one level, is a data
+    error that names the field, and no predictions are written."""
+    data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
     run("gen-data", "--kind", "blobs", "--m", "10", "--seed", "1", "--out", str(data))
     assert run("train", "--method", method, "--kernel", "linear", "--data", str(data),
                "--out", str(model)) == 0
+    capsys.readouterr()
     doc = json.loads(model.read_text())
-    del doc["payload"][field][-1]
+    values = doc["payload"][field]
+    doc["payload"][field] = values[:-1] if shape == "short" else [values]
     model.write_text(json.dumps(doc))
-    assert run("predict", "--model", str(model), "--data", str(data),
-               "--out", str(tmp_path / "p.csv")) == 2
-    assert f"{field}: model file holds 9 {noun} for 10 training points" in capsys.readouterr().err
+    assert run("predict", "--model", str(model), "--data", str(data), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: model file holds {held} entries for 10 training points\n")
+    assert not out.exists()

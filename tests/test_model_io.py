@@ -329,6 +329,30 @@ def test_payload_field_of_wrong_type_names_the_field(kind, key, value):
         model_from_payload(kind, payload)
 
 
+RESHAPES = {
+    "short": lambda values: values[:-1],
+    "nested": lambda values: [values],
+    "flat": lambda rows: [row[0] for row in rows],
+}
+
+
+@pytest.mark.parametrize("kind, key, shape", [
+    ("svc", "alphas", "short"), ("svc", "labels", "short"),
+    ("krr", "alphas", "short"), ("svr", "coef", "short"),
+    ("svc", "alphas", "nested"), ("svc", "labels", "nested"),
+    ("krr", "alphas", "nested"), ("svr", "coef", "nested"),
+    ("svc", "train_features", "flat"), ("svr", "train_features", "nested"),
+])
+def test_payload_array_of_the_wrong_shape_names_the_field(kind, key, shape):
+    """train_features must be a points x features matrix and every array a
+    model holds flat, one entry per training point."""
+    X, models = fitted_models()
+    payload = model_to_payload(models[kind], X, normalize=False)
+    payload[key] = RESHAPES[shape](payload[key])
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        model_from_payload(kind, payload)
+
+
 def test_payload_of_a_kind_without_a_model_rejected():
     with pytest.raises(ValueError, match="embedding"):
         model_from_payload("embedding", {})
