@@ -15,12 +15,12 @@ Gaussian; a learned A is what metric-learning training produces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import GramMatrix, _as_points, _cross_points, _tiled_products
+from . import _checks
+from .qkernel import GramMatrix, _cross_points, _tiled_products
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -54,30 +54,19 @@ class ClassicalKernel:
     transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in CLASSICAL_KINDS:
-            raise ValueError(f"kind must be one of {CLASSICAL_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "degree", int(self.degree))
-        if not math.isfinite(self.c):
-            raise ValueError("offset c must be finite")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {self.degree}")
-        if self.kind == "exponential" and not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.kind == "gaussian_metric" and not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _checks.one_of(self.kind, CLASSICAL_KINDS, "kind")
+        reads = CLASSICAL_PARAMS[self.kind]
+        object.__setattr__(self, "c", _checks.finite(self.c, "c"))
+        object.__setattr__(self, "degree", _checks.whole(
+            self.degree, "degree", 1 if "degree" in reads else None))
+        for name in ("sigma", "gamma"):
+            value = getattr(self, name)
+            value = _checks.positive(value, name) if name in reads else float(value)
+            object.__setattr__(self, name, value)
         if self.transform is not None:
             if self.kind != "gaussian_metric":
                 raise ValueError("only gaussian_metric takes a transform matrix")
-            matrix = np.array(self.transform, dtype=float)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError(
-                    f"transform must be a square matrix, got shape {matrix.shape}"
-                )
-            if not np.all(np.isfinite(matrix)):
-                raise ValueError("transform contains non-finite entries")
+            matrix = _checks.square(np.array(self.transform, dtype=float), "transform")
             matrix.flags.writeable = False
             object.__setattr__(self, "transform", matrix)
 
@@ -178,7 +167,7 @@ def _block(kernel: ClassicalKernel, left: np.ndarray, right: np.ndarray) -> np.n
 
 def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
     """Kernel matrix of a point set against itself; exactly symmetric."""
-    points = _as_points(data, "data")
+    points = _checks.points(data, "data")
     return GramMatrix(values=_block(kernel, points, points))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .statevector import rng_entropy
 
 __all__ = [
@@ -40,21 +41,11 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        features = np.array(self.features, dtype=float)
-        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-            raise ValueError(f"features must be a non-empty 2-D matrix, got shape {features.shape}")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features contain non-finite values")
+        features = _checks.points(np.array(self.features, dtype=float), "features")
         features.flags.writeable = False
         object.__setattr__(self, "features", features)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=float).reshape(-1)
-            if labels.size != features.shape[0]:
-                raise ValueError(
-                    f"got {labels.size} labels for {features.shape[0]} rows"
-                )
-            if not np.all(np.isfinite(labels)):
-                raise ValueError("labels contain non-finite values")
+            labels = _checks.targets(np.array(self.labels, dtype=float), len(features), "labels")
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
         if self.feature_names is not None:
@@ -163,31 +154,23 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
         label = sign(cos(x - theta_star)); theta_star (default 0) is the
         rotation a 1-qubit trainable encoding can learn to undo.
     """
-    if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"kind must be one of {SYNTHETIC_KINDS}, got {kind!r}")
-    m = int(m)
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    params = dict(params or {})
-    for name, value in params.items():
-        if not math.isfinite(float(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _checks.one_of(kind, SYNTHETIC_KINDS, "kind")
+    m = _checks.whole(m, "m", 2)
+    params = {name: _checks.finite(value, name) for name, value in (params or {}).items()}
     rng = np.random.default_rng(rng_entropy(seed))
     n_first = (m + 1) // 2
     n_second = m - n_first
 
     if kind == "blobs":
-        spread = float(params.pop("spread", 0.6))
-        if spread < 0:
-            raise ValueError(f"spread must be >= 0, got {spread}")
+        spread = _checks.non_negative(params.pop("spread", 0.6), "spread")
         a = rng.normal(loc=(-2.0, 0.0), scale=spread, size=(n_first, 2))
         b = rng.normal(loc=(2.0, 0.0), scale=spread, size=(n_second, 2))
         features = np.vstack([a, b])
         labels = np.concatenate([np.ones(n_first), -np.ones(n_second)])
     elif kind == "circles":
-        inner = float(params.pop("inner_radius", 1.0))
-        outer = float(params.pop("outer_radius", 2.0))
-        noise = float(params.pop("noise", 0.1))
+        inner = params.pop("inner_radius", 1.0)
+        outer = params.pop("outer_radius", 2.0)
+        noise = params.pop("noise", 0.1)
         angles_a = rng.uniform(0.0, 2.0 * np.pi, size=n_first)
         angles_b = rng.uniform(0.0, 2.0 * np.pi, size=n_second)
         radii_a = inner + noise * rng.normal(size=n_first)
@@ -198,7 +181,7 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
         ])
         labels = np.concatenate([np.ones(n_first), -np.ones(n_second)])
     else:
-        theta_star = float(params.pop("theta_star", 0.0))
+        theta_star = params.pop("theta_star", 0.0)
         x = rng.uniform(-np.pi, np.pi, size=(m, 1))
         labels = np.where(np.cos(x[:, 0] - theta_star) >= 0.0, 1.0, -1.0)
         features = x

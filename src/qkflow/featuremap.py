@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .statevector import _zero_block, apply_gates, rotation_matrices, rng_entropy
 
 __all__ = [
@@ -57,27 +58,13 @@ class FeatureMapSpec:
     data_scaling: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.n_qubits) < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if int(self.n_layers) < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        object.__setattr__(self, "n_layers", int(self.n_layers))
-        object.__setattr__(self, "data_scaling", float(self.data_scaling))
-        if self.data_axis not in DATA_AXES:
-            raise ValueError(
-                f"data_axis must be one of {DATA_AXES}, got {self.data_axis!r}"
-            )
-        if self.trainable_axis not in TRAINABLE_AXES:
-            raise ValueError(
-                f"trainable_axis must be one of {TRAINABLE_AXES}, got {self.trainable_axis!r}"
-            )
-        if self.entanglement not in ENTANGLEMENTS:
-            raise ValueError(
-                f"entanglement must be one of {ENTANGLEMENTS}, got {self.entanglement!r}"
-            )
-        if not np.isfinite(self.data_scaling):
-            raise ValueError(f"data_scaling must be finite, got {self.data_scaling}")
+        object.__setattr__(self, "n_qubits", _checks.whole(self.n_qubits, "n_qubits", 1))
+        object.__setattr__(self, "n_layers", _checks.whole(self.n_layers, "n_layers", 1))
+        object.__setattr__(self, "data_scaling",
+                           _checks.finite(self.data_scaling, "data_scaling"))
+        _checks.one_of(self.data_axis, DATA_AXES, "data_axis")
+        _checks.one_of(self.trainable_axis, TRAINABLE_AXES, "trainable_axis")
+        _checks.one_of(self.entanglement, ENTANGLEMENTS, "entanglement")
 
 
 def param_count(spec: FeatureMapSpec) -> int:
@@ -95,30 +82,14 @@ def _entangler_pairs(spec: FeatureMapSpec) -> tuple[tuple[int, int], ...]:
     return chain + ((n - 1, 0),)
 
 
-def _checked_params(spec: FeatureMapSpec, params: np.ndarray) -> np.ndarray:
-    lam = np.asarray(params, dtype=float).reshape(-1)
-    expected = param_count(spec)
-    if lam.size != expected:
-        raise ValueError(
-            f"parameter vector has length {lam.size}, spec needs {expected}"
-        )
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("parameter vector contains non-finite values")
-    return lam
-
-
 def _encoding_angles(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) -> list:
     """The gates of U(x) for every row x of `points`.
 
     Each gate is (kind, targets, angles). A trainable rotation has one angle
     shared by every point, a data rotation one angle per point and a CNOT None.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] < 1:
-        raise ValueError("points must be a 2-D array with at least one feature")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points contain non-finite values")
-    lam = _checked_params(spec, params)
+    points = _checks.points(points, "points")
+    lam = _checks.params(params, param_count(spec), "params")
     gates = []
     for layer in range(spec.n_layers):
         base = layer * spec.n_qubits

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .qkernel import GramMatrix
 from .statevector import rng_entropy
 
@@ -61,14 +62,10 @@ SMO_GAP = 1e-6
 SMO_MAX_ITER = 200_000
 
 
-def _gram_values(K, name: str = "K") -> np.ndarray:
-    values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite entries")
+def _gram_values(K) -> np.ndarray:
+    values = _checks.square(K.values if isinstance(K, GramMatrix) else K, "K")
     if np.max(np.abs(values - values.T)) > 1e-8:
-        raise ValueError(f"{name} is not symmetric")
+        raise ValueError("K is not symmetric")
     return values
 
 
@@ -88,9 +85,7 @@ def _cross_values(K_new, m: int, name: str = "K_new") -> np.ndarray:
 
 
 def _binary_labels(y, m: int) -> np.ndarray:
-    labels = np.asarray(y, dtype=float).reshape(-1)
-    if labels.size != m:
-        raise ValueError(f"got {labels.size} labels for {m} points")
+    labels = _checks.targets(y, m, "labels")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be exactly +1 or -1")
     if np.all(labels == 1.0) or np.all(labels == -1.0):
@@ -98,32 +93,9 @@ def _binary_labels(y, m: int) -> np.ndarray:
     return labels
 
 
-def _positive(value, name: str) -> float:
-    value = float(value)
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def _non_negative(value, name: str) -> float:
-    value = float(value)
-    if value < 0 or not np.isfinite(value):
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    return value
-
-
 def _within(values, low: float, high: float, name: str) -> None:
     if not np.all((low <= values) & (values <= high)):
         raise ValueError(f"{name} must lie in [{low:g}, {high:g}]")
-
-
-def _real_targets(y, m: int) -> np.ndarray:
-    targets = np.asarray(y, dtype=float).reshape(-1)
-    if targets.size != m:
-        raise ValueError(f"got {targets.size} targets for {m} points")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets contain non-finite values")
-    return targets
 
 
 # support vector classification
@@ -141,7 +113,7 @@ class TrainedSVC:
         """Raise ValueError, naming the field, unless svc_fit could return this
         record; model_io checks every record it loads."""
         _binary_labels(self.labels, np.size(self.labels))
-        _within(self.alphas, 0.0, _positive(self.C, "C"), "alphas")
+        _within(self.alphas, 0.0, _checks.positive(self.C, "C"), "alphas")
 
     @property
     def support_indices(self) -> np.ndarray:
@@ -279,7 +251,7 @@ def svc_fit(K, y, C: float) -> TrainedSVC:
     values = _gram_values(K)
     m = values.shape[0]
     labels = _binary_labels(y, m)
-    C = _positive(C, "C")
+    C = _checks.positive(C, "C")
 
     alpha, g, bias = _smo(values, labels, labels, C, "svc_fit")
     objective = float(alpha.sum() - 0.5 * np.dot(alpha * labels, g))
@@ -315,15 +287,15 @@ class TrainedKRR:
     def check(self) -> None:
         """Raise ValueError, naming the field, unless krr_fit could return this
         record; model_io checks every record it loads."""
-        _non_negative(self.reg, "reg")
+        _checks.non_negative(self.reg, "reg")
 
 
 def krr_fit(K, y, reg: float) -> TrainedKRR:
     """Solve (K + reg I) a = y through a symmetric positive-definite factorization."""
     values = _gram_values(K)
     m = values.shape[0]
-    targets = _real_targets(y, m)
-    reg = _non_negative(reg, "reg")
+    targets = _checks.targets(y, m, "y")
+    reg = _checks.non_negative(reg, "reg")
     system = values + reg * np.eye(m)
     try:
         lower = np.linalg.cholesky(system)
@@ -362,8 +334,8 @@ class TrainedSVR:
     def check(self) -> None:
         """Raise ValueError, naming the field, unless svr_fit could return this
         record; model_io checks every record it loads."""
-        _non_negative(self.epsilon, "epsilon")
-        C = _positive(self.C, "C")
+        _checks.non_negative(self.epsilon, "epsilon")
+        C = _checks.positive(self.C, "C")
         _within(self.coef, -C, C, "coef")
 
 
@@ -371,9 +343,9 @@ def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
     """Train epsilon-insensitive SVR by SMO on its 2m-variable dual."""
     values = _gram_values(K)
     m = values.shape[0]
-    targets = _real_targets(y, m)
-    C = _positive(C, "C")
-    epsilon = _non_negative(epsilon, "epsilon")
+    targets = _checks.targets(y, m, "y")
+    C = _checks.positive(C, "C")
+    epsilon = _checks.non_negative(epsilon, "epsilon")
 
     # the intercept absorbs a common offset, so SMO runs on the targets less
     # their lower median, one of them: shifting every target exactly then
@@ -409,9 +381,7 @@ EIGENVALUE_CUTOFF = 1e-10
 def kpca_fit(K, n_components: int) -> KpcaModel:
     """Eigendecompose the doubly centered Gram and keep the top components."""
     values = _gram_values(K)
-    n_components = int(n_components)
-    if n_components < 1:
-        raise ValueError(f"n_components must be >= 1, got {n_components}")
+    n_components = _checks.whole(n_components, "n_components", 1)
     col_means = values.mean(axis=0)
     centered = values - col_means[None, :] - col_means[:, None] + float(values.mean())
     eigenvalues, eigenvectors = np.linalg.eigh((centered + centered.T) / 2.0)
@@ -446,9 +416,7 @@ def kernel_kmeans(K, n_clusters: int, seed: int) -> tuple[np.ndarray, list[float
     """
     values = _gram_values(K)
     m = values.shape[0]
-    n_clusters = int(n_clusters)
-    if not 1 <= n_clusters <= m:
-        raise ValueError(f"n_clusters must be in [1, {m}], got {n_clusters}")
+    n_clusters = _checks.whole(n_clusters, "n_clusters", 1, m)
     rng = np.random.default_rng(rng_entropy(seed))
     diag = np.diag(values).copy()
 

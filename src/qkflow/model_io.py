@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
+from . import _checks
 from .classical_kernels import CLASSICAL_PARAMS, ClassicalKernel, classical_cross, classical_gram
 from .datasets import Dataset
 from .kernel_methods import (
@@ -85,8 +86,8 @@ class ModelFile:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"kind must be one of {tuple(MODEL_KINDS)}, got {self.kind!r}")
+        _checks.one_of(self.kind, tuple(MODEL_KINDS), "kind")
+        object.__setattr__(self, "seed", _checks.whole(self.seed, "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,16 +215,10 @@ def kernel_to_json(kernel) -> dict:
 
 def kernel_from_json(desc: dict):
     """Rebuild the kernel object a descriptor dict describes."""
-    kind = _require(desc, "type")
-    if kind == "classical":
-        name = _require(desc, "kind")
-        names = CLASSICAL_PARAMS.get(name) if isinstance(name, str) else None
-        if names is None:
-            raise ValueError(f"unknown classical kernel kind {name!r}")
-        return _build(ClassicalKernel, desc, names, kind=name)
-    if kind == "quantum":
+    if _checks.one_of(_require(desc, "type"), ("classical", "quantum"), "type") == "quantum":
         return _build(KernelEngineConfig, desc)
-    raise ValueError(f"unknown kernel type {kind!r}")
+    kind = _checks.one_of(_require(desc, "kind"), tuple(CLASSICAL_PARAMS), "kind")
+    return _build(ClassicalKernel, desc, CLASSICAL_PARAMS[kind], kind=kind)
 
 
 def evaluate_gram(kernel, data) -> GramMatrix:
@@ -249,7 +244,7 @@ def embedding_to_model_file(artifact: EmbeddingArtifact, seed: int) -> ModelFile
         kernel=kernel_to_json(bound),
         payload={},
         pretraining=_to_fields(artifact, skip=("spec", "lam")),
-        seed=int(seed),
+        seed=_checks.whole(seed, "seed"),
     )
 
 

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featuremap import FeatureMapSpec, _checked_params, encode_states, encoding_gates
+from . import _checks
+from .featuremap import FeatureMapSpec, encode_states, encoding_gates, param_count
 from .statevector import _adjoint, _checked_qubits, _zero_block, apply_gates, rng_entropy
 
 __all__ = [
@@ -96,18 +97,12 @@ class KernelEngineConfig:
     circuit_kind: str = "inversion"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.circuit_kind not in CIRCUIT_KINDS:
-            raise ValueError(
-                f"circuit_kind must be one of {CIRCUIT_KINDS}, got {self.circuit_kind!r}"
-            )
-        if self.mode == "shots":
-            if self.shots is None or int(self.shots) < 1:
-                raise ValueError("shots mode needs a positive shot count")
-            object.__setattr__(self, "shots", int(self.shots))
-        object.__setattr__(self, "seed", int(self.seed))
-        lam = _checked_params(self.spec, self.params).copy()
+        _checks.one_of(self.mode, MODES, "mode")
+        _checks.one_of(self.circuit_kind, CIRCUIT_KINDS, "circuit_kind")
+        if self.mode == "shots" or self.shots is not None:
+            object.__setattr__(self, "shots", _checks.whole(self.shots, "shots", 1))
+        object.__setattr__(self, "seed", _checks.whole(self.seed, "seed"))
+        lam = _checks.params(self.params, param_count(self.spec), "params").copy()
         lam.flags.writeable = False
         object.__setattr__(self, "params", lam)
 
@@ -119,28 +114,12 @@ class GramMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("Gram matrix contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-
-def _as_points(data, name: str) -> np.ndarray:
-    points = np.asarray(data, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-        raise ValueError(f"{name} must be a non-empty 2-D array of points")
-    if not np.all(np.isfinite(points)):
-        raise ValueError(f"{name} contains non-finite values")
-    return points
+        object.__setattr__(self, "values", _checks.square(self.values, "Gram matrix"))
 
 
 def _cross_points(data_new, data_train) -> tuple[np.ndarray, np.ndarray]:
-    new_points = _as_points(data_new, "data_new")
-    train_points = _as_points(data_train, "data_train")
+    new_points = _checks.points(data_new, "data_new")
+    train_points = _checks.points(data_train, "data_train")
     if new_points.shape[1] != train_points.shape[1]:
         raise ValueError(
             f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
@@ -228,15 +207,16 @@ def _measured(cfg, K: np.ndarray) -> np.ndarray:
 
 
 def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
-    """Evaluate k(point_a, point_b) under `cfg`: the 1x1 cross_gram of the
-    two points, each flattened to one row."""
+    """Evaluate k(point_a, point_b) under `cfg` for two single points, each
+    one flat vector of features: the 1x1 cross_gram of the two one-row
+    matrices, which checks them as it checks any points."""
     return float(cross_gram(cfg, np.reshape(point_a, (1, -1)), np.reshape(point_b, (1, -1)))[0, 0])
 
 
 def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
     """Kernel matrix of a point set against itself: the entries above the diagonal
     are evaluated and measured row by row, then mirrored; the diagonal is 1."""
-    points = _as_points(data, "data")
+    points = _checks.points(data, "data")
     rows, cols = np.triu_indices(len(points), 1)
     if cfg.spec.n_layers == 1:
         exact = _inversion_tests(cfg, points, rows, cols)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "MAX_QUBITS",
     "rotation_matrices",
@@ -191,4 +193,4 @@ def _adjoint(gates: list) -> list:
 
 def rng_entropy(seed: int) -> int:
     """Map an arbitrary integer seed onto the non-negative range numpy accepts."""
-    return int(seed) % (1 << 64)
+    return _checks.whole(seed, "seed") % (1 << 64)

@@ -11,11 +11,11 @@ a Gaussian kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _checks
 from .classical_kernels import ClassicalKernel, classical_gram
 from .featuremap import FeatureMapSpec, param_count
 from .kernel_methods import SUPPORT_THRESHOLD, TrainedKRR, krr_fit, svc_fit
@@ -68,18 +68,11 @@ class SpsaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("a0", "c0", "A_stab"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not (self.a0 > 0 and self.c0 > 0):
-            raise ValueError("a0 and c0 must be positive")
-        if self.A_stab < 0:
-            raise ValueError(f"A_stab must be non-negative, got {self.A_stab}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 0:
-            raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "a0", _checks.positive(self.a0, "a0"))
+        object.__setattr__(self, "c0", _checks.positive(self.c0, "c0"))
+        object.__setattr__(self, "A_stab", _checks.non_negative(self.A_stab, "A_stab"))
+        object.__setattr__(self, "max_iter", _checks.whole(self.max_iter, "max_iter", 0))
+        object.__setattr__(self, "seed", _checks.whole(self.seed, "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +110,7 @@ def spsa_gradient(f, lam, c_k: float, delta) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     delta = np.asarray(delta, dtype=float).reshape(-1)
-    if not c_k > 0:
-        raise ValueError(f"c_k must be positive, got {c_k}")
+    c_k = _checks.positive(c_k, "c_k")
     if delta.shape != lam.shape:
         raise ValueError(f"delta shape {delta.shape} does not match lam {lam.shape}")
     if not np.all(np.abs(delta) == 1.0):
@@ -136,7 +128,7 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
     C. Parameters move by lam <- lam - a_k * ghat with no projection, since
     every rotation angle is periodic.
     """
-    X = np.asarray(X, dtype=float)
+    X = _checks.points(X, "X")
     lam = cfg.params.copy()
 
     rng = np.random.default_rng(rng_entropy(spsa.seed))
@@ -190,17 +182,10 @@ class MlkrrConfig:
     outer_iters: int = 30
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.reg < np.inf:
-            raise ValueError(f"reg must be non-negative and finite, got {self.reg}")
-        if int(self.outer_iters) != self.outer_iters or self.outer_iters < 0:
-            raise ValueError(
-                f"outer_iters must be a non-negative integer, got {self.outer_iters}"
-            )
-        object.__setattr__(self, "outer_iters", int(self.outer_iters))
+        object.__setattr__(self, "gamma", _checks.positive(self.gamma, "gamma"))
+        object.__setattr__(self, "reg", _checks.non_negative(self.reg, "reg"))
+        object.__setattr__(self, "lr", _checks.positive(self.lr, "lr"))
+        object.__setattr__(self, "outer_iters", _checks.whole(self.outer_iters, "outer_iters", 0))
 
 
 def mlkrr_loss(X, y, alpha, A, gamma: float, reg: float) -> float:
@@ -244,15 +229,11 @@ def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[floa
     returned trace has one loss entry per round boundary, starting at the
     initial fit, and is non-increasing.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError(f"X must be a 2-D matrix with at least 2 rows, got shape {X.shape}")
+    X = _checks.points(X, "X")
     m, d = X.shape
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != m:
-        raise ValueError(f"got {y.size} targets for {m} points")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("X and y must be finite")
+    if m < 2:
+        raise ValueError(f"X must have at least 2 rows, got {m}")
+    y = _checks.targets(y, m, "y")
     A = np.eye(d)
 
     def fit_alpha(current: np.ndarray) -> TrainedKRR:
@@ -296,13 +277,11 @@ class EmbeddingArtifact:
     iterations: int
 
     def __post_init__(self) -> None:
-        lam = np.array(self.lam, dtype=float).reshape(-1)
-        if lam.size != param_count(self.spec):
-            raise ValueError(
-                f"lam has length {lam.size}, spec needs {param_count(self.spec)}"
-            )
+        lam = _checks.params(np.array(self.lam, dtype=float), param_count(self.spec), "lam")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "seed", _checks.whole(self.seed, "seed"))
+        object.__setattr__(self, "iterations", _checks.whole(self.iterations, "iterations", 0))
 
 
 def export_embedding(state: AlignmentState, spec: FeatureMapSpec) -> EmbeddingArtifact:

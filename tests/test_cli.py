@@ -483,18 +483,18 @@ def test_predict_with_missing_data_is_exit_two(tmp_path):
     assert run("predict", "--model", str(model), "--data", str(tmp_path / "missing.csv")) == 2
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--stability", "nan", "A_stab"),
-    ("--a0", "inf", "a0"),
-    ("--c0", "inf", "c0"),
-])
-def test_align_rejects_a_non_finite_gain(tmp_path, capsys, flag, value, field):
+@pytest.mark.parametrize("flag, value, field, rule", [
+    ("--stability", "nan", "A_stab", "finite and non-negative"),
+    ("--a0", "inf", "a0", "positive and finite"),
+    ("--c0", "inf", "c0", "positive and finite"),
+], ids=["--stability-nan-A_stab", "--a0-inf-a0", "--c0-inf-c0"])
+def test_align_rejects_a_non_finite_gain(tmp_path, capsys, flag, value, field, rule):
     data, emb = tmp_path / "hr.csv", tmp_path / "emb.json"
     run("gen-data", "--kind", "hidden_rotation", "--m", "8", "--seed", "2", "--out", str(data))
     capsys.readouterr()
     rc = run("align", "--data", str(data), "--spsa-iters", "2", flag, value, "--out", str(emb))
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+    assert capsys.readouterr().err == f"error: {field} must be {rule}, got {value}\n"
     assert not emb.exists()
 
 
@@ -566,6 +566,30 @@ def test_predict_rejects_train_features_that_are_not_a_matrix(svc_model_files, t
     doc["payload"]["train_features"] = [row[0] for row in rows] if shape == "flat" else [rows]
     proc = predict_in_a_process(doc, svc_model_files / "d.csv", tmp_path)
     assert proc.stderr.startswith("error: train_features: ")
+
+
+@pytest.mark.parametrize("command", ["predict", "train"])
+def test_kernel_params_nested_one_level_are_a_data_error(svc_model_files, tmp_path, capsys,
+                                                         command):
+    """A model file (read by predict) or an embedding file (read by train
+    --embedding) whose kernel params are nested one level, [[a]], is refused
+    by the one parameter-vector rule, naming params, and nothing is written."""
+    data, nested, out = svc_model_files / "d.csv", tmp_path / "nested.json", tmp_path / "out"
+    if command == "predict":
+        source = svc_model_files / "quantum.json"
+        args = ("predict", "--model", str(nested))
+    else:
+        source = tmp_path / "emb.json"
+        assert run("align", "--data", str(data), "--spsa-iters", "1", "--out", str(source)) == 0
+        args = ("train", "--method", "svc", "--embedding", str(nested))
+    doc = json.loads(source.read_text())
+    doc["kernel"]["params"] = [doc["kernel"]["params"]]
+    nested.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(*args, "--data", str(data), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: params must be a finite flat parameter vector of length 1, got shape (1, 1)\n")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

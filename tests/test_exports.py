@@ -65,6 +65,7 @@ PUBLIC = {
         "svr_fit",
         "svr_predict",
     },
+    "qkflow._checks": set(),
     "qkflow.classical_kernels": {
         "CLASSICAL_KINDS",
         "CLASSICAL_PARAMS",

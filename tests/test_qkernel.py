@@ -788,9 +788,11 @@ def test_dimension_mismatch():
     cfg = one_qubit_cfg()
     with pytest.raises(ValueError, match="feature dimensions differ: 2 vs 1"):
         kernel_value(cfg, [0.1, 0.2], [0.3])
-    with pytest.raises(ValueError, match="data_new must be a non-empty 2-D array of points"):
+    with pytest.raises(ValueError, match=r"data_new must be a non-empty 2-D matrix of finite "
+                                         r"numbers, got shape \(1, 0\)"):
         kernel_value(cfg, [], [0.3])
-    with pytest.raises(ValueError, match="data_train contains non-finite values"):
+    with pytest.raises(ValueError, match="data_train must be a non-empty 2-D matrix of finite "
+                                         "numbers, got a non-finite entry"):
         kernel_value(cfg, [0.3], [np.nan])
     with pytest.raises(ValueError):
         cross_gram(cfg, np.ones((2, 2)), np.ones((2, 3)))

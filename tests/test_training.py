@@ -141,9 +141,10 @@ def test_spsa_config_validation():
         SpsaConfig(A_stab=-0.1)
     with pytest.raises(ValueError):
         SpsaConfig(max_iter=-1)
-    for name in ("a0", "c0", "A_stab"):
+    for name, rule in (("a0", "positive and finite"), ("c0", "positive and finite"),
+                       ("A_stab", "finite and non-negative")):
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"{name} must be {rule}"):
                 SpsaConfig(**{name: bad})
 
 
@@ -308,7 +309,8 @@ def test_mlkrr_validation():
 def test_mlkrr_config_refuses_a_non_finite_reg_or_gamma(field, value):
     """Refused when the config is built, as SpsaConfig does, not later inside
     krr_fit or the kernel once a Gram has been built."""
-    with pytest.raises(ValueError, match=f"^{field} must be [a-z -]+ and finite, got {value}$"):
+    rule = "finite and non-negative" if field == "reg" else "positive and finite"
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
         MlkrrConfig(**{field: value})
 
 
