@@ -6,9 +6,10 @@ the same way wherever it goes in. A refusal is a ValueError of the form
 "<name> must be <rule>, got <what>".
 
     points        a non-empty 2-D matrix of finite numbers, one point per row
+    point         a non-empty flat vector of finite numbers, one point
     params        a flat vector of finite numbers, of a given length
     targets       one finite number per point (a column is flattened)
-    square        a square matrix of finite numbers
+    square        a non-empty square matrix of finite numbers
     whole         an integral number, never truncated, within optional bounds
     finite, positive, non_negative
                   one real number
@@ -38,6 +39,11 @@ def points(values, name: str) -> np.ndarray:
                          lambda shape: len(shape) == 2 and min(shape) >= 1)
 
 
+def point(values, name: str) -> np.ndarray:
+    return _finite_array(values, name, "a non-empty flat vector of finite numbers",
+                         lambda shape: len(shape) == 1 and shape[0] >= 1)
+
+
 def params(values, size: int, name: str) -> np.ndarray:
     return _finite_array(values, name, f"a finite flat parameter vector of length {size}",
                          lambda shape: shape == (size,))
@@ -50,8 +56,8 @@ def targets(values, m: int, name: str) -> np.ndarray:
 
 
 def square(values, name: str) -> np.ndarray:
-    return _finite_array(values, name, "a square matrix of finite numbers",
-                         lambda shape: len(shape) == 2 and shape[0] == shape[1])
+    return _finite_array(values, name, "a non-empty square matrix of finite numbers",
+                         lambda shape: len(shape) == 2 and shape[0] == shape[1] >= 1)
 
 
 def _shown(value) -> str:

@@ -9,21 +9,21 @@ quantum and classical kernels plug in interchangeably.
 
 The SVC and the SVR share one SMO solver for the box-constrained dual
 
-    max_a  sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
-    s.t.   0 <= a_i <= C,  sum_i z_i a_i = 0,  z_i = +-1,
+    max_a  sum_k z_k r_k a_k - 1/2 sum_kl a_k a_l z_k z_l K_(k mod m)(l mod m)
+    s.t.   0 <= a_k <= C,  sum_k z_k a_k = 0,  z_k = +-1,
 
-which updates the maximally KKT-violating pair. On some rank-deficient
+whose multiplier k, one of sides * m, reads point k mod m of the m x m
+Gram K. It updates the maximally KKT-violating pair. On some rank-deficient
 Grams those pairs zigzag with the violation stuck just above the stopping
 gap; when SMO_MAX_ITER such steps do not converge, the solver starts again
 and keeps one end of that pair, whichever gives the larger second-order
 gain, and picks the other end by its gain. Both passes treat the two ends
-alike, so on a symmetric Q negating z and r mirrors every step bit for
-bit. The SVC
-is the case z = r = y, Q = K. The epsilon-insensitive SVR is written, as in LIBSVM,
-over 2m variables (alpha, alpha*): z = [1, -1], r = [y - eps, y + eps] and
-Q = [[K, K], [K, K]], with coefficients alpha - alpha*; y is taken less its
-lower median, which the intercept gets back. KRR solves
-(K + reg I) a = y directly.
+alike, so on a symmetric K negating z and r mirrors every step bit for
+bit. The SVC is one side, z = r = y. The epsilon-insensitive SVR is, as in
+LIBSVM, two sides (alpha, alpha*) of one Gram: z = [1, -1],
+r = [y - eps, y + eps] and coefficients alpha - alpha*; y is taken less its
+lower median, which the intercept gets back. KRR solves (K + reg I) a = y
+directly.
 """
 
 from __future__ import annotations
@@ -128,20 +128,21 @@ def _movable(a, z, C: float):
     return up, low
 
 
-def _second_order_pair(Q: np.ndarray, i: int, j: int, score_up: np.ndarray,
+def _second_order_pair(K: np.ndarray, i: int, j: int, score_up: np.ndarray,
                        score_low: np.ndarray) -> tuple[int, int]:
     """The pair of largest second-order gain b^2 / quad, with
     b = score_up[p] - score_low[q] > 0 and quad = Q_pp + Q_qq - 2 Q_pq floored
-    at 1e-12, that keeps i, the maximal violator that can move up, or j, the
-    maximal violator that can move down (``score_up`` is -inf and
-    ``score_low`` +inf where a multiplier cannot move that way): WSS2 of
-    Fan, Chen & Lin, JMLR 6 (2005), from either end. Within one end the first
-    index wins ties; between the two ends, the pair of smaller sorted
-    indices, so that swapping the roles of the ends swaps the choice."""
-    diag = Q.diagonal()
+    at 1e-12, Q_pq = K_(p mod m)(q mod m), that keeps i, the maximal violator
+    that can move up, or j, the maximal violator that can move down
+    (``score_up`` is -inf and ``score_low`` +inf where a multiplier cannot
+    move that way): WSS2 of Fan, Chen & Lin, JMLR 6 (2005), from either end.
+    Within one end the first index wins ties; between the two ends, the pair
+    of smaller sorted indices, so that swapping the ends swaps the choice."""
+    m, sides = len(K), score_up.size // len(K)
+    diag = np.tile(K.diagonal(), sides)
 
     def best(fixed: int, b: np.ndarray) -> tuple[int, float]:
-        quad = np.maximum(diag[fixed] + diag - 2.0 * Q[fixed], 1e-12)
+        quad = np.maximum(diag[fixed] + diag - 2.0 * np.tile(K[fixed % m], sides), 1e-12)
         gain = np.where(b > 0.0, b * b / quad, -np.inf)
         k = int(gain.argmax())
         return k, gain.item(k)
@@ -153,7 +154,7 @@ def _second_order_pair(Q: np.ndarray, i: int, j: int, score_up: np.ndarray,
     return up, j
 
 
-def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
+def _smo_steps(K: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
                second_order: bool) -> tuple[list[float], bool]:
     """At most SMO_MAX_ITER SMO steps from a = 0, each on the maximally
     KKT-violating pair or, with ``second_order``, on the pair of
@@ -166,13 +167,16 @@ def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     equal np.where(up, r - g, -inf) and np.where(low, r - g, inf) entry for
     entry, first-index ties included. Only the entries of the pair that
     moved change after a step, and every scalar of a step is a Python float.
+    Column k of Q is column k mod m of K repeated once per side; the m such
+    columns are held once and shared by every side.
     """
-    n = z.size
-    cols = list(np.ascontiguousarray(Q.T))  # cols[k] is Q[:, k], bit for bit
-    diag = Q.diagonal().tolist()
+    n, sides = z.size, z.size // len(K)
+    # out= keeps C order, so that cols[k], which is Q[:, k], is contiguous
+    cols = list(np.concatenate((K.T,) * sides, axis=1, out=np.empty((len(K), n)))) * sides
+    diag = K.diagonal().tolist() * sides
     zs, rs = z.tolist(), r.tolist()
     a = [0.0] * n
-    g = np.zeros(n)  # g_i = sum_j a_j z_j Q_ij
+    g = np.zeros(n)  # g_k = sum_l a_l z_l Q_kl
     up, low = _movable(np.zeros(n), z, C)
     up_r, low_r = np.where(up, r, -np.inf), np.where(low, r, np.inf)
     # -z_i grad_i of the minimization form where multiplier i can move, or +-inf
@@ -187,7 +191,7 @@ def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
         if gap <= SMO_GAP:
             return a, True
         if second_order:
-            i, j = _second_order_pair(Q, i, j, score_up, score_low)
+            i, j = _second_order_pair(K, i, j, score_up, score_low)
             gap = score_up.item(i) - score_low.item(j)  # the pair's own violation
         quad = diag[i] + diag[j] - 2.0 * cols[j].item(i)
         quad = max(quad, 1e-12)
@@ -209,29 +213,30 @@ def _smo_steps(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     return a, False
 
 
-def _smo(Q: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
+def _smo(K: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
          caller: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve max_a sum_i z_i r_i a_i - 1/2 sum_ij a_i a_j z_i z_j Q_ij
-    subject to 0 <= a_i <= C and sum_i z_i a_i = 0, with every z_i = +-1.
+    """Solve max_a sum_k z_k r_k a_k - 1/2 sum_kl a_k a_l z_k z_l Q_kl
+    subject to 0 <= a_k <= C and sum_k z_k a_k = 0, with every z_k = +-1
+    and Q_kl = K_(k mod m)(l mod m) on the m x m Gram K.
 
     First-order SMO from a = 0; if it hits its cap, second-order SMO from
-    a = 0 again. Returns the multipliers, the products g = Q (a z) and the
-    intercept b of the decision sum_j a_j z_j Q_ij + b: the mean of
-    r_i - g_i over the free multipliers or, with none free, the midpoint of
-    the interval the KKT conditions leave open with each multiplier at its
-    nearer bound.
+    a = 0 again. Returns the multipliers, the products g = Q (a z), taken
+    once per point and repeated once per side, and the intercept b of the
+    decision sum_l a_l z_l Q_kl + b: the mean of r_k - g_k over the free
+    multipliers or, with none free, the midpoint of the interval the KKT
+    conditions leave open with each multiplier at its nearer bound.
     """
-    a, converged = _smo_steps(Q, z, r, C, second_order=False)
+    a, converged = _smo_steps(K, z, r, C, second_order=False)
     if not converged:
         # first-order pairs can zigzag along a flat direction of a
         # rank-deficient Gram with the violation just above SMO_GAP; the
         # second-order pass starts afresh, since from that point it crawls too
-        a, converged = _smo_steps(Q, z, r, C, second_order=True)
+        a, converged = _smo_steps(K, z, r, C, second_order=True)
     if not converged:
         warnings.warn(f"{caller} hit the iteration cap before reaching tolerance")
 
     a = np.clip(a, 0.0, C)
-    g = Q @ (a * z)
+    g = np.tile(K @ (a * z).reshape(-1, len(K)).sum(axis=0), z.size // len(K))
     score = r - g
     free = (a > SUPPORT_THRESHOLD) & (a < C - SUPPORT_THRESHOLD)
     if free.any():
@@ -256,13 +261,7 @@ def svc_fit(K, y, C: float) -> TrainedSVC:
     alpha, g, bias = _smo(values, labels, labels, C, "svc_fit")
     objective = float(alpha.sum() - 0.5 * np.dot(alpha * labels, g))
     alpha.flags.writeable = False
-    return TrainedSVC(
-        alphas=alpha,
-        labels=labels,
-        bias=bias,
-        C=C,
-        dual_objective=objective,
-    )
+    return TrainedSVC(alphas=alpha, labels=labels, bias=bias, C=C, dual_objective=objective)
 
 
 def svc_decision(model: TrainedSVC, K_new) -> np.ndarray:
@@ -355,7 +354,7 @@ def svr_fit(K, y, C: float, epsilon: float) -> TrainedSVR:
     centered = targets - offset
     z = np.concatenate([np.ones(m), -np.ones(m)])
     r = np.concatenate([centered - epsilon, centered + epsilon])
-    a, _, bias = _smo(np.tile(values, (2, 2)), z, r, C, "svr_fit")
+    a, _, bias = _smo(values, z, r, C, "svr_fit")
     beta = a[:m] - a[m:]
     beta.flags.writeable = False
     return TrainedSVR(coef=beta, bias=bias + offset, epsilon=epsilon, C=C)

@@ -209,8 +209,9 @@ def _measured(cfg, K: np.ndarray) -> np.ndarray:
 def kernel_value(cfg: KernelEngineConfig, point_a, point_b) -> float:
     """Evaluate k(point_a, point_b) under `cfg` for two single points, each
     one flat vector of features: the 1x1 cross_gram of the two one-row
-    matrices, which checks them as it checks any points."""
-    return float(cross_gram(cfg, np.reshape(point_a, (1, -1)), np.reshape(point_b, (1, -1)))[0, 0])
+    matrices."""
+    a, b = _checks.point(point_a, "point_a"), _checks.point(point_b, "point_b")
+    return float(cross_gram(cfg, a.reshape(1, -1), b.reshape(1, -1))[0, 0])
 
 
 def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:

@@ -326,42 +326,51 @@ def _smo_steps_oracle(Q, z, r, C, second_order):
     return a, False
 
 
+def _smo_passes_oracle(Q, z, r, C):
+    """First-order pairs from a = 0 and, if they hit the cap, second-order
+    pairs from a = 0 again; the multipliers clipped to [0, C]."""
+    a, converged = _smo_steps_oracle(Q, z, r, C, second_order=False)
+    if not converged:
+        a, _ = _smo_steps_oracle(Q, z, r, C, second_order=True)
+    return np.clip(a, 0.0, C)
+
+
+def _intercept_oracle(a, g, z, r, C):
+    score = r - g
+    free = (a > SUPPORT_THRESHOLD) & (a < C - SUPPORT_THRESHOLD)
+    if free.any():
+        return float(np.mean(score[free]))
+    # each multiplier at its nearer bound
+    up, low = _movable_oracle(np.where(a < C / 2.0, 0.0, C), z, C)
+    return float((np.max(score[up]) + np.min(score[low])) / 2.0)
+
+
 def smo_oracle(Q, z, r, C):
-    """SMO for max sum z r a - 1/2 (a z)' Q (a z), 0 <= a <= C, z . a = 0:
-    first-order pairs from a = 0 and, if they hit the cap, second-order
-    pairs from a = 0 again.
+    """SMO for max sum z r a - 1/2 (a z)' Q (a z), 0 <= a <= C, z . a = 0.
 
     Returns the multipliers, g = Q (a z) and the intercept, as the library's
     solver does.
     """
-    a, converged = _smo_steps_oracle(Q, z, r, C, second_order=False)
-    if not converged:
-        a, _ = _smo_steps_oracle(Q, z, r, C, second_order=True)
-
-    a = np.clip(a, 0.0, C)
+    a = _smo_passes_oracle(Q, z, r, C)
     g = Q @ (a * z)
-    score = r - g
-    free = (a > SUPPORT_THRESHOLD) & (a < C - SUPPORT_THRESHOLD)
-    if free.any():
-        bias = float(np.mean(score[free]))
-    else:
-        # each multiplier at its nearer bound
-        up, low = _movable_oracle(np.where(a < C / 2.0, 0.0, C), z, C)
-        bias = float((np.max(score[up]) + np.min(score[low])) / 2.0)
-    return a, g, bias
+    return a, g, _intercept_oracle(a, g, z, r, C)
 
 
 def svr_smo_oracle(K, targets, C, epsilon):
-    """svr_fit through smo_oracle: the 2m-variable dual over the targets less
-    their lower median, which the intercept gets back. Returns the
+    """svr_fit through the oracle's SMO passes: the 2m-variable dual on
+    Q = [[K, K], [K, K]] over the targets less their lower median, which the
+    intercept gets back. The final products are taken once per point,
+    K (alpha - alpha*), and read by both of its multipliers. Returns the
     coefficients and the intercept."""
     targets = np.asarray(targets, dtype=float)
     m = targets.size
     offset = np.sort(targets)[(m - 1) // 2]
     z = np.concatenate([np.ones(m), -np.ones(m)])
     r = np.concatenate([targets - offset - epsilon, targets - offset + epsilon])
-    a, _, bias = smo_oracle(np.tile(K, (2, 2)), z, r, C)
-    return a[:m] - a[m:], bias + offset
+    a = _smo_passes_oracle(np.tile(K, (2, 2)), z, r, C)
+    coef = a[:m] - a[m:]
+    g = K @ coef
+    return coef, _intercept_oracle(a, np.concatenate([g, g]), z, r, C) + offset
 
 
 def classical_entry_oracle(kernel, point_a, point_b):

@@ -23,6 +23,7 @@ from qkflow import (
     gen_synthetic,
     gram_matrix,
     kernel_kmeans,
+    kernel_value,
     kpca_fit,
     krr_fit,
     mlkrr_fit,
@@ -80,6 +81,24 @@ POINT_CASES = table(
         "encode_states": (*points_rule("points"), lambda X: encode_states(SPEC, X, np.zeros(1))),
         "mlkrr_fit": (*points_rule("X"), lambda X: mlkrr_fit(X, LABELS, NO_ROUNDS)),
         "qka_align": (*points_rule("X"), lambda X: qka_align(CFG, X, LABELS, 1.0, NO_STEPS)),
+    },
+)
+
+
+def point_rule(name):
+    return name, "a non-empty flat vector of finite numbers"
+
+
+POINT_ARGUMENT_CASES = table(
+    {
+        "2-D": (np.array([[0.1], [0.2]]), "shape (2, 1)"),
+        "0-D": (np.float64(0.1), "shape ()"),
+        "empty": (np.zeros(0), "shape (0,)"),
+        "nan": (np.array([np.nan]), "a non-finite entry"),
+    },
+    {
+        "kernel_value-a": (*point_rule("point_a"), lambda x: kernel_value(CFG, x, [0.3])),
+        "kernel_value-b": (*point_rule("point_b"), lambda x: kernel_value(CFG, [0.3], x)),
     },
 )
 
@@ -238,11 +257,12 @@ TARGET_CASES = table(
 
 
 def square_rule(name):
-    return name, "a square matrix of finite numbers"
+    return name, "a non-empty square matrix of finite numbers"
 
 
 SQUARE_CASES = table(
     {"3x2": (np.ones((3, 2)), "shape (3, 2)"),
+     "empty": (np.zeros((0, 0)), "shape (0, 0)"),
      "nan": (np.diag([1.0, np.nan, 1.0]), "a non-finite entry")},
     {
         "GramMatrix": (*square_rule("Gram matrix"), lambda K: GramMatrix(K)),
@@ -258,8 +278,8 @@ SQUARE_CASES = table(
 
 
 @pytest.mark.parametrize("call, bad, message", [
-    *POINT_CASES, *PARAMS_CASES, *WHOLE_CASES, *SCALAR_CASES, *ONE_OF_CASES, *TARGET_CASES,
-    *SQUARE_CASES,
+    *POINT_CASES, *POINT_ARGUMENT_CASES, *PARAMS_CASES, *WHOLE_CASES, *SCALAR_CASES,
+    *ONE_OF_CASES, *TARGET_CASES, *SQUARE_CASES,
 ])
 def test_every_entry_point_refuses_a_bad_input_with_its_rules_message(call, bad, message):
     with pytest.raises(ValueError) as refused:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import (smo_oracle, svc_dual_oracle, svc_kkt_violation, svr_kkt_violation,
-                     svr_smo_oracle, two_blobs)
+from oracles import (_smo_steps_oracle, smo_oracle, svc_dual_oracle, svc_kkt_violation,
+                     svr_kkt_violation, svr_smo_oracle, two_blobs)
 from qkflow.classical_kernels import ClassicalKernel, classical_cross, classical_gram
 from qkflow.datasets import gen_synthetic
 from qkflow.featuremap import FeatureMapSpec, param_count
@@ -285,7 +287,7 @@ def test_svr_converges_on_a_rank_three_gram_that_hits_the_iteration_cap():
     assert np.sort(targets)[2] == 0.0  # svr_fit's offset leaves these targets as they are
     z = np.concatenate([np.ones(5), -np.ones(5)])
     r = np.concatenate([targets - 0.1, targets + 0.1])
-    assert not _smo_steps(np.tile(K, (2, 2)), z, r, 100.0, second_order=False)[1]
+    assert not _smo_steps(K, z, r, 100.0, second_order=False)[1]
     model = svr_fit(K, targets, C=100.0, epsilon=0.1)
     assert svr_kkt_violation(K, targets, model.coef, model.bias, 100.0, 0.1) <= 1e-5
 
@@ -349,10 +351,10 @@ def test_a_multiplier_a_rounding_residue_from_its_bound_counts_as_at_it():
     points = np.array([[0.0, 0.0], [0.0, -3.0], [0.0, 0.0], [0.0, -1.0], [1.0, 0.75],
                        [0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     y = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, 0.0])
-    Q = np.tile(gram_matrix(cfg, points).values, (2, 2))
+    K = gram_matrix(cfg, points).values
     z = np.concatenate([np.ones(10), -np.ones(10)])
-    a, _, bias = _smo(Q, z, np.concatenate([y, y]), 0.01, "test")
-    a_shifted, _, bias_shifted = _smo(Q, z, np.concatenate([y, y]) + 1.0, 0.01, "test")
+    a, _, bias = _smo(K, z, np.concatenate([y, y]), 0.01, "test")
+    a_shifted, _, bias_shifted = _smo(K, z, np.concatenate([y, y]) + 1.0, 0.01, "test")
     residues = 0.01 - a_shifted[(a_shifted > 0.005) & (a_shifted < 0.01)]
     assert residues.size and np.all(residues < SUPPORT_THRESHOLD)
     assert abs(bias_shifted - (bias + 1.0)) <= 1e-12
@@ -423,6 +425,46 @@ def test_svr_matches_the_smo_oracle_on_a_2_qubit_2_layer_gram(seed):
     model = svr_fit(K, ds.labels, C=100.0, epsilon=0.1)
     assert_same_bits(model.coef, coef)
     assert_same_bits(model.bias, bias)
+
+
+def test_svr_steps_match_the_tiled_oracle_on_a_gram_symmetric_only_within_1e_8():
+    """Both SMO passes on K match the oracle's on [[K, K], [K, K]] bit for bit.
+    Point 5 repeats point 0 and its target, so their candidate pairs differ
+    only by the skew; a second-order pair that read K's columns where the
+    oracle reads Q's rows took other steps on this K."""
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-2.0, 2.0, (7, 2))
+    X[5] = X[0]
+    y = rng.uniform(-1.0, 1.0, 7)
+    y[5] = y[0]
+    K = X @ X.T + 5e-9 * np.triu(rng.uniform(-1.0, 1.0, (7, 7)), 1)
+    z = np.concatenate([np.ones(7), -np.ones(7)])
+    r = np.concatenate([y - 0.1, y + 0.1])
+    for second_order in (False, True):
+        a, converged = _smo_steps(K, z, r, 1.0, second_order)
+        expected, expected_converged = _smo_steps_oracle(np.tile(K, (2, 2)), z, r, 1.0,
+                                                         second_order)
+        assert converged and expected_converged
+        assert_same_bits(a, expected)
+    coef, bias = svr_smo_oracle(K, y, 1.0, 0.1)
+    model = svr_fit(K, y, C=1.0, epsilon=0.1)
+    assert_same_bits(model.coef, coef)
+    assert_same_bits(model.bias, bias)
+
+
+def test_an_svr_fit_holds_its_gram_columns_once_per_point():
+    """Traced peak of a 300-point fit beyond its Gram: 1.5 MiB, two copies'
+    worth for the two sides' columns, where tiling the Gram 2 x 2 and
+    transposing that took 5.7 MiB."""
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (300, 2))
+    K = classical_gram(ClassicalKernel.gaussian_metric(1.0), X).values
+    tracemalloc.start()
+    try:
+        svr_fit(K, np.sin(3.0 * X[:, 0]) + X[:, 1], C=1.0, epsilon=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * K.nbytes
 
 
 def test_svr_input_validation():

@@ -784,14 +784,15 @@ def test_template_config_requires_binding():
 
 
 def test_dimension_mismatch():
-    """kernel_value checks its points as the 1x1 cross_gram does."""
+    """kernel_value checks each argument as one point, then their dimensions
+    as the 1x1 cross_gram does."""
     cfg = one_qubit_cfg()
     with pytest.raises(ValueError, match="feature dimensions differ: 2 vs 1"):
         kernel_value(cfg, [0.1, 0.2], [0.3])
-    with pytest.raises(ValueError, match=r"data_new must be a non-empty 2-D matrix of finite "
-                                         r"numbers, got shape \(1, 0\)"):
+    with pytest.raises(ValueError, match=r"point_a must be a non-empty flat vector of finite "
+                                         r"numbers, got shape \(0,\)"):
         kernel_value(cfg, [], [0.3])
-    with pytest.raises(ValueError, match="data_train must be a non-empty 2-D matrix of finite "
+    with pytest.raises(ValueError, match="point_b must be a non-empty flat vector of finite "
                                          "numbers, got a non-finite entry"):
         kernel_value(cfg, [0.3], [np.nan])
     with pytest.raises(ValueError):
