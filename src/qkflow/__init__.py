@@ -23,7 +23,7 @@ from .kernel_methods import (
 )
 from .model_io import ModelFile, load_model, save_model
 from .qkernel import GramMatrix, KernelEngineConfig, cross_gram, gram_matrix, kernel_value
-from .training import MlkrrConfig, SpsaConfig, export_embedding, mlkrr_fit, qka_align, svc_loss
+from .training import MlkrrConfig, SpsaConfig, export_embedding, mlkrr_fit, qka_align
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "save_model",
     "svc_decision",
     "svc_fit",
-    "svc_loss",
     "svc_predict",
     "svr_fit",
     "svr_predict",

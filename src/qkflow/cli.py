@@ -53,7 +53,7 @@ from .model_io import (
     model_to_payload,
     save_model,
 )
-from .qkernel import CIRCUIT_KINDS, MODES, KernelEngineConfig
+from .qkernel import CIRCUIT_KINDS, MODES, GramMatrix, KernelEngineConfig
 from .statevector import rng_entropy
 from .training import MlkrrConfig, SpsaConfig, export_embedding, mlkrr_fit, qka_align
 
@@ -192,6 +192,19 @@ def _kernel_from_args(args):
     return _given(args, KernelEngineConfig, spec=spec, params=lam, seed=args.seed), pretraining
 
 
+def _training_gram(kernel, features) -> GramMatrix:
+    """The Gram that train, kpca and cluster fit on. A shot-sampled quantum
+    Gram can have negative eigenvalues, which krr's Cholesky refuses; they are
+    clipped to 0 and the matrix made symmetric again (Hubregtsen et al.,
+    arXiv:2105.02276). Every other Gram is used as it is."""
+    gram = evaluate_gram(kernel, features)
+    if not isinstance(kernel, KernelEngineConfig) or kernel.mode != "shots":
+        return gram
+    eigenvalues, vectors = np.linalg.eigh(gram.values)
+    clipped = (vectors * np.maximum(eigenvalues, 0.0)) @ vectors.T
+    return GramMatrix(values=(clipped + clipped.T) / 2.0)
+
+
 # subcommands
 
 # gen-data passes on only the generator parameters that were set
@@ -232,7 +245,7 @@ def _cmd_align(args) -> int:
     trace_path = args.trace_out or _derived_path(args.out, "_trace.csv")
     _write_trace_csv(trace_path, state.loss_trace)
     print(f"wrote {args.out}: loss {state.loss_trace[0][1]:.6f} -> best "
-          f"{state.loss_best:.6f} in {state.iteration} iterations")
+          f"{state.loss_best:.6f} in {len(state.loss_trace) - 1} iterations")
     return 0
 
 
@@ -253,7 +266,7 @@ def _cmd_train(args) -> int:
     kernel, pretraining = _kernel_from_args(args)
     ds = _load_dataset(args.data, args.label_column, args.normalize, need_labels=True)
     _warn_task_mismatch(pretraining, args.method)
-    gram = evaluate_gram(kernel, ds.features)
+    gram = _training_gram(kernel, ds.features)
     if args.method == "svc":
         model = svc_fit(gram, ds.labels, C=args.C)
     elif args.method == "krr":
@@ -316,7 +329,7 @@ def _cmd_predict(args) -> int:
 def _cmd_kpca(args) -> int:
     kernel, _ = _kernel_from_args(args)
     ds = _load_dataset(args.data, args.label_column, args.normalize)
-    gram = evaluate_gram(kernel, ds.features)
+    gram = _training_gram(kernel, ds.features)
     model = kpca_fit(gram, n_components=args.components)
     write_csv(args.out, model.train_projections)
     print(f"wrote {args.out}: {ds.n_points} points x {args.components} components")
@@ -326,7 +339,7 @@ def _cmd_kpca(args) -> int:
 def _cmd_cluster(args) -> int:
     kernel, _ = _kernel_from_args(args)
     ds = _load_dataset(args.data, args.label_column, args.normalize)
-    gram = evaluate_gram(kernel, ds.features)
+    gram = _training_gram(kernel, ds.features)
     assign, trace = kernel_kmeans(gram, n_clusters=args.clusters,
                                   seed=_role_seed(args.seed, 2))
     write_csv(args.out, assign[:, None], header=["cluster"])
@@ -368,8 +381,6 @@ def build_parser() -> _Parser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--spsa-iters", dest="max_iter", type=int)
     p.add_argument("--a0", type=float)
-    p.add_argument("--c0", type=float)
-    p.add_argument("--stability", dest="A_stab", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--trace-out")
     p.set_defaults(func=_cmd_align)

@@ -18,7 +18,7 @@ import numpy as np
 from . import _checks
 from .classical_kernels import ClassicalKernel, classical_gram
 from .featuremap import FeatureMapSpec, param_count
-from .kernel_methods import SUPPORT_THRESHOLD, TrainedKRR, krr_fit, svc_fit
+from .kernel_methods import TrainedKRR, krr_fit, svc_fit
 from .qkernel import KernelEngineConfig, gram_matrix
 from .statevector import rng_entropy
 
@@ -27,7 +27,6 @@ __all__ = [
     "AlignmentState",
     "MlkrrConfig",
     "EmbeddingArtifact",
-    "svc_loss",
     "spsa_gradient",
     "qka_align",
     "mlkrr_loss",
@@ -37,40 +36,29 @@ __all__ = [
 ]
 
 
-def svc_loss(K, y, C: float) -> tuple[float, np.ndarray]:
-    """Maximized SVM dual value for a fixed kernel, plus the maximizing alphas.
-
-    This is the inner max of the alignment min-max problem; lower values
-    mean the kernel separates the labels with a larger margin.
-    """
-    model = svc_fit(K, y, C)
-    return model.dual_objective, model.alphas
-
-
-# SPSA gain-schedule exponents: Spall's standard values (IEEE Trans. Aerosp.
-# Electron. Syst. 34(3), 1998)
+# SPSA gain schedule: Spall's standard exponents (IEEE Trans. Aerosp.
+# Electron. Syst. 34(3), 1998), the perturbation size c0 and the step
+# schedule's stability offset A_stab
 SPSA_ALPHA = 0.602
 SPSA_GAMMA = 0.101
+SPSA_C0 = 0.15
+SPSA_A_STAB = 5.0
 
 
 @dataclass(frozen=True)
 class SpsaConfig:
-    """Gain schedule and budget for the SPSA optimizer.
+    """Step size and budget for the SPSA optimizer.
 
-    Step sizes follow a_k = a0 / (k + 1 + A_stab)^SPSA_ALPHA and perturbation
-    sizes c_k = c0 / (k + 1)^SPSA_GAMMA, the standard slowly decaying pair.
+    Step sizes follow a_k = a0 / (k + 1 + SPSA_A_STAB)^SPSA_ALPHA and
+    perturbation sizes c_k = SPSA_C0 / (k + 1)^SPSA_GAMMA.
     """
 
     a0: float = 0.25
-    c0: float = 0.15
-    A_stab: float = 5.0
     max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a0", _checks.positive(self.a0, "a0"))
-        object.__setattr__(self, "c0", _checks.positive(self.c0, "c0"))
-        object.__setattr__(self, "A_stab", _checks.non_negative(self.A_stab, "A_stab"))
         object.__setattr__(self, "max_iter", _checks.whole(self.max_iter, "max_iter", 0))
         object.__setattr__(self, "seed", _checks.whole(self.seed, "seed"))
 
@@ -81,16 +69,16 @@ class AlignmentState:
 
     loss_trace holds (iteration, loss) rows: row 0 is the loss at the
     initial parameters, row k the smaller of the two probe evaluations of
-    SPSA step k. lam_best/loss_best track the best parameters over every
-    objective evaluation, probes included. sv_counts records the number of
-    support vectors seen at each evaluation, in order.
+    SPSA step k, so a run took len(loss_trace) - 1 steps. lam_best/loss_best
+    track the best parameters over every objective evaluation, probes
+    included. sv_counts records the number of support vectors seen at each
+    evaluation, in order.
     """
 
     lam_current: np.ndarray
     lam_best: np.ndarray
     loss_best: float
     loss_trace: tuple[tuple[int, float], ...]
-    iteration: int
     sv_counts: tuple[int, ...]
     seed: int
 
@@ -120,15 +108,41 @@ def spsa_gradient(f, lam, c_k: float, delta) -> np.ndarray:
     return (f_plus - f_minus) / (2.0 * c_k * delta)
 
 
+def _dead_map(spec: FeatureMapSpec) -> bool:
+    """True when no choice of trainable angles moves the kernel of the map.
+
+    Z data rotations with Z or P trainable ones keep |0...0> up to a phase,
+    since CNOTs only permute basis states. X rotations and CNOTs keep the X
+    basis, so with both axes X the angles cancel in every overlap. In one
+    layer a trainable Z or P acts on |0> as a phase, and one on the data axis
+    adds to the data angle and cancels between the two points; the same
+    happens on every layer of a product map (one qubit, or no entangler).
+    """
+    data, trainable = spec.data_axis, spec.trainable_axis
+    product = spec.n_qubits == 1 or spec.entanglement == "none"
+    return ((data == "rz" and trainable in ("rz", "p"))
+            or data == trainable == "rx"
+            or (spec.n_layers == 1 and trainable in ("rz", "p", data))
+            or (product and trainable == data))
+
+
 def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> AlignmentState:
     """Minimize the maximized SVM dual over the encoding parameters.
 
     SPSA starts from cfg.params. Each objective evaluation binds a candidate
     vector to cfg, builds the Gram on X, and solves the SVM dual at capacity
-    C. Parameters move by lam <- lam - a_k * ghat with no projection, since
-    every rotation angle is periodic.
+    C; the loss is its dual_objective, lower when the kernel separates the
+    labels with a larger margin. Parameters move by lam <- lam - a_k * ghat
+    with no projection, since every rotation angle is periodic. A map whose
+    kernel no angle can move is refused with a ValueError.
     """
     X = _checks.points(X, "X")
+    spec = cfg.spec
+    if _dead_map(spec):
+        raise ValueError(
+            f"no trainable angle moves the kernel of a {spec.n_layers}-layer map with "
+            f"data axis {spec.data_axis}, trainable axis {spec.trainable_axis} and "
+            f"entanglement {spec.entanglement}: there is nothing to align")
     lam = cfg.params.copy()
 
     rng = np.random.default_rng(rng_entropy(spsa.seed))
@@ -137,17 +151,17 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
 
     def objective(candidate: np.ndarray) -> float:
         bound = replace(cfg, params=np.asarray(candidate, dtype=float))
-        loss, alphas = svc_loss(gram_matrix(bound, X), y, C)
-        sv_counts.append(int(np.sum(alphas > SUPPORT_THRESHOLD)))
-        if loss < best["loss"]:
-            best["loss"] = loss
+        model = svc_fit(gram_matrix(bound, X), y, C)
+        sv_counts.append(int(model.support_indices.size))
+        if model.dual_objective < best["loss"]:
+            best["loss"] = model.dual_objective
             best["lam"] = np.array(candidate, dtype=float)
-        return loss
+        return model.dual_objective
 
     trace: list[tuple[int, float]] = [(0, objective(lam))]
     for k in range(spsa.max_iter):
-        a_k = spsa.a0 / (k + 1 + spsa.A_stab) ** SPSA_ALPHA
-        c_k = spsa.c0 / (k + 1) ** SPSA_GAMMA
+        a_k = spsa.a0 / (k + 1 + SPSA_A_STAB) ** SPSA_ALPHA
+        c_k = SPSA_C0 / (k + 1) ** SPSA_GAMMA
         delta = rng.integers(0, 2, size=lam.size).astype(float) * 2.0 - 1.0
         probes: list[float] = []
 
@@ -165,7 +179,6 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
         lam_best=best["lam"],
         loss_best=float(best["loss"]),
         loss_trace=tuple(trace),
-        iteration=spsa.max_iter,
         sv_counts=tuple(sv_counts),
         seed=spsa.seed,
     )
@@ -294,5 +307,5 @@ def export_embedding(state: AlignmentState, spec: FeatureMapSpec) -> EmbeddingAr
         loss_best=float(state.loss_best),
         task="classification",
         seed=state.seed,
-        iterations=state.iteration,
+        iterations=len(state.loss_trace) - 1,
     )

@@ -180,8 +180,6 @@ SCALAR_CASES = table(
         "FeatureMapSpec-data_scaling": ("data_scaling", FINITE,
                                         lambda v: FeatureMapSpec(data_scaling=v)),
         "SpsaConfig-a0": ("a0", POSITIVE, lambda v: SpsaConfig(a0=v)),
-        "SpsaConfig-c0": ("c0", POSITIVE, lambda v: SpsaConfig(c0=v)),
-        "SpsaConfig-A_stab": ("A_stab", NON_NEGATIVE, lambda v: SpsaConfig(A_stab=v)),
         "spsa_gradient-c_k": ("c_k", POSITIVE,
                               lambda v: spsa_gradient(lambda lam: 0.0, [0.0], v, [1.0])),
         "MlkrrConfig-gamma": ("gamma", POSITIVE, lambda v: MlkrrConfig(gamma=v)),

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +13,10 @@ import pytest
 import qkflow
 from oracles import one_layer_gram_oracle
 from qkflow.classical_kernels import ClassicalKernel
-from qkflow.cli import _kernel_choice, build_parser, run_command
+from qkflow.cli import _kernel_choice, _training_gram, build_parser, run_command
 from qkflow.datasets import load_csv, normalize_unit_sphere
 from qkflow.featuremap import FeatureMapSpec
-from qkflow.kernel_methods import SMO_GAP, SUPPORT_THRESHOLD
+from qkflow.kernel_methods import SMO_GAP, SUPPORT_THRESHOLD, svc_fit
 from qkflow.model_io import (
     MODEL_KINDS,
     evaluate_cross,
@@ -26,7 +26,7 @@ from qkflow.model_io import (
     model_from_payload,
 )
 from qkflow.qkernel import KernelEngineConfig
-from qkflow.training import MlkrrConfig, SpsaConfig, svc_loss
+from qkflow.training import MlkrrConfig, SpsaConfig
 
 
 def run(*argv):
@@ -483,19 +483,53 @@ def test_predict_with_missing_data_is_exit_two(tmp_path):
     assert run("predict", "--model", str(model), "--data", str(tmp_path / "missing.csv")) == 2
 
 
-@pytest.mark.parametrize("flag, value, field, rule", [
-    ("--stability", "nan", "A_stab", "finite and non-negative"),
-    ("--a0", "inf", "a0", "positive and finite"),
-    ("--c0", "inf", "c0", "positive and finite"),
-], ids=["--stability-nan-A_stab", "--a0-inf-a0", "--c0-inf-c0"])
-def test_align_rejects_a_non_finite_gain(tmp_path, capsys, flag, value, field, rule):
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_align_rejects_a_non_finite_gain(tmp_path, capsys, value):
     data, emb = tmp_path / "hr.csv", tmp_path / "emb.json"
     run("gen-data", "--kind", "hidden_rotation", "--m", "8", "--seed", "2", "--out", str(data))
     capsys.readouterr()
-    rc = run("align", "--data", str(data), "--spsa-iters", "2", flag, value, "--out", str(emb))
+    rc = run("align", "--data", str(data), "--spsa-iters", "2", "--a0", value, "--out", str(emb))
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {field} must be {rule}, got {value}\n"
+    assert capsys.readouterr().err == f"error: a0 must be positive and finite, got {value}\n"
     assert not emb.exists()
+
+
+@pytest.mark.parametrize("flag", ["--c0", "--stability"])
+def test_align_has_no_flag_for_the_fixed_spsa_constants(tmp_path, capsys, flag):
+    """The perturbation size and the stability offset are SPSA_C0 and
+    SPSA_A_STAB, not options."""
+    emb = tmp_path / "emb.json"
+    rc = run("align", "--data", str(tmp_path / "hr.csv"), flag, "0.2", "--out", str(emb))
+    assert rc == 1
+    assert f"unrecognized arguments: {flag} 0.2" in capsys.readouterr().err
+    assert not emb.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--data-axis", "rz", "--trainable-axis", "p", "--qubits", "2", "--layers", "2"),
+     "2-layer map with data axis rz, trainable axis p and entanglement linear_chain"),
+    (("--data-axis", "rx", "--trainable-axis", "rx", "--qubits", "3", "--layers", "3",
+      "--entanglement", "ring"),
+     "3-layer map with data axis rx, trainable axis rx and entanglement ring"),
+    (("--data-axis", "ry", "--trainable-axis", "rz", "--qubits", "2", "--layers", "1"),
+     "1-layer map with data axis ry, trainable axis rz and entanglement linear_chain"),
+    (("--data-axis", "ry", "--trainable-axis", "ry", "--qubits", "3", "--layers", "2",
+      "--entanglement", "none"),
+     "2-layer map with data axis ry, trainable axis ry and entanglement none"),
+], ids=["z-data-z-or-p-angles", "x-data-x-angles", "one-layer", "product-map-same-axis"])
+def test_align_refuses_a_map_whose_kernel_no_angle_moves(tmp_path, capsys, flags, message):
+    """Aligning such a map would run SPSA on a flat loss and save its start."""
+    data, emb = tmp_path / "b.csv", tmp_path / "emb.json"
+    run("gen-data", "--kind", "blobs", "--m", "12", "--seed", "1", "--out", str(data))
+    capsys.readouterr()
+    rc = run("align", "--data", str(data), *flags, "--spsa-iters", "2", "--out", str(emb))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: no trainable angle moves the kernel of a {message}: there is nothing to align\n")
+    assert not emb.exists()
+    # the other commands still take the map
+    assert run("kernel", "--data", str(data), "--kernel", "quantum", *flags,
+               "--out", str(tmp_path / "K.csv")) == 0
 
 
 def test_predict_rejects_embedding_model(tmp_path, capsys):
@@ -752,16 +786,50 @@ def test_train_is_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
-@pytest.mark.parametrize("method", ["svc", "svr"])
-def test_svc_and_svr_train_on_a_shot_gram(tmp_path, method):
-    """A shot Gram draws each pair once, so it is symmetric and the solvers take it."""
+SHOT_KERNEL = ("--kernel", "quantum", "--qubits", "2", "--mode", "shots", "--shots", "100")
+
+
+@pytest.mark.parametrize("method", ["svc", "svr", "krr"])
+def test_svc_svr_and_krr_train_on_a_shot_gram(tmp_path, method):
+    """A shot Gram draws each pair once, so it is symmetric; its negative
+    eigenvalues are clipped, so krr's Cholesky takes it too."""
     data, model, preds = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
     assert run("gen-data", "--kind", "blobs", "--m", "20", "--seed", "1", "--out", str(data)) == 0
-    assert run("train", "--method", method, "--kernel", "quantum", "--qubits", "2",
-               "--mode", "shots", "--shots", "100", "--C", "10",
+    assert run("train", "--method", method, *SHOT_KERNEL, "--C", "10",
                "--data", str(data), "--out", str(model)) == 0
     assert load_model(model).kind == method
     assert run("predict", "--model", str(model), "--data", str(data), "--out", str(preds)) == 0
+
+
+@pytest.mark.parametrize("command, flags, lines", [
+    ("kpca", (), 20),  # one row of projections per point
+    ("cluster", ("--clusters", "3"), 21),  # a header, then one id per point
+])
+def test_kpca_and_cluster_run_on_a_shot_gram(tmp_path, command, flags, lines):
+    data, out = tmp_path / "d.csv", tmp_path / "out.csv"
+    assert run("gen-data", "--kind", "blobs", "--m", "20", "--seed", "1", "--out", str(data)) == 0
+    assert run(command, *SHOT_KERNEL, *flags, "--data", str(data), "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == lines
+
+
+def test_only_a_shot_quantum_gram_is_clipped_for_fitting(tmp_path):
+    """`kernel` writes the raw sampled Gram, which has negative eigenvalues;
+    the Gram a fit reads is its PSD part, symmetric to the bit. Every other
+    Gram reaches the fit as evaluate_gram returns it."""
+    data, K_csv = tmp_path / "d.csv", tmp_path / "K.csv"
+    assert run("gen-data", "--kind", "blobs", "--m", "20", "--seed", "1", "--out", str(data)) == 0
+    assert run("kernel", *SHOT_KERNEL, "--data", str(data), "--out", str(K_csv)) == 0
+    raw = np.loadtxt(K_csv, delimiter=",")
+    features = load_csv(data).features
+    shots = KernelEngineConfig(FeatureMapSpec(n_qubits=2), np.zeros(2), mode="shots", shots=100)
+    np.testing.assert_array_equal(evaluate_gram(shots, features).values, raw)
+    assert np.linalg.eigvalsh(raw)[0] < -0.1
+    fitted = _training_gram(shots, features).values
+    np.testing.assert_array_equal(fitted, fitted.T)
+    assert np.linalg.eigvalsh(fitted)[0] > -1e-12
+    for kernel in (replace(shots, mode="exact", shots=None), ClassicalKernel.gaussian_metric(0.5)):
+        np.testing.assert_array_equal(_training_gram(kernel, features).values,
+                                      evaluate_gram(kernel, features).values)
 
 
 def test_normalize_is_recorded_and_applied_at_predict_time(tmp_path):
@@ -1015,8 +1083,8 @@ def test_readme_align_reaches_the_pinned_loss(tmp_path):
     # and that matrix is PSD, so the loss falls as c grows: c = 1 is the
     # global optimum, whatever path SPSA takes. SMO stops within SMO_GAP of it.
     ds = load_csv(data)
-    optimum, _ = svc_loss(one_layer_gram_oracle(FeatureMapSpec(1, 1), np.zeros(1), ds.features),
-                          ds.labels, 10.0)
+    optimum = svc_fit(one_layer_gram_oracle(FeatureMapSpec(1, 1), np.zeros(1), ds.features),
+                      ds.labels, 10.0).dual_objective
     print(f"loss_best {loss_best:.9f}, optimum {optimum:.9f}, gap {loss_best - optimum:.3e}")
     assert loss_best >= optimum - SMO_GAP
 

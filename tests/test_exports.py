@@ -60,7 +60,6 @@ PUBLIC = {
         "save_model",
         "svc_decision",
         "svc_fit",
-        "svc_loss",
         "svc_predict",
         "svr_fit",
         "svr_predict",
@@ -153,7 +152,6 @@ PUBLIC = {
         "mlkrr_loss_gradient",
         "qka_align",
         "spsa_gradient",
-        "svc_loss",
     },
 }
 
