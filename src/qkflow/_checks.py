@@ -6,11 +6,13 @@ the same way wherever it goes in. A refusal is a ValueError of the form
 "<name> must be <rule>, got <what>".
 
     points        a non-empty 2-D matrix of finite numbers, one point per row
+    cross_points  two point matrices of as many features each
     point         a non-empty flat vector of finite numbers, one point
     params        a flat vector of finite numbers, of a given length
     targets       one finite number per point (a column is flattened)
     square        a non-empty square matrix of finite numbers
     whole         an integral number, never truncated, within optional bounds
+    rng_entropy   a seed, any integer, as numpy's generators take it: mod 2**64
     finite, positive, non_negative
                   one real number
     one_of        one value of a fixed set
@@ -37,6 +39,13 @@ def _finite_array(values, name: str, rule: str, fits) -> np.ndarray:
 def points(values, name: str) -> np.ndarray:
     return _finite_array(values, name, "a non-empty 2-D matrix of finite numbers",
                          lambda shape: len(shape) == 2 and min(shape) >= 1)
+
+
+def cross_points(data_new, data_train) -> tuple[np.ndarray, np.ndarray]:
+    new, train = points(data_new, "data_new"), points(data_train, "data_train")
+    if new.shape[1] != train.shape[1]:
+        raise ValueError(f"feature dimensions differ: {new.shape[1]} vs {train.shape[1]}")
+    return new, train
 
 
 def point(values, name: str) -> np.ndarray:
@@ -78,13 +87,19 @@ def whole(value, name: str, low: int | None = None, high: int | None = None) -> 
     raise ValueError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 
+def rng_entropy(seed) -> int:
+    return whole(seed, "seed") % (1 << 64)
+
+
 def _scalar(value, name: str, rule: str, holds) -> float:
     """`value` as a float, if it is a number (not a numeric string) that holds."""
-    if not isinstance(value, str):
-        value = float(value)
-        if holds(value):
-            return value
-    raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
+    try:
+        number = None if isinstance(value, str) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is not None and holds(number):
+        return number
+    raise ValueError(f"{name} must be {rule}, got {_shown(value if number is None else number)}")
 
 
 def finite(value, name: str) -> float:

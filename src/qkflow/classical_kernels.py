@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .qkernel import GramMatrix, _cross_points, _tiled_products
+from .qkernel import GramMatrix, _tiled_products
 
 __all__ = [
     "CLASSICAL_KINDS",
@@ -173,4 +173,4 @@ def classical_gram(kernel: ClassicalKernel, data) -> GramMatrix:
 
 def classical_cross(kernel: ClassicalKernel, data_new, data_train) -> np.ndarray:
     """Rectangular block K[i][j] = k(data_new[i], data_train[j])."""
-    return _block(kernel, *_cross_points(data_new, data_train))
+    return _block(kernel, *_checks.cross_points(data_new, data_train))

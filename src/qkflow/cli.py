@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from .classical_kernels import CLASSICAL_KINDS, CLASSICAL_PARAMS, ClassicalKernel
 from .datasets import (
     SYNTHETIC_KINDS,
@@ -54,7 +55,6 @@ from .model_io import (
     save_model,
 )
 from .qkernel import CIRCUIT_KINDS, MODES, GramMatrix, KernelEngineConfig
-from .statevector import rng_entropy
 from .training import MlkrrConfig, SpsaConfig, export_embedding, mlkrr_fit, qka_align
 
 __all__ = ["run_command", "main"]
@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _role_seed(seed: int, role: int) -> int:
-    stream = np.random.SeedSequence(rng_entropy(seed), spawn_key=(role,))
+    stream = np.random.SeedSequence(_checks.rng_entropy(seed), spawn_key=(role,))
     return int(stream.generate_state(1, np.uint64)[0])
 
 
@@ -299,8 +299,7 @@ def _cmd_predict(args) -> int:
     kernel = kernel_from_json(model_file.kernel)
     model, train, normalize = model_from_payload(model_file.kind, model_file.payload)
     ds = _load_dataset(args.data, args.label_column, normalize)
-    if ds.features.shape[1] != train.shape[1]:
-        raise ValueError(f"feature dimensions differ: {ds.features.shape[1]} vs {train.shape[1]}")
+    _checks.cross_points(ds.features, train)
     # A kernel entry depends on its own two points alone, so only columns with
     # a nonzero weight are evaluated and the rest stay 0: a zero weight adds a
     # signed zero, which cannot change a nonzero sum.

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .statevector import rng_entropy
 
 __all__ = [
     "SYNTHETIC_KINDS",
@@ -157,7 +156,7 @@ def gen_synthetic(kind: str, m: int, seed: int, params: dict | None = None) -> D
     _checks.one_of(kind, SYNTHETIC_KINDS, "kind")
     m = _checks.whole(m, "m", 2)
     params = {name: _checks.finite(value, name) for name, value in (params or {}).items()}
-    rng = np.random.default_rng(rng_entropy(seed))
+    rng = np.random.default_rng(_checks.rng_entropy(seed))
     n_first = (m + 1) // 2
     n_second = m - n_first
 

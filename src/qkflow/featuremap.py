@@ -17,8 +17,8 @@ The circuit is written down once, in `_encoding_angles`, as (kind, targets,
 angles) for a whole block of points. `encoding_gates` turns it into
 `statevector.apply_gates` triples, with 2x2 matrix stacks in place of
 angles, and `encode_states` runs them on a block of |0...0> columns.
-A one-layer Gram runs each qubit's rotations from these gates, and their
-adjoint (`statevector._adjoint`), on a one-qubit block.
+A one-layer kernel reads each qubit's rotations from `_encoding_angles`
+and inverts them as the same rotations reversed at negated angles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .statevector import _zero_block, apply_gates, rotation_matrices, rng_entropy
+from .statevector import _zero_block, apply_gates, rotation_matrices
 
 __all__ = [
     "DATA_AXES",
@@ -131,5 +131,5 @@ def encode_states(spec: FeatureMapSpec, points: np.ndarray, params: np.ndarray) 
 
 def random_params(spec: FeatureMapSpec, seed: int) -> np.ndarray:
     """Draw an initial parameter vector uniformly from [-pi, pi]."""
-    rng = np.random.default_rng(rng_entropy(seed))
+    rng = np.random.default_rng(_checks.rng_entropy(seed))
     return rng.uniform(-np.pi, np.pi, size=param_count(spec))

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import _checks
 from .qkernel import GramMatrix
-from .statevector import rng_entropy
 
 __all__ = [
     "SUPPORT_THRESHOLD",
@@ -416,7 +415,7 @@ def kernel_kmeans(K, n_clusters: int, seed: int) -> tuple[np.ndarray, list[float
     values = _gram_values(K)
     m = values.shape[0]
     n_clusters = _checks.whole(n_clusters, "n_clusters", 1, m)
-    rng = np.random.default_rng(rng_entropy(seed))
+    rng = np.random.default_rng(_checks.rng_entropy(seed))
     diag = np.diag(values).copy()
 
     def point_dists(index: int) -> np.ndarray:

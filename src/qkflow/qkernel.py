@@ -26,15 +26,18 @@ of re and negates im exactly, so K(b, a) is K(a, b) transposed to the bit. A
 Gram of two or more layers compares states the same way, so its exact
 entries are bit-equal to the cross-Gram of the points with themselves.
 
-A one-layer Gram, of either circuit kind, is a product over qubits. U(x) is
-V(x) and then CNOTs that do not depend on x, and V(x) is one pair of
+A one-layer kernel, of either circuit kind, is a product over qubits. U(x)
+is V(x) and then CNOTs that do not depend on x, and V(x) is one pair of
 rotations u_q(x) per qubit, so k(x_i, x_j) is the product over q of the
-one-qubit inversion tests |<0|u_q(x_j)^dag u_q(x_i)|0>|^2 (`_inversion_tests`).
-An entry gets the same operations whatever slice of pairs holds it, so each
-entry has its bits; on one qubit they are those of simulating the pair on
-its own with negated angles, up to the signs of zeros. `gram_matrix` lists
-the pairs i < j once, row by row, and every Gram hands the measurement step
-its entries in that order.
+one-qubit fidelities |<0|u_q(x_j)^dag u_q(x_i)|0>|^2 and no 2**n amplitudes
+are held (`_qubit_blocks`). A Gram runs each pair's one-qubit inversion
+tests (`_inversion_tests`), u_q(x_j)^dag being u_q(x_j)'s rotations reversed
+at negated angles; a cross-Gram multiplies each qubit's `_tiled_products`.
+On one qubit a Gram entry has the bits of simulating its pair alone (or is
+within 2 eps of them for data axis rz with trainable rz or p, a kernel of
+1), and a cross-Gram those of the state product. `gram_matrix` lists the
+pairs i < j once, row by row, and every Gram hands the measurement step its
+entries in that order.
 
 Every call is two steps: the exact fidelities, then one measurement step.
 Exact mode returns the fidelities as they are. Shots mode makes one draw
@@ -51,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .featuremap import FeatureMapSpec, encode_states, encoding_gates, param_count
-from .statevector import _adjoint, _checked_qubits, _zero_block, apply_gates, rng_entropy
+from .featuremap import FeatureMapSpec, _encoding_angles, encode_states, param_count
+from .statevector import _checked_qubits, _zero_block, apply_gates, rotation_matrices
 
 __all__ = [
     "MODES",
@@ -117,16 +120,6 @@ class GramMatrix:
         object.__setattr__(self, "values", _checks.square(self.values, "Gram matrix"))
 
 
-def _cross_points(data_new, data_train) -> tuple[np.ndarray, np.ndarray]:
-    new_points = _checks.points(data_new, "data_new")
-    train_points = _checks.points(data_train, "data_train")
-    if new_points.shape[1] != train_points.shape[1]:
-        raise ValueError(
-            f"feature dimensions differ: {new_points.shape[1]} vs {train_points.shape[1]}"
-        )
-    return new_points, train_points
-
-
 def _tile(block: np.ndarray, start: int) -> np.ndarray:
     """Columns start..start + TILE_POINTS of `block` as a C-contiguous stack of
     (real, imaginary) parts, or of the one real part, zero-padded to
@@ -165,25 +158,32 @@ def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(re * re + im * im, 0.0, 1.0)
 
 
+def _qubit_blocks(cfg, points):
+    """For each qubit q in turn, u_q(x)'s rotations as (kind, angles), in
+    circuit order, and the one-qubit block of the states u_q(x_r)|0>."""
+    _checked_qubits(cfg.spec.n_qubits)
+    gates = _encoding_angles(cfg.spec, points, cfg.params)
+    for q in range(cfg.spec.n_qubits):
+        rotations = [(kind, a) for kind, t, a in gates if t == (q,)]
+        states = _zero_block(len(points), 1)
+        apply_gates(states, 1, [(kind, (0,), rotation_matrices(kind, a)) for kind, a in rotations])
+        yield rotations, states
+
+
 def _inversion_tests(cfg, points, rows, cols) -> np.ndarray:
     """Exact k(x_i, x_j) of the pairs (rows[k], cols[k]), in that order, of a
     one-layer map: the product, in qubit order, of the one-qubit inversion
-    tests P(0) after u_q(x_j)^dag u_q(x_i)|0>, u_q(x) being qubit q's two
-    rotations. Each qubit encodes the points once; its pairs then run in
+    tests P(0) after u_q(x_j)^dag u_q(x_i)|0>, where u_q(x_j)^dag runs
+    u_q(x_j)'s rotations in reverse at negated angles. The pairs run in
     slices of PAIR_SLICE, one per column with its own matrices, so a pair's
     operations do not depend on its slice."""
-    _checked_qubits(cfg.spec.n_qubits)
-    gates = encoding_gates(cfg.spec, points, cfg.params)
     K = np.ones(rows.size)
-    for q in range(cfg.spec.n_qubits):
-        rotations = [(kind, (0,), m) for kind, t, m in gates if t == (q,)]
-        states = _zero_block(len(points), 1)
-        apply_gates(states, 1, rotations)
-        adjoint = _adjoint(rotations)
+    for rotations, states in _qubit_blocks(cfg, points):
+        inverse = [(kind, (0,), rotation_matrices(kind, -a)) for kind, a in reversed(rotations)]
         for start in range(0, rows.size, PAIR_SLICE):
             i, j = rows[start:start + PAIR_SLICE], cols[start:start + PAIR_SLICE]
             block = np.take(states, i, axis=1)
-            apply_gates(block, 1, [(kind, t, m if len(m) == 1 else m[j]) for kind, t, m in adjoint])
+            apply_gates(block, 1, [(kind, t, m if len(m) == 1 else m[j]) for kind, t, m in inverse])
             # Bit-equal to the scalar abs(a) ** 2 of a Python complex, which is
             # hypot then libm pow; np.abs(a) ** 2 does not reproduce it.
             K[start:start + PAIR_SLICE] *= np.float_power(np.hypot(block[0].real, block[0].imag), 2.0)
@@ -199,7 +199,7 @@ def _measured(cfg, K: np.ndarray) -> np.ndarray:
     """
     if cfg.mode == "exact":
         return K
-    rng = np.random.default_rng(rng_entropy(cfg.seed))
+    rng = np.random.default_rng(_checks.rng_entropy(cfg.seed))
     if cfg.circuit_kind == "inversion":
         return rng.binomial(cfg.shots, K) / cfg.shots
     successes = rng.binomial(cfg.shots, 0.5 + 0.5 * K)
@@ -231,8 +231,15 @@ def gram_matrix(cfg: KernelEngineConfig, data) -> GramMatrix:
 
 def cross_gram(cfg: KernelEngineConfig, data_new, data_train) -> np.ndarray:
     """Rectangular kernel block K[i][j] = k(data_new[i], data_train[j]), from
-    the overlaps of states encoded once per point, for either circuit kind."""
-    new_points, train_points = _cross_points(data_new, data_train)
-    exact = _tiled_products(encode_states(cfg.spec, new_points, cfg.params),
-                            encode_states(cfg.spec, train_points, cfg.params), _fidelities)
+    the overlaps of states encoded once per point (and qubit, at one layer),
+    for either circuit kind."""
+    new_points, train_points = _checks.cross_points(data_new, data_train)
+    if cfg.spec.n_layers == 1:
+        exact = np.ones((len(new_points), len(train_points)))
+        for (_, new), (_, train) in zip(_qubit_blocks(cfg, new_points),
+                                        _qubit_blocks(cfg, train_points)):
+            exact *= _tiled_products(new, train, _fidelities)
+    else:
+        exact = _tiled_products(encode_states(cfg.spec, new_points, cfg.params),
+                                encode_states(cfg.spec, train_points, cfg.params), _fidelities)
     return _measured(cfg, exact)

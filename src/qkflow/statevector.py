@@ -11,16 +11,14 @@ materialized.
 `apply_gates` is the one gate loop. It takes gates as ``(kind, targets,
 matrices)`` and gives a block's columns one shared 2x2 matrix or one each;
 `rotation_matrices` makes those matrices from angles. The feature-map
-encoder builds its gates in this form, and a one-layer Gram runs each
-qubit's rotations, and their adjoint (`_adjoint`), through the same loop on
-one-qubit blocks.
+encoder builds its gates in this form, and a one-layer kernel runs each
+qubit's rotations, and their inverse at negated angles, through the same
+loop on one-qubit blocks. The module imports no other qkflow module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import _checks
 
 __all__ = [
     "MAX_QUBITS",
@@ -181,16 +179,3 @@ def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
             _apply_cnot_inplace(amps, n_qubits, targets[0], targets[1], scratch)
         else:
             _apply_single_inplace(amps, targets[0], matrices, scratch)
-
-
-def _adjoint(gates: list) -> list:
-    """The inverse circuit: `gates` reversed, every matrix conjugate-transposed.
-    R(t)^dag has the value of R(-t); only the signs of zeros can differ. The
-    stacks are copied C-contiguous: per-pair rows gather faster from them."""
-    return [(kind, t, None if m is None else np.ascontiguousarray(m.conj().transpose(0, 2, 1)))
-            for kind, t, m in reversed(gates)]
-
-
-def rng_entropy(seed: int) -> int:
-    """Map an arbitrary integer seed onto the non-negative range numpy accepts."""
-    return _checks.whole(seed, "seed") % (1 << 64)

@@ -20,7 +20,6 @@ from .classical_kernels import ClassicalKernel, classical_gram
 from .featuremap import FeatureMapSpec, param_count
 from .kernel_methods import TrainedKRR, krr_fit, svc_fit
 from .qkernel import KernelEngineConfig, gram_matrix
-from .statevector import rng_entropy
 
 __all__ = [
     "SpsaConfig",
@@ -145,7 +144,7 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
             f"entanglement {spec.entanglement}: there is nothing to align")
     lam = cfg.params.copy()
 
-    rng = np.random.default_rng(rng_entropy(spsa.seed))
+    rng = np.random.default_rng(_checks.rng_entropy(spsa.seed))
     sv_counts: list[int] = []
     best = {"loss": np.inf, "lam": lam.copy()}
 

@@ -32,9 +32,9 @@ from qkflow import (
     svc_fit,
     svr_fit,
 )
+from qkflow._checks import rng_entropy
 from qkflow.featuremap import encode_states, encoding_gates
 from qkflow.model_io import embedding_to_model_file, kernel_from_json, kernel_to_json
-from qkflow.statevector import rng_entropy
 from qkflow.training import EmbeddingArtifact, spsa_gradient
 
 SPEC = FeatureMapSpec(n_qubits=1, n_layers=1)
@@ -172,7 +172,9 @@ WHOLE_CASES = table(
 
 POSITIVE, NON_NEGATIVE, FINITE = "positive and finite", "finite and non-negative", "finite"
 SCALAR_CASES = table(
-    {"inf": (np.inf, "inf"), "nan": (np.nan, "nan")},
+    {"inf": (np.inf, "inf"), "nan": (np.nan, "nan"), "None": (None, "None"),
+     "list": ([1.0], "[1.0]"), "array": (np.array([1.0, 2.0]), "[1. 2.]"),
+     "complex": (1 + 2j, "(1+2j)")},
     {
         "ClassicalKernel-c": ("c", FINITE, lambda v: ClassicalKernel.polynomial(c=v)),
         "ClassicalKernel-sigma": ("sigma", POSITIVE, lambda v: ClassicalKernel.exponential(v)),

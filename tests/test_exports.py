@@ -1,8 +1,11 @@
 """Every name a qkflow module exports in `__all__` resolves and is listed
-once, and every module exports exactly the pinned names."""
+once, every module exports exactly the pinned names, and only the encoder
+and the kernels import the simulator."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +162,24 @@ PUBLIC = {
 @pytest.mark.parametrize("name", MODULES)
 def test_public_names_are_pinned(name):
     assert set(importlib.import_module(name).__all__) == PUBLIC[name]
+
+
+def qkflow_imports(name):
+    """The qkflow modules that module `name` imports, relatively or not, read
+    from its source."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(importlib.import_module(name).__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qkflow" if node.level else None, node.module]))
+            found.update([base] + [f"{base}.{alias.name}" for alias in node.names])
+    return found & set(MODULES)
+
+
+def test_only_the_encoder_and_the_kernels_reach_the_simulator():
+    """The layering: `statevector` only simulates and imports no qkflow
+    module, and only `featuremap` and `qkernel` import it."""
+    assert qkflow_imports("qkflow.statevector") == set()
+    assert {name for name in MODULES if "qkflow.statevector" in qkflow_imports(name)} == {
+        "qkflow.featuremap", "qkflow.qkernel"}

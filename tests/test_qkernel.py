@@ -311,13 +311,25 @@ def reference_cross(cfg, A, B):
     return np.array([[reference_fidelity(cfg, a, b) for b in B] for a in A])
 
 
+def assert_one_qubit_bits(cfg, K, expected):
+    """A one-qubit, one-layer Gram runs the per-pair inversion test's
+    operations and has the oracle's bits, except for a data axis rz with a
+    trainable axis rz or p: both rotations are diagonal, the kernel is 1, and
+    an entry may differ from the oracle's by up to 2 eps, depending on the
+    host's complex arithmetic."""
+    if cfg.spec.data_axis == "rz" and cfg.spec.trainable_axis in ("rz", "p"):
+        np.testing.assert_allclose(K, expected, rtol=0, atol=2 * np.finfo(float).eps)
+    else:
+        assert K.tobytes() == expected.tobytes()
+
+
 def assert_gram_matches_reference(cfg, X, K):
     """K, the Gram of X under cfg, against the per-pair inversion test. On one
-    qubit and one layer the exact Gram runs the per-pair test's operations and
-    has the oracle's bits. At one layer and n >= 2 qubits it is a product of
-    one-qubit inversion tests and lies within 4 * (n + 1) eps of the oracle
-    and of the closed form (at most 9 eps, or 2.33 * n eps, over 1,296 drawn
-    Grams of 2-8 qubits). Deeper, it compares states encoded once, summing over 2**n
+    qubit and one layer it has the oracle's bits (`assert_one_qubit_bits`).
+    At one layer and n >= 2 qubits it is a product of one-qubit inversion
+    tests and lies within 4 * (n + 1) eps of the oracle and of the closed
+    form (at most 9 eps, or 2.33 * n eps, over 1,296 drawn Grams of 2-8
+    qubits). Deeper, it compares states encoded once, summing over 2**n
     amplitudes, and lies within 4 * 2**n eps of the oracle. Shots mode is one
     draw over the library's exact Gram."""
     exact = gram_matrix(dataclasses.replace(cfg, mode="exact"), X).values
@@ -326,7 +338,7 @@ def assert_gram_matches_reference(cfg, X, K):
     if cfg.spec.n_layers > 1:
         np.testing.assert_allclose(exact, expected, rtol=0, atol=overlap_atol(n))
     elif n == 1:
-        np.testing.assert_array_equal(exact, expected)
+        assert_one_qubit_bits(cfg, exact, expected)
     else:
         for reference in (expected, one_layer_gram_oracle(cfg.spec, cfg.params, X)):
             np.testing.assert_allclose(exact, reference, rtol=0, atol=product_atol(n))
@@ -533,6 +545,22 @@ def test_inversion_gram_is_bitwise_the_per_pair_oracle(n_qubits, n_layers, entan
     assert_gram_matches_reference(cfg, X, gram_matrix(cfg, X).values)
 
 
+@pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
+@pytest.mark.parametrize("data_axis,trainable_axis,entanglement", AXIS_GRID)
+def test_a_one_qubit_one_layer_gram_has_the_per_pair_bits(data_axis, trainable_axis,
+                                                           entanglement, circuit_kind):
+    """Every rotation kind, both circuit kinds: a one-qubit, one-layer Gram,
+    whose u(x_j)^dag is u(x_j)'s rotations reversed at negated angles, has
+    the per-pair oracle's bits, but for the diagonal rz exception."""
+    rng = np.random.default_rng(300 + AXIS_GRID.index((data_axis, trainable_axis, entanglement)))
+    spec = FeatureMapSpec(1, 1, data_axis, trainable_axis, entanglement,
+                          data_scaling=float(rng.uniform(0.5, 1.5)))
+    cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, 1),
+                             circuit_kind=circuit_kind)
+    X = rng.uniform(-np.pi, np.pi, size=(30, 2))
+    assert_one_qubit_bits(cfg, gram_matrix(cfg, X).values, reference_gram(cfg, X))
+
+
 @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_inversion_gram_cancels_the_shared_entangler(monkeypatch, n_layers, entanglement):
@@ -674,31 +702,58 @@ def test_a_one_layer_gram_holds_no_register_of_two_to_the_n_amplitudes():
         assert peak < bound
 
 
+def test_a_one_layer_cross_gram_holds_no_register_of_two_to_the_n_amplitudes():
+    """The traced peak of a 14-qubit, one-layer cross-Gram of 60 x 60 points:
+    0.24 MiB from one-qubit blocks, where encoding both point sets on all
+    2**14 amplitudes took 62.2 MiB."""
+    spec = FeatureMapSpec(14, 1, entanglement="linear_chain")
+    cfg = KernelEngineConfig(spec=spec, params=np.linspace(-1.0, 1.0, 14))
+    X, Y = np.random.default_rng(14).uniform(-np.pi, np.pi, size=(2, 60, 2))
+    tracemalloc.start()
+    try:
+        cross_gram(cfg, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
 @pytest.mark.parametrize("mode", MODES)
 def test_cross_gram_encodes_each_point_once_and_simulates_no_pair(monkeypatch, mode,
                                                                   circuit_kind):
-    cfg = random_cfg(np.random.default_rng(8), circuit_kind=circuit_kind, mode=mode,
-                     shots=100 if mode == "shots" else None)
+    """A cross-Gram and a kernel value run no pair. A map of two layers
+    encodes each point once on its n qubits; a one-layer map encodes each
+    point once per qubit, on one-qubit blocks, in qubit order."""
     rng = np.random.default_rng(9)
     A = rng.uniform(-np.pi, np.pi, size=(5, 2))
     B = rng.uniform(-np.pi, np.pi, size=(7, 2))
     encoded = []
 
-    def counting(spec, points, params):
-        encoded.append(len(points))
-        return featuremap.encode_states(spec, points, params)
+    def zero_block(columns, n_qubits):
+        encoded.append((n_qubits, columns))
+        return statevector._zero_block(columns, n_qubits)
 
     def no_pairs(*args):
         raise AssertionError("a cross-Gram ran a per-pair inversion test")
 
-    monkeypatch.setattr(qkernel, "encode_states", counting)
+    for module in (featuremap, qkernel):
+        monkeypatch.setattr(module, "_zero_block", zero_block)
     monkeypatch.setattr(qkernel, "_inversion_tests", no_pairs)
-    assert cross_gram(cfg, A, B).shape == (len(A), len(B))
-    assert sum(encoded) == len(A) + len(B)
-    encoded.clear()
-    kernel_value(cfg, A[0], B[0])
-    assert sum(encoded) == 2
+    n = 3
+    for n_layers, blocks in ((1, lambda a, b: [(1, a), (1, b)] * n),
+                             (2, lambda a, b: [(n, a), (n, b)])):
+        spec = FeatureMapSpec(n, n_layers, data_axis="ry", trainable_axis="rx",
+                              entanglement="ring")
+        cfg = KernelEngineConfig(spec=spec, params=rng.uniform(-np.pi, np.pi, param_count(spec)),
+                                 circuit_kind=circuit_kind, mode=mode,
+                                 shots=100 if mode == "shots" else None)
+        encoded.clear()
+        assert cross_gram(cfg, A, B).shape == (len(A), len(B))
+        assert encoded == blocks(len(A), len(B))
+        encoded.clear()
+        kernel_value(cfg, A[0], B[0])
+        assert encoded == blocks(1, 1)
 
 
 @pytest.mark.parametrize("circuit_kind", CIRCUIT_KINDS)
