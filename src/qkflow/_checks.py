@@ -11,6 +11,8 @@ the same way wherever it goes in. A refusal is a ValueError of the form
     params        a flat vector of finite numbers, of a given length
     targets       one finite number per point (a column is flattened)
     square        a non-empty square matrix of finite numbers
+    cross_block   a matrix of finite numbers, one column per training point,
+                  new points against training points; a flat vector is one row
     whole         an integral number, never truncated, within optional bounds
     rng_entropy   a seed, any integer, as numpy's generators take it: mod 2**64
     finite, positive, non_negative
@@ -67,6 +69,13 @@ def targets(values, m: int, name: str) -> np.ndarray:
 def square(values, name: str) -> np.ndarray:
     return _finite_array(values, name, "a non-empty square matrix of finite numbers",
                          lambda shape: len(shape) == 2 and shape[0] == shape[1] >= 1)
+
+
+def cross_block(values, m: int, name: str) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    return _finite_array(array.reshape(1, -1) if array.ndim == 1 else array, name,
+                         f"a matrix of finite numbers, one column per training point ({m})",
+                         lambda shape: len(shape) == 2 and shape[1] == m)
 
 
 def _shown(value) -> str:

@@ -68,19 +68,9 @@ def _gram_values(K) -> np.ndarray:
     return values
 
 
-def _cross_values(K_new, m: int, name: str = "K_new") -> np.ndarray:
-    if isinstance(K_new, GramMatrix):
-        K_new = K_new.values
-    values = np.asarray(K_new, dtype=float)
-    if values.ndim == 1:
-        values = values.reshape(1, -1)
-    if values.ndim != 2 or values.shape[1] != m:
-        raise ValueError(
-            f"{name} must have one column per training point ({m}), got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return values
+def _cross_values(K_new, m: int) -> np.ndarray:
+    return _checks.cross_block(K_new.values if isinstance(K_new, GramMatrix) else K_new, m,
+                               "K_new")
 
 
 def _binary_labels(y, m: int) -> np.ndarray:
@@ -176,8 +166,8 @@ def _smo_steps(K: np.ndarray, z: np.ndarray, r: np.ndarray, C: float,
     zs, rs = z.tolist(), r.tolist()
     a = [0.0] * n
     g = np.zeros(n)  # g_k = sum_l a_l z_l Q_kl
-    up, low = _movable(np.zeros(n), z, C)
-    up_r, low_r = np.where(up, r, -np.inf), np.where(low, r, np.inf)
+    # at a = 0 a multiplier with z = +1 can only move up, one with z = -1 only down
+    up_r, low_r = np.where(z > 0, r, -np.inf), np.where(z < 0, r, np.inf)
     # -z_i grad_i of the minimization form where multiplier i can move, or +-inf
     score_up, score_low, step = np.empty(n), np.empty(n), np.empty(n)
     for _ in range(SMO_MAX_ITER):

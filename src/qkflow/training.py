@@ -64,14 +64,14 @@ class SpsaConfig:
 
 @dataclass(frozen=True, eq=False)
 class AlignmentState:
-    """Result of a quantum kernel alignment run.
+    """Result of a quantum kernel alignment run, read off its record of
+    evaluations: the start, then the two probes of each SPSA step.
 
-    loss_trace holds (iteration, loss) rows: row 0 is the loss at the
-    initial parameters, row k the smaller of the two probe evaluations of
-    SPSA step k, so a run took len(loss_trace) - 1 steps. lam_best/loss_best
-    track the best parameters over every objective evaluation, probes
-    included. sv_counts records the number of support vectors seen at each
-    evaluation, in order.
+    loss_best and lam_best are the first least loss of the record and its
+    candidate. loss_trace holds (iteration, loss) rows: row 0 is the loss at
+    the initial parameters, row k the smaller of the two probes of SPSA step
+    k, so a run took len(loss_trace) - 1 steps. sv_counts is the support
+    vector count of every evaluation, in order.
     """
 
     lam_current: np.ndarray
@@ -131,9 +131,11 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
     SPSA starts from cfg.params. Each objective evaluation binds a candidate
     vector to cfg, builds the Gram on X, and solves the SVM dual at capacity
     C; the loss is its dual_objective, lower when the kernel separates the
-    labels with a larger margin. Parameters move by lam <- lam - a_k * ghat
-    with no projection, since every rotation angle is periodic. A map whose
-    kernel no angle can move is refused with a ValueError.
+    labels with a larger margin. Each evaluation appends (loss, candidate,
+    support count) to one record, from which the AlignmentState is read.
+    Parameters move by lam <- lam - a_k * ghat with no projection, since every
+    rotation angle is periodic. A map whose kernel no angle can move is
+    refused with a ValueError.
     """
     X = _checks.points(X, "X")
     spec = cfg.spec
@@ -143,42 +145,30 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
             f"data axis {spec.data_axis}, trainable axis {spec.trainable_axis} and "
             f"entanglement {spec.entanglement}: there is nothing to align")
     lam = cfg.params.copy()
-
     rng = np.random.default_rng(_checks.rng_entropy(spsa.seed))
-    sv_counts: list[int] = []
-    best = {"loss": np.inf, "lam": lam.copy()}
+    record: list[tuple[float, np.ndarray, int]] = []  # (loss, candidate, support count)
 
     def objective(candidate: np.ndarray) -> float:
-        bound = replace(cfg, params=np.asarray(candidate, dtype=float))
-        model = svc_fit(gram_matrix(bound, X), y, C)
-        sv_counts.append(int(model.support_indices.size))
-        if model.dual_objective < best["loss"]:
-            best["loss"] = model.dual_objective
-            best["lam"] = np.array(candidate, dtype=float)
+        model = svc_fit(gram_matrix(replace(cfg, params=candidate), X), y, C)
+        record.append((model.dual_objective, candidate, int(model.support_indices.size)))
         return model.dual_objective
 
-    trace: list[tuple[int, float]] = [(0, objective(lam))]
+    objective(lam)
     for k in range(spsa.max_iter):
         a_k = spsa.a0 / (k + 1 + SPSA_A_STAB) ** SPSA_ALPHA
         c_k = SPSA_C0 / (k + 1) ** SPSA_GAMMA
         delta = rng.integers(0, 2, size=lam.size).astype(float) * 2.0 - 1.0
-        probes: list[float] = []
+        lam = lam - a_k * spsa_gradient(objective, lam, c_k, delta)
 
-        def probe(candidate: np.ndarray) -> float:
-            value = objective(candidate)
-            probes.append(value)
-            return value
-
-        ghat = spsa_gradient(probe, lam, c_k, delta)
-        lam = lam - a_k * ghat
-        trace.append((k + 1, min(probes)))
-
+    losses = [loss for loss, _, _ in record]
+    loss_best, lam_best, _ = min(record, key=lambda entry: entry[0])  # the first least
     return AlignmentState(
         lam_current=lam,
-        lam_best=best["lam"],
-        loss_best=float(best["loss"]),
-        loss_trace=tuple(trace),
-        sv_counts=tuple(sv_counts),
+        lam_best=lam_best,
+        loss_best=float(loss_best),
+        loss_trace=((0, losses[0]), *((k, min(losses[2 * k - 1], losses[2 * k]))
+                                      for k in range(1, spsa.max_iter + 1))),
+        sv_counts=tuple(count for _, _, count in record),
         seed=spsa.seed,
     )
 

@@ -26,11 +26,14 @@ from qkflow import (
     kernel_value,
     kpca_fit,
     krr_fit,
+    krr_predict,
     mlkrr_fit,
     qka_align,
     random_params,
+    svc_decision,
     svc_fit,
     svr_fit,
+    svr_predict,
 )
 from qkflow._checks import rng_entropy
 from qkflow.featuremap import encode_states, encoding_gates
@@ -277,9 +280,29 @@ SQUARE_CASES = table(
 )
 
 
+CROSS_BLOCK_RULE = "a matrix of finite numbers, one column per training point (3)"
+# a flat vector is read as one row; a GramMatrix is read as its values
+CROSS_BLOCK_CASES = table(
+    {"2-columns": (np.ones((1, 2)), "shape (1, 2)"),
+     "flat-2": (np.ones(2), "shape (1, 2)"),
+     "3-D": (np.ones((1, 1, 3)), "shape (1, 1, 3)"),
+     "GramMatrix-2x2": (GramMatrix(np.eye(2)), "shape (2, 2)"),
+     "nan": (np.array([[0.1, np.nan, 0.3]]), "a non-finite entry"),
+     "flat-nan": (np.array([0.1, np.nan, 0.3]), "a non-finite entry")},
+    {
+        "svc_decision": ("K_new", CROSS_BLOCK_RULE,
+                         lambda K: svc_decision(svc_fit(GRAM, LABELS, 1.0), K)),
+        "krr_predict": ("K_new", CROSS_BLOCK_RULE,
+                        lambda K: krr_predict(krr_fit(GRAM, LABELS, 1.0), K)),
+        "svr_predict": ("K_new", CROSS_BLOCK_RULE,
+                        lambda K: svr_predict(svr_fit(GRAM, LABELS, 1.0, 0.1), K)),
+    },
+)
+
+
 @pytest.mark.parametrize("call, bad, message", [
     *POINT_CASES, *POINT_ARGUMENT_CASES, *PARAMS_CASES, *WHOLE_CASES, *SCALAR_CASES,
-    *ONE_OF_CASES, *TARGET_CASES, *SQUARE_CASES,
+    *ONE_OF_CASES, *TARGET_CASES, *SQUARE_CASES, *CROSS_BLOCK_CASES,
 ])
 def test_every_entry_point_refuses_a_bad_input_with_its_rules_message(call, bad, message):
     with pytest.raises(ValueError) as refused:
@@ -309,3 +332,15 @@ def test_a_numeric_string_is_not_a_number(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("fit, predict", [
+    (lambda: svc_fit(GRAM, LABELS, 1.0), svc_decision),
+    (lambda: krr_fit(GRAM, LABELS, 1.0), krr_predict),
+    (lambda: svr_fit(GRAM, LABELS, 1.0, 0.1), svr_predict),
+], ids=["svc_decision", "krr_predict", "svr_predict"])
+def test_a_flat_cross_block_is_one_row(fit, predict):
+    """A new-versus-training block given as a flat vector is one new point."""
+    model, row = fit(), np.array([0.2, 0.5, 0.9])
+    assert np.array_equal(predict(model, row), predict(model, row.reshape(1, -1)))
+    assert predict(model, row).shape == (1,)

@@ -220,6 +220,21 @@ def test_qka_records_the_fit_of_every_candidate_bit_for_bit(monkeypatch, spec):
     np.testing.assert_array_equal(state.lam_best, candidates[losses.index(min(losses))])
 
 
+def test_qka_keeps_the_first_of_tied_losses(monkeypatch):
+    """With one fixed Gram every evaluation ties exactly, so the best is the
+    first evaluation, the start vector, and no later probe."""
+    X, y = hidden_rotation_data(8, seed=9)
+    start = align_start(0.4)
+    fixed = gram_matrix(start, X)
+    monkeypatch.setattr(training, "gram_matrix", lambda cfg, data: fixed)
+    state = qka_align(start, X, y, 1.0, SpsaConfig(max_iter=4, seed=2))
+    first = svc_fit(fixed, y, 1.0)
+    np.testing.assert_array_equal(state.lam_best, start.params)
+    assert state.loss_best == state.loss_trace[0][1] == first.dual_objective
+    assert all(loss == first.dual_objective for _, loss in state.loss_trace)
+    assert state.sv_counts == (first.support_indices.size,) * (1 + 2 * 4)
+
+
 def test_qka_improves_hidden_rotation_loss():
     X, y = hidden_rotation_data(12, seed=7)
     state = qka_align(align_start(1.2), X, y, 1.0, SpsaConfig(max_iter=25, seed=7))
