@@ -398,7 +398,6 @@ def build_parser() -> _Parser:
                        help="metric learning for kernel ridge regression")
     p.add_argument("--gamma", type=float)
     p.add_argument("--reg", type=float)
-    p.add_argument("--lr", type=float)
     p.add_argument("--rounds", dest="outer_iters", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--matrix-out")

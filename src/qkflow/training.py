@@ -175,88 +175,96 @@ def qka_align(cfg: KernelEngineConfig, X, y, C: float, spsa: SpsaConfig) -> Alig
 
 # classical metric learning for kernel ridge regression
 
+MLKRR_STEP = 0.05  # the trial step of the first MLKRR round on A (see MlkrrConfig)
+
 
 @dataclass(frozen=True, eq=False)
 class MlkrrConfig:
+    """Kernel width, ridge and round budget for MLKRR.
+
+    A round halves its trial step on A up to 10 times until the loss does not
+    increase, else keeps A. The first round tries MLKRR_STEP, and each later
+    one twice the step the round before accepted: Armijo, warm-started.
+    """
+
     gamma: float = 1.0
     reg: float = 1e-6
-    lr: float = 0.05
     outer_iters: int = 30
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", _checks.positive(self.gamma, "gamma"))
         object.__setattr__(self, "reg", _checks.non_negative(self.reg, "reg"))
-        object.__setattr__(self, "lr", _checks.positive(self.lr, "lr"))
         object.__setattr__(self, "outer_iters", _checks.whole(self.outer_iters, "outer_iters", 0))
 
 
-def mlkrr_loss(X, y, alpha, A, gamma: float, reg: float) -> float:
-    """Ridge loss ||K_A alpha - y||^2 + reg * alpha^T K_A alpha."""
-    y = np.asarray(y, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    K = classical_gram(ClassicalKernel.gaussian_metric(gamma, A), X).values
+def _metric_gram(X: np.ndarray, A, gamma: float) -> np.ndarray:
+    return classical_gram(ClassicalKernel.gaussian_metric(gamma, A), X).values
+
+
+def _ridge_loss(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, reg: float) -> float:
     r = K @ alpha - y
     return float(r @ r + reg * alpha @ K @ alpha)
 
 
-def mlkrr_loss_gradient(X, y, alpha, A, gamma: float, reg: float) -> np.ndarray:
-    """Gradient of mlkrr_loss with respect to the transformation matrix A.
-
-    Each kernel entry differentiates as dk_ij/dA = -2 gamma k_ij A d_ij d_ij^T
-    with d_ij = x_i - x_j; summing the chain rule over pairs collapses to a
-    weighted pairwise-difference covariance, assembled here without forming
-    any m^2 x d^2 intermediate.
+def _ridge_gradient(K, X, y, alpha, A, gamma: float, reg: float) -> np.ndarray:
+    """Gradient of _ridge_loss in A, for K the Gram of A on X. With d_ij = x_i - x_j,
+    dk_ij/dA = -2 gamma k_ij A d_ij d_ij^T, and the chain rule over pairs collapses
+    to a weighted pairwise-difference covariance with no m^2 x d^2 intermediate.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    kernel = ClassicalKernel.gaussian_metric(gamma, A)
-    K = classical_gram(kernel, X).values
     r = K @ alpha - y
-    weights = 2.0 * np.outer(r, alpha) + reg * np.outer(alpha, alpha)
-    S = weights * K
-    row = S.sum(axis=1)
-    col = S.sum(axis=0)
-    diag_part = X.T @ (X * (row + col)[:, None])
+    S = (2.0 * np.outer(r, alpha) + reg * np.outer(alpha, alpha)) * K
+    diag_part = X.T @ (X * (S.sum(axis=1) + S.sum(axis=0))[:, None])
     cross_part = X.T @ (S + S.T) @ X
-    return -2.0 * gamma * kernel.transform @ (diag_part - cross_part)
+    return -2.0 * gamma * A @ (diag_part - cross_part)
+
+
+def _mlkrr_inputs(X, y, alpha, gamma, reg) -> tuple:
+    X = _checks.points(X, "X")
+    m = X.shape[0]
+    return (X, _checks.targets(y, m, "y"), _checks.targets(alpha, m, "alpha"),
+            _checks.positive(gamma, "gamma"), _checks.non_negative(reg, "reg"))
+
+
+def mlkrr_loss(X, y, alpha, A, gamma: float, reg: float) -> float:
+    """Ridge loss ||K_A alpha - y||^2 + reg * alpha^T K_A alpha."""
+    X, y, alpha, gamma, reg = _mlkrr_inputs(X, y, alpha, gamma, reg)
+    return _ridge_loss(_metric_gram(X, A, gamma), y, alpha, reg)
+
+
+def mlkrr_loss_gradient(X, y, alpha, A, gamma: float, reg: float) -> np.ndarray:
+    """Gradient of mlkrr_loss with respect to the transformation matrix A."""
+    X, y, alpha, gamma, reg = _mlkrr_inputs(X, y, alpha, gamma, reg)
+    K, A = _metric_gram(X, A, gamma), np.asarray(A, dtype=float)
+    return _ridge_gradient(K, X, y, alpha, A, gamma, reg)
 
 
 def mlkrr_fit(X, y, cfg: MlkrrConfig) -> tuple[np.ndarray, TrainedKRR, list[float]]:
-    """Alternate ridge solves for alpha with gradient steps on A, from A = I.
-
-    Each round refits alpha on the current metric, then takes one gradient
-    step on A at fixed alpha, halving the step up to 10 times if the loss
-    would increase (and keeping A unchanged when every halving fails). The
-    returned trace has one loss entry per round boundary, starting at the
-    initial fit, and is non-increasing.
+    """Alternate ridge solves for alpha with backtracked steps on A (see
+    MlkrrConfig), from A = I. Each metric's Gram is built once: the accepted
+    candidate's serves the refit, the trace loss and the next gradient. The
+    trace has one loss per round boundary, from the initial fit on, and never
+    increases.
     """
     X = _checks.points(X, "X")
     m, d = X.shape
     if m < 2:
         raise ValueError(f"X must have at least 2 rows, got {m}")
     y = _checks.targets(y, m, "y")
-    A = np.eye(d)
-
-    def fit_alpha(current: np.ndarray) -> TrainedKRR:
-        return krr_fit(classical_gram(ClassicalKernel.gaussian_metric(cfg.gamma, current), X),
-                       y, cfg.reg)
-
-    model = fit_alpha(A)
-    trace = [mlkrr_loss(X, y, model.alphas, A, cfg.gamma, cfg.reg)]
+    A, step = np.eye(d), MLKRR_STEP
+    K = _metric_gram(X, A, cfg.gamma)
+    model = krr_fit(K, y, cfg.reg)
+    trace = [_ridge_loss(K, y, model.alphas, cfg.reg)]
     for _ in range(cfg.outer_iters):
-        alpha = model.alphas
-        base = trace[-1]
-        grad = mlkrr_loss_gradient(X, y, alpha, A, cfg.gamma, cfg.reg)
-        lr = cfg.lr
-        for _ in range(10):
-            candidate = A - lr * grad
-            if mlkrr_loss(X, y, alpha, candidate, cfg.gamma, cfg.reg) <= base:
-                A = candidate
+        grad = _ridge_gradient(K, X, y, model.alphas, A, cfg.gamma, cfg.reg)
+        for _ in range(10 if np.any(grad) else 0):  # no step to try at a stationary A
+            candidate = A - step * grad
+            K_candidate = _metric_gram(X, candidate, cfg.gamma)
+            if _ridge_loss(K_candidate, y, model.alphas, cfg.reg) <= trace[-1]:
+                A, K, step = candidate, K_candidate, 2.0 * step
+                model = krr_fit(K, y, cfg.reg)
                 break
-            lr /= 2.0
-        model = fit_alpha(A)
-        trace.append(mlkrr_loss(X, y, model.alphas, A, cfg.gamma, cfg.reg))
+            step /= 2.0
+        trace.append(_ridge_loss(K, y, model.alphas, cfg.reg))
     return A, model, trace
 
 

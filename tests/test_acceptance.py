@@ -271,8 +271,7 @@ def test_acceptance_09_metric_learning_gradient_and_descent():
     rng = np.random.default_rng(909)
     X = rng.normal(size=(14, 3))
     y = np.sin(1.3 * X[:, 0]) + 0.05 * rng.normal(size=14)
-    _, _, trace = mlkrr_fit(X, y, MlkrrConfig(gamma=0.8, reg=1e-4, lr=0.1,
-                                              outer_iters=30))
+    _, _, trace = mlkrr_fit(X, y, MlkrrConfig(gamma=0.8, reg=1e-4, outer_iters=30))
     ok &= trace[-1] <= trace[0]
     report(9, "metric-learning gradient matches finite differences", bool(ok))
     assert ok

@@ -38,7 +38,7 @@ from qkflow import (
 from qkflow._checks import rng_entropy
 from qkflow.featuremap import encode_states, encoding_gates
 from qkflow.model_io import embedding_to_model_file, kernel_from_json, kernel_to_json
-from qkflow.training import EmbeddingArtifact, spsa_gradient
+from qkflow.training import EmbeddingArtifact, mlkrr_loss, mlkrr_loss_gradient, spsa_gradient
 
 SPEC = FeatureMapSpec(n_qubits=1, n_layers=1)
 CFG = KernelEngineConfig(spec=SPEC, params=np.zeros(1))
@@ -48,6 +48,11 @@ GRAM = np.eye(3)
 LINEAR = ClassicalKernel.linear()
 NO_STEPS = SpsaConfig(max_iter=0)
 NO_ROUNDS = MlkrrConfig(outer_iters=0)
+
+
+def mlkrr_with(function, X=POINTS, y=LABELS, alpha=LABELS, gamma=1.0, reg=0.1):
+    """mlkrr_loss or mlkrr_loss_gradient on the identity metric, one input swapped."""
+    return function(X, y, alpha, np.eye(1), gamma, reg)
 
 
 def table(bad_values, entry_points):
@@ -83,6 +88,9 @@ POINT_CASES = table(
                                   lambda X: classical_cross(LINEAR, POINTS, X)),
         "encode_states": (*points_rule("points"), lambda X: encode_states(SPEC, X, np.zeros(1))),
         "mlkrr_fit": (*points_rule("X"), lambda X: mlkrr_fit(X, LABELS, NO_ROUNDS)),
+        "mlkrr_loss": (*points_rule("X"), lambda X: mlkrr_with(mlkrr_loss, X=X)),
+        "mlkrr_loss_gradient": (*points_rule("X"),
+                                lambda X: mlkrr_with(mlkrr_loss_gradient, X=X)),
         "qka_align": (*points_rule("X"), lambda X: qka_align(CFG, X, LABELS, 1.0, NO_STEPS)),
     },
 )
@@ -174,37 +182,48 @@ WHOLE_CASES = table(
 
 
 POSITIVE, NON_NEGATIVE, FINITE = "positive and finite", "finite and non-negative", "finite"
+SCALAR_ENTRY_POINTS = {
+    "ClassicalKernel-c": ("c", FINITE, lambda v: ClassicalKernel.polynomial(c=v)),
+    "ClassicalKernel-sigma": ("sigma", POSITIVE, lambda v: ClassicalKernel.exponential(v)),
+    "ClassicalKernel-gamma": ("gamma", POSITIVE, lambda v: ClassicalKernel.gaussian_metric(v)),
+    "FeatureMapSpec-data_scaling": ("data_scaling", FINITE,
+                                    lambda v: FeatureMapSpec(data_scaling=v)),
+    "SpsaConfig-a0": ("a0", POSITIVE, lambda v: SpsaConfig(a0=v)),
+    "spsa_gradient-c_k": ("c_k", POSITIVE,
+                          lambda v: spsa_gradient(lambda lam: 0.0, [0.0], v, [1.0])),
+    "MlkrrConfig-gamma": ("gamma", POSITIVE, lambda v: MlkrrConfig(gamma=v)),
+    "MlkrrConfig-reg": ("reg", NON_NEGATIVE, lambda v: MlkrrConfig(reg=v)),
+    "mlkrr_loss-gamma": ("gamma", POSITIVE, lambda v: mlkrr_with(mlkrr_loss, gamma=v)),
+    "mlkrr_loss-reg": ("reg", NON_NEGATIVE, lambda v: mlkrr_with(mlkrr_loss, reg=v)),
+    "mlkrr_loss_gradient-gamma": ("gamma", POSITIVE,
+                                  lambda v: mlkrr_with(mlkrr_loss_gradient, gamma=v)),
+    "mlkrr_loss_gradient-reg": ("reg", NON_NEGATIVE,
+                                lambda v: mlkrr_with(mlkrr_loss_gradient, reg=v)),
+    "gen_synthetic-theta_star": ("theta_star", FINITE, lambda v: gen_synthetic(
+        "hidden_rotation", 4, 0, {"theta_star": v})),
+    "gen_synthetic-spread": ("spread", FINITE, lambda v: gen_synthetic(
+        "blobs", 4, 0, {"spread": v})),
+    "gen_synthetic-inner_radius": ("inner_radius", FINITE, lambda v: gen_synthetic(
+        "circles", 4, 0, {"inner_radius": v})),
+    "gen_synthetic-outer_radius": ("outer_radius", FINITE, lambda v: gen_synthetic(
+        "circles", 4, 0, {"outer_radius": v})),
+    "gen_synthetic-noise": ("noise", FINITE, lambda v: gen_synthetic(
+        "circles", 4, 0, {"noise": v})),
+    "svc_fit-C": ("C", POSITIVE, lambda v: svc_fit(GRAM, LABELS, v)),
+    "krr_fit-reg": ("reg", NON_NEGATIVE, lambda v: krr_fit(GRAM, LABELS, v)),
+    "svr_fit-C": ("C", POSITIVE, lambda v: svr_fit(GRAM, LABELS, v, 0.1)),
+    "svr_fit-epsilon": ("epsilon", NON_NEGATIVE, lambda v: svr_fit(GRAM, LABELS, 1.0, v)),
+}
 SCALAR_CASES = table(
     {"inf": (np.inf, "inf"), "nan": (np.nan, "nan"), "None": (None, "None"),
      "list": ([1.0], "[1.0]"), "array": (np.array([1.0, 2.0]), "[1. 2.]"),
      "complex": (1 + 2j, "(1+2j)")},
-    {
-        "ClassicalKernel-c": ("c", FINITE, lambda v: ClassicalKernel.polynomial(c=v)),
-        "ClassicalKernel-sigma": ("sigma", POSITIVE, lambda v: ClassicalKernel.exponential(v)),
-        "ClassicalKernel-gamma": ("gamma", POSITIVE, lambda v: ClassicalKernel.gaussian_metric(v)),
-        "FeatureMapSpec-data_scaling": ("data_scaling", FINITE,
-                                        lambda v: FeatureMapSpec(data_scaling=v)),
-        "SpsaConfig-a0": ("a0", POSITIVE, lambda v: SpsaConfig(a0=v)),
-        "spsa_gradient-c_k": ("c_k", POSITIVE,
-                              lambda v: spsa_gradient(lambda lam: 0.0, [0.0], v, [1.0])),
-        "MlkrrConfig-gamma": ("gamma", POSITIVE, lambda v: MlkrrConfig(gamma=v)),
-        "MlkrrConfig-reg": ("reg", NON_NEGATIVE, lambda v: MlkrrConfig(reg=v)),
-        "MlkrrConfig-lr": ("lr", POSITIVE, lambda v: MlkrrConfig(lr=v)),
-        "gen_synthetic-theta_star": ("theta_star", FINITE, lambda v: gen_synthetic(
-            "hidden_rotation", 4, 0, {"theta_star": v})),
-        "gen_synthetic-spread": ("spread", FINITE, lambda v: gen_synthetic(
-            "blobs", 4, 0, {"spread": v})),
-        "gen_synthetic-inner_radius": ("inner_radius", FINITE, lambda v: gen_synthetic(
-            "circles", 4, 0, {"inner_radius": v})),
-        "gen_synthetic-outer_radius": ("outer_radius", FINITE, lambda v: gen_synthetic(
-            "circles", 4, 0, {"outer_radius": v})),
-        "gen_synthetic-noise": ("noise", FINITE, lambda v: gen_synthetic(
-            "circles", 4, 0, {"noise": v})),
-        "svc_fit-C": ("C", POSITIVE, lambda v: svc_fit(GRAM, LABELS, v)),
-        "krr_fit-reg": ("reg", NON_NEGATIVE, lambda v: krr_fit(GRAM, LABELS, v)),
-        "svr_fit-C": ("C", POSITIVE, lambda v: svr_fit(GRAM, LABELS, v, 0.1)),
-        "svr_fit-epsilon": ("epsilon", NON_NEGATIVE, lambda v: svr_fit(GRAM, LABELS, 1.0, v)),
-    },
+    SCALAR_ENTRY_POINTS,
+)
+# a negative value, for every scalar that has a lower bound
+SIGN_CASES = table(
+    {"negative": (-5.0, "-5.0")},
+    {entry: rule for entry, rule in SCALAR_ENTRY_POINTS.items() if rule[1] != FINITE},
 )
 
 
@@ -248,6 +267,7 @@ def targets_rule(name):
 
 TARGET_CASES = table(
     {"short": (np.array([1.0, -1.0]), "shape (2,)"),
+     "one": (np.array([1.0]), "shape (1,)"),
      "nan": (np.array([1.0, np.nan, -1.0]), "a non-finite entry")},
     {
         "Dataset": (*targets_rule("labels"), lambda y: Dataset(POINTS, labels=y)),
@@ -255,6 +275,12 @@ TARGET_CASES = table(
         "krr_fit": (*targets_rule("y"), lambda y: krr_fit(GRAM, y, 1.0)),
         "svr_fit": (*targets_rule("y"), lambda y: svr_fit(GRAM, y, 1.0, 0.1)),
         "mlkrr_fit": (*targets_rule("y"), lambda y: mlkrr_fit(POINTS, y, NO_ROUNDS)),
+        "mlkrr_loss-y": (*targets_rule("y"), lambda y: mlkrr_with(mlkrr_loss, y=y)),
+        "mlkrr_loss-alpha": (*targets_rule("alpha"), lambda a: mlkrr_with(mlkrr_loss, alpha=a)),
+        "mlkrr_loss_gradient-y": (*targets_rule("y"),
+                                  lambda y: mlkrr_with(mlkrr_loss_gradient, y=y)),
+        "mlkrr_loss_gradient-alpha": (*targets_rule("alpha"),
+                                      lambda a: mlkrr_with(mlkrr_loss_gradient, alpha=a)),
     },
 )
 
@@ -302,7 +328,7 @@ CROSS_BLOCK_CASES = table(
 
 @pytest.mark.parametrize("call, bad, message", [
     *POINT_CASES, *POINT_ARGUMENT_CASES, *PARAMS_CASES, *WHOLE_CASES, *SCALAR_CASES,
-    *ONE_OF_CASES, *TARGET_CASES, *SQUARE_CASES, *CROSS_BLOCK_CASES,
+    *SIGN_CASES, *ONE_OF_CASES, *TARGET_CASES, *SQUARE_CASES, *CROSS_BLOCK_CASES,
 ])
 def test_every_entry_point_refuses_a_bad_input_with_its_rules_message(call, bad, message):
     with pytest.raises(ValueError) as refused:

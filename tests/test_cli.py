@@ -231,13 +231,16 @@ def test_train_refuses_an_infinite_C(tmp_path, capsys, method):
 
 
 def test_mlkrr_refuses_an_infinite_learning_rate(tmp_path, capsys):
+    """mlkrr has no step flag: MLKRR_STEP and the warm start set the step, so
+    any --lr, finite or not, is a usage error and nothing is written."""
     data, model = tmp_path / "d.csv", tmp_path / "m.json"
     run("gen-data", "--kind", "circles", "--m", "20", "--seed", "1", "--out", str(data))
-    capsys.readouterr()
-    rc = run("mlkrr", "--data", str(data), "--rounds", "3", "--lr", "inf", "--out", str(model))
-    assert rc == 2
-    assert capsys.readouterr().err == "error: lr must be positive and finite, got inf\n"
-    assert not model.exists()
+    for lr in ("inf", "0.1"):
+        capsys.readouterr()
+        rc = run("mlkrr", "--data", str(data), "--rounds", "3", "--lr", lr, "--out", str(model))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --lr ")
+        assert not model.exists()
 
 
 @pytest.mark.parametrize("kernel, message", [
